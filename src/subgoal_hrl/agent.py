@@ -81,6 +81,36 @@ def _check_rates(alpha: float, gamma: float) -> None:
         raise ValueError("gamma must be in (0, 1]")
 
 
+def _read_table_csv(
+    path: str | Path, header: list[str], index: StateIndex
+) -> list[tuple[tuple[int, ...], float]]:
+    """(ids, value) rows of a table CSV written by `to_csv`.
+
+    The ids are the integer columns (state first) and must be in range
+    for `index`. Raises ValueError on a wrong header, no rows, or a
+    malformed row.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ValueError(
+                f"{path}: expected header {','.join(header)}, got {found}"
+            )
+        rows = list(reader)
+    if not rows:
+        raise ValueError(f"{path}: table has no rows")
+    entries = []
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: malformed row {row}")
+        ids = tuple(int(v) for v in row[:-1])
+        if not 0 <= ids[0] < index.size or min(ids) < 0:
+            raise ValueError(f"{path}: id out of range in row {row}")
+        entries.append((ids, float(row[-1])))
+    return entries
+
+
 class ControllerTable:
     """q(state, subgoal, action) estimates in intrinsic-reward units."""
 
@@ -130,17 +160,13 @@ class ControllerTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, index: StateIndex) -> "ControllerTable":
-        entries = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                entries.append(
-                    (int(row["state"]), int(row["subgoal"]),
-                     int(row["action"]), float(row["value"]))
-                )
-        n_subgoals = max((g for _, g, _, _ in entries), default=-1) + 1
-        n_actions = max((a for _, _, a, _ in entries), default=-1) + 1
-        table = cls(index, n_subgoals, max(n_actions, 1))
-        for s, g, a, v in entries:
+        entries = _read_table_csv(
+            path, ["state", "subgoal", "action", "value"], index
+        )
+        n_subgoals = max(g for (_, g, _), _ in entries) + 1
+        n_actions = max(a for (_, _, a), _ in entries) + 1
+        table = cls(index, n_subgoals, n_actions)
+        for (s, g, a), v in entries:
             table._values[s][g][a] = v
         return table
 
@@ -179,15 +205,10 @@ class MetaTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, index: StateIndex) -> "MetaTable":
-        entries = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                entries.append(
-                    (int(row["state"]), int(row["subgoal"]), float(row["value"]))
-                )
-        n_subgoals = max((g for _, g, _ in entries), default=-1) + 1
-        table = cls(index, max(n_subgoals, 0))
-        for s, g, v in entries:
+        entries = _read_table_csv(path, ["state", "subgoal", "value"], index)
+        n_subgoals = max(g for (_, g), _ in entries) + 1
+        table = cls(index, n_subgoals)
+        for (s, g), v in entries:
             table._values[s][g] = v
         return table
 
@@ -219,15 +240,10 @@ class FlatTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, index: StateIndex) -> "FlatTable":
-        entries = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                entries.append(
-                    (int(row["state"]), int(row["action"]), float(row["value"]))
-                )
-        n_actions = max((a for _, a, _ in entries), default=-1) + 1
-        table = cls(index, max(n_actions, 1))
-        for s, a, v in entries:
+        entries = _read_table_csv(path, ["state", "action", "value"], index)
+        n_actions = max(a for (_, a), _ in entries) + 1
+        table = cls(index, n_actions)
+        for (s, a), v in entries:
             table._values[s][a] = v
         return table
 

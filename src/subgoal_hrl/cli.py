@@ -103,14 +103,26 @@ def _build_configs(args) -> list[RunConfig]:
     base = dict(file_values)
     base.update(flag_overrides)
     if experiments and not flag_overrides.get("mode"):
+        if not isinstance(experiments, list):
+            raise CliError("'experiments' must be a list")
         configs = []
         for entry in experiments:
-            if "mode" not in entry or "seeds" not in entry:
-                raise CliError("each experiment needs 'mode' and 'seeds'")
-            for seed in entry["seeds"]:
+            if not isinstance(entry, dict) or set(entry) != {"mode", "seeds"}:
+                raise CliError(
+                    f"each experiment sets exactly 'mode' and 'seeds', got {entry!r}"
+                )
+            seeds = entry["seeds"]
+            if not isinstance(seeds, list) or any(
+                isinstance(seed, bool) or not isinstance(seed, int)
+                for seed in seeds
+            ):
+                raise CliError(
+                    f"experiment seeds must be a list of integers, got {seeds!r}"
+                )
+            for seed in seeds:
                 values = dict(base)
                 values["mode"] = entry["mode"]
-                values["seed"] = int(seed)
+                values["seed"] = seed
                 configs.append(_make_config(values))
         return configs
     if "mode" not in base:
@@ -311,27 +323,39 @@ def cmd_eval(args) -> int:
     manifest_path = run_dir / MANIFEST_NAME
     if not manifest_path.exists():
         raise CliError(f"{run_dir} is not a completed run (no {MANIFEST_NAME})")
-    manifest = json.loads(manifest_path.read_text())
-    config = _make_config(manifest["config"])
-    if config.mode == "random_walk":
-        raise CliError("random_walk runs have no tables to evaluate")
-    index = StateIndex(config.layout())
-    artifacts = manifest["artifacts"]
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        config = _make_config(manifest["config"])
+        if config.mode == "random_walk":
+            raise CliError("random_walk runs have no tables to evaluate")
+        index = StateIndex(config.layout())
+        artifacts = manifest["artifacts"]
+        kwargs: dict = {}
+        if config.mode == "flat_q":
+            kwargs["flat"] = FlatTable.from_csv(
+                run_dir / artifacts["flat_table"], index
+            )
+        else:
+            if "subgoals" not in artifacts:
+                raise CliError("run finished without a discovered subgoal set")
+            kwargs["controller"] = ControllerTable.from_csv(
+                run_dir / artifacts["controller_table"], index
+            )
+            kwargs["meta"] = MetaTable.from_csv(
+                run_dir / artifacts["meta_table"], index
+            )
+            kwargs["subgoals"] = SubgoalSet.from_json_dict(
+                json.loads((run_dir / artifacts["subgoals"]).read_text())
+            )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"cannot load run artifacts from {run_dir}: {exc}") from exc
+    for name in ("controller", "meta"):
+        if name in kwargs and kwargs[name].n_subgoals != kwargs["subgoals"].size:
+            raise CliError(
+                f"{name} table covers {kwargs[name].n_subgoals} subgoals but "
+                f"the subgoal set has {kwargs['subgoals'].size}"
+            )
     rng = np.random.default_rng(args.seed)
-
-    kwargs: dict = {}
-    if config.mode == "flat_q":
-        kwargs["flat"] = FlatTable.from_csv(run_dir / artifacts["flat_table"], index)
-    else:
-        kwargs["controller"] = ControllerTable.from_csv(
-            run_dir / artifacts["controller_table"], index
-        )
-        kwargs["meta"] = MetaTable.from_csv(run_dir / artifacts["meta_table"], index)
-        if "subgoals" not in artifacts:
-            raise CliError("run finished without a discovered subgoal set")
-        kwargs["subgoals"] = SubgoalSet.from_json_dict(
-            json.loads((run_dir / artifacts["subgoals"]).read_text())
-        )
 
     episodes = []
     for _ in range(args.episodes):

@@ -8,6 +8,7 @@ reward deviates strongly from the memory's reward distribution).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -152,39 +153,79 @@ class KMeansResult:
     distortion_history: tuple[float, ...] = field(default=())
 
 
+def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows `cells` and `inverse` with `points == cells[inverse]`.
+
+    A lexsort over the columns: several times faster than
+    `np.unique(..., axis=0)`, which sorts a structured view of the rows.
+    """
+    order = np.lexsort(points.T[::-1])
+    ordered = points[order]
+    starts = np.empty(len(points), dtype=bool)
+    starts[0] = True
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(points), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
 def _seed_centroids(
-    points: np.ndarray, k: int, rng: np.random.Generator
+    points: np.ndarray,
+    cells: np.ndarray,
+    inverse: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """K-means++ seeding: spread initial centroids by squared distance."""
+    """K-means++ seeding: spread initial centroids by squared distance.
+
+    Distances are computed per distinct cell; the draw reads them back per
+    point, so it sees the same probability vector as a per-point seeding.
+    """
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=float)
     centroids[0] = points[int(rng.integers(n))]
-    closest_sq = ((points - centroids[0]) ** 2).sum(axis=1)
+    closest_sq = ((cells - centroids[0]) ** 2).sum(axis=1)
     for i in range(1, k):
-        total = closest_sq.sum()
+        per_point = closest_sq[inverse]
+        total = per_point.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=closest_sq / total))
+            idx = int(rng.choice(n, p=per_point / total))
         centroids[i] = points[idx]
         closest_sq = np.minimum(
-            closest_sq, ((points - centroids[i]) ** 2).sum(axis=1)
+            closest_sq, ((cells - centroids[i]) ** 2).sum(axis=1)
         )
     return centroids
 
 
+def _assign(
+    cells: np.ndarray, inverse: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point nearest-centroid ids and squared distances, computed once
+    per distinct cell."""
+    d2 = ((cells[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    assign = d2.argmin(axis=1)
+    nearest = d2[np.arange(cells.shape[0]), assign]
+    return assign[inverse], nearest[inverse]
+
+
 def _lloyd(
-    points: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float
+    points: np.ndarray,
+    cells: np.ndarray,
+    inverse: np.ndarray,
+    centroids: np.ndarray,
+    max_iter: int,
+    tol: float,
 ) -> KMeansResult:
-    n, k = points.shape[0], centroids.shape[0]
-    row_idx = np.arange(n)
+    """Lloyd iterations over `points`, whose distinct rows are `cells`
+    (`points == cells[inverse]`)."""
+    k = centroids.shape[0]
     history: list[float] = []
     prev = float("inf")
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
-        assigned_d2 = d2[row_idx, assign]
+        assign, assigned_d2 = _assign(cells, inverse, centroids)
         distortion = float(assigned_d2.sum())
         # Lloyd's guarantee: alternating assignment/update never increases
         # the distortion (empty-cluster repair moves a centroid no point
@@ -195,8 +236,11 @@ def _lloyd(
         history.append(distortion)
         prev = distortion
 
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, points)
+        # bincount adds the points in order, so the sums are bit-equal to
+        # a sequential per-point accumulation.
+        sums = np.column_stack(
+            [np.bincount(assign, weights=col, minlength=k) for col in points.T]
+        )
         counts = np.bincount(assign, minlength=k)
         new_centroids = centroids.copy()
         nonempty = counts > 0
@@ -213,9 +257,8 @@ def _lloyd(
         centroids = new_centroids
         if shift < tol:
             break
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
-    distortion = float(d2[row_idx, assign].sum())
+    assign, assigned_d2 = _assign(cells, inverse, centroids)
+    distortion = float(assigned_d2.sum())
     assert distortion <= prev + 1e-9 + 1e-12 * abs(prev)
     history.append(distortion)
     return KMeansResult(
@@ -240,6 +283,13 @@ def kmeans_fit(
     Runs `n_init` independent seedings and keeps the fit with the lowest
     distortion. Deterministic given the rng state.
 
+    Distances and nearest-centroid searches run once per distinct point
+    (arrival coordinates take at most one value per playable cell), while
+    every order-sensitive step (the seeding draw, coordinate sums,
+    distortion sums, empty-cluster repair) still reads per-point arrays.
+    Results and rng consumption are therefore bit-identical to running
+    every step per point.
+
     Raises:
         ValueError: on k < 1 or fewer points than clusters.
     """
@@ -254,9 +304,11 @@ def kmeans_fit(
         raise ValueError("points must be finite")
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
+    cells, inverse = _distinct_rows(pts)
     best: KMeansResult | None = None
     for _ in range(n_init):
-        result = _lloyd(pts, _seed_centroids(pts, k, rng), max_iter, tol)
+        seeds = _seed_centroids(pts, cells, inverse, k, rng)
+        result = _lloyd(pts, cells, inverse, seeds, max_iter, tol)
         if best is None or result.distortion < best.distortion:
             best = result
     return best
@@ -323,9 +375,12 @@ def discover(
     (x, y, has_key).
 
     Raises:
+        ValueError: when `theta_anom` is not a finite number > 0.
         InsufficientMemoryError: too few transitions, or too few distinct
             arrival cells to place `k` distinct centroids.
     """
+    if not (math.isfinite(theta_anom) and theta_anom > 0):
+        raise ValueError(f"theta_anom must be finite and > 0, got {theta_anom!r}")
     if rng is None:
         rng = np.random.default_rng()
     required = max(k, min_samples, 2)

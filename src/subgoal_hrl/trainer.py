@@ -11,6 +11,7 @@ Modes:
 
 from __future__ import annotations
 
+import math
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, fields, replace
@@ -111,6 +112,10 @@ class RunConfig:
     layout_text: str | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.total_steps > self.warmup_steps > 0:

@@ -62,6 +62,7 @@ def matched_100k():
     }
 
 
+@pytest.mark.slow
 def test_criterion_1_coverage_endpoint(unified_200k):
     coverages = [r.final_coverage for r in unified_200k]
     full = sum(c == 1.0 for c in coverages)
@@ -73,6 +74,7 @@ def test_criterion_1_coverage_endpoint(unified_200k):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_coverage_ordering(matched_100k):
     means = {
         mode: sum(r.final_coverage for r in results) / len(results)
@@ -93,6 +95,7 @@ def test_criterion_2_coverage_ordering(matched_100k):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_return_separation(matched_100k):
     flat_means = [_final_100_mean(r) for r in matched_100k["flat_q"]]
     unified_means = [_final_100_mean(r) for r in matched_100k["unified_hrl"]]

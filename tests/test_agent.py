@@ -493,3 +493,36 @@ def test_table_csv_round_trip(tmp_path, layout, rng):
     assert ctrl2._values == ctrl._values
     assert meta2._values == meta._values
     assert flat2._values == flat._values
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "garbage\n",
+        "state,subgoal,action\n0,0,1\n",
+        "state,subgoal,value\n",
+        "state,subgoal,value\n0,zero,1.5\n",
+        "state,subgoal,value\n0,0\n",
+        "state,subgoal,value\n9999,0,1.5\n",
+        "state,subgoal,value\n0,-1,1.5\n",
+    ],
+    ids=[
+        "garbage", "no-value-column", "no-rows", "non-integer-id",
+        "short-row", "state-out-of-range", "negative-subgoal",
+    ],
+)
+def test_table_from_csv_rejects_malformed_files(tmp_path, layout, text):
+    index = StateIndex(layout)
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        MetaTable.from_csv(path, index)
+
+
+def test_table_from_csv_rejects_another_tables_header(tmp_path, layout):
+    index = StateIndex(layout)
+    FlatTable(index).to_csv(tmp_path / "f.csv")
+    with pytest.raises(ValueError, match="header"):
+        ControllerTable.from_csv(tmp_path / "f.csv", index)
+    with pytest.raises(ValueError, match="header"):
+        MetaTable.from_csv(tmp_path / "f.csv", index)

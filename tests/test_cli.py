@@ -1,6 +1,7 @@
 """CLI contracts: artifacts, precedence, determinism, comparison."""
 
 import json
+import shutil
 
 import pytest
 import yaml
@@ -251,3 +252,127 @@ def test_eval_random_walk_rejected(tmp_path, capsys):
 def test_eval_missing_run_rejected(tmp_path, capsys):
     assert main(["eval", "--run", str(tmp_path / "missing")]) == 1
     assert "manifest" in capsys.readouterr().err.lower()
+
+
+def _assert_cli_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-1", "0"])
+def test_discover_rejects_bad_theta_anom(tmp_path, env, capsys, theta):
+    memory_path = tmp_path / "memory.jsonl"
+    save_transitions_jsonl(memory_path, build_full_coverage_memory(env))
+    out_path = tmp_path / "subgoals.json"
+    assert main([
+        "discover", "--memory", str(memory_path), f"--theta-anom={theta}",
+        "--out", str(out_path),
+    ]) == 1
+    _assert_cli_error(capsys, "theta_anom")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_train_rejects_non_finite_theta_anom(tmp_path, capsys, theta):
+    assert main(train_args(tmp_path, theta_anom=theta)) == 1
+    _assert_cli_error(capsys, "theta_anom")
+    assert not (tmp_path / "unified_hrl_seed3").exists()
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_train_rejects_non_finite_table_init(tmp_path, capsys, value):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(f"mode: flat_q\ntotal_steps: 600\ntable_init: {value}\n")
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    _assert_cli_error(capsys, "table_init")
+
+
+def test_experiment_seed_must_be_integer(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(
+        "total_steps: 600\nwarmup_steps: 50\n"
+        "experiments:\n  - mode: random_walk\n    seeds: [abc]\n"
+    )
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    _assert_cli_error(capsys, "abc")
+
+
+def test_experiment_unknown_key_rejected(tmp_path, capsys):
+    config = {
+        "total_steps": 600,
+        "warmup_steps": 50,
+        "experiments": [{"mode": "random_walk", "seeds": [0], "k": 3}],
+    }
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    _assert_cli_error(capsys, "'k'")
+    assert not (tmp_path / "random_walk_seed0").exists()
+
+
+@pytest.fixture(scope="module")
+def trained_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("runs")
+    for mode in ("unified_hrl", "flat_q"):
+        assert main(train_args(root, mode=mode, seed=1)) == 0
+    return root
+
+
+def _corrupt_run(trained_runs, tmp_path, run_name, artifact, text):
+    run_dir = tmp_path / run_name
+    shutil.copytree(trained_runs / run_name, run_dir)
+    (run_dir / artifact).write_text(text)
+    return run_dir
+
+
+@pytest.mark.parametrize(
+    "run_name,artifact",
+    [
+        ("flat_q_seed1", "flat_q.csv"),
+        ("unified_hrl_seed1", "controller_q.csv"),
+        ("unified_hrl_seed1", "meta_q.csv"),
+    ],
+)
+def test_eval_rejects_garbage_table(trained_runs, tmp_path, capsys, run_name, artifact):
+    run_dir = _corrupt_run(trained_runs, tmp_path, run_name, artifact, "garbage\n")
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "header")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["state,action,value\n", "state,action\n0,1\n", "state,action,value\n0,1\n"],
+    ids=["no-rows", "no-value-column", "short-row"],
+)
+def test_eval_rejects_table_without_rows_or_values(trained_runs, tmp_path, capsys, text):
+    run_dir = _corrupt_run(trained_runs, tmp_path, "flat_q_seed1", "flat_q.csv", text)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "flat_q.csv")
+
+
+def test_eval_rejects_truncated_subgoals(trained_runs, tmp_path, capsys):
+    text = (trained_runs / "unified_hrl_seed1" / "subgoals.json").read_text()
+    run_dir = _corrupt_run(
+        trained_runs, tmp_path, "unified_hrl_seed1", "subgoals.json",
+        text[: len(text) // 2],
+    )
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "cannot load run artifacts")
+
+
+def test_eval_rejects_table_narrower_than_subgoal_set(trained_runs, tmp_path, capsys):
+    lines = (trained_runs / "unified_hrl_seed1" / "meta_q.csv").read_text().splitlines()
+    kept = [lines[0]] + [ln for ln in lines[1:] if ln.split(",")[1] == "0"]
+    run_dir = _corrupt_run(
+        trained_runs, tmp_path, "unified_hrl_seed1", "meta_q.csv",
+        "\n".join(kept) + "\n",
+    )
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "meta table covers 1 subgoals")

@@ -232,6 +232,12 @@ def test_discover_insufficient_memory(rng):
         discover(_arrivals([(1, 1), (2, 1)]), 1, 3.0, rng, min_samples=10)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_discover_rejects_bad_theta_anom(full_coverage_memory, rng, theta):
+    with pytest.raises(ValueError, match="theta_anom"):
+        discover(full_coverage_memory, 4, theta, rng)
+
+
 def test_discover_degenerate_memory_rejected(rng):
     # 8 transitions but a single distinct arrival cell: no 2 distinct centroids.
     with pytest.raises(InsufficientMemoryError):

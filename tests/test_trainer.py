@@ -55,6 +55,15 @@ def test_config_rejects_bad_values():
     RunConfig(mode="flat_q").validate()
 
 
+@pytest.mark.parametrize(
+    "field", ["theta_anom", "table_init", "alpha", "slip_prob", "flat_eps"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(mode="unified_hrl", **{field: value}).validate()
+
+
 def test_run_rejects_invalid_config_before_stepping():
     with pytest.raises(ConfigError):
         run(RunConfig(mode="unified_hrl", total_steps=10, warmup_steps=10))
@@ -292,6 +301,7 @@ def test_flat_mode_trains_flat_table_only():
     assert any(v != 0.0 for _, _, v in result.flat.rows())
 
 
+@pytest.mark.slow
 def test_unified_learns_at_desk_scale():
     # 20k steps is enough for full coverage on this seed.
     cfg = RunConfig(
