@@ -11,6 +11,7 @@ minimizing the squared TD error.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -62,7 +63,7 @@ class StateIndex:
         self.size = 2 * len(self._cells)
 
     def encode(self, state: GridState) -> int:
-        idx = self._index.get((state.x, state.y, state.has_key))
+        idx = self._index.get(state)
         if idx is None:
             raise ValueError(f"state {state} is not indexable (wall cell?)")
         return idx
@@ -83,12 +84,14 @@ def _check_rates(alpha: float, gamma: float) -> None:
 
 def _read_table_csv(
     path: str | Path, header: list[str], index: StateIndex
-) -> list[tuple[tuple[int, ...], float]]:
-    """(ids, value) rows of a table CSV written by `to_csv`.
+) -> tuple[tuple[int, ...], dict[tuple[int, ...], float]]:
+    """Column counts and the ids -> value rows of a table CSV from `to_csv`.
 
     The ids are the integer columns (state first) and must be in range
-    for `index`. Raises ValueError on a wrong header, no rows, or a
-    malformed row.
+    for `index`. The counts are those of the columns after the state
+    (subgoals, actions), each one past its largest id. Raises ValueError
+    on a wrong header, no rows, a malformed row, or a table that does not
+    hold exactly one row per id combination.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -100,15 +103,25 @@ def _read_table_csv(
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: table has no rows")
-    entries = []
+    entries: dict[tuple[int, ...], float] = {}
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"{path}: malformed row {row}")
         ids = tuple(int(v) for v in row[:-1])
         if not 0 <= ids[0] < index.size or min(ids) < 0:
             raise ValueError(f"{path}: id out of range in row {row}")
-        entries.append((ids, float(row[-1])))
-    return entries
+        entries[ids] = float(row[-1])
+    counts = tuple(
+        max(ids[col] for ids in entries) + 1 for col in range(1, len(header) - 1)
+    )
+    expected = index.size * math.prod(counts)
+    if len(rows) != expected or len(entries) != expected:
+        raise ValueError(
+            f"{path}: expected one row per id combination of "
+            f"{index.size} states x {' x '.join(map(str, counts))}, "
+            f"got {len(rows)} rows"
+        )
+    return counts, entries
 
 
 class ControllerTable:
@@ -160,13 +173,11 @@ class ControllerTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, index: StateIndex) -> "ControllerTable":
-        entries = _read_table_csv(
+        (n_subgoals, n_actions), entries = _read_table_csv(
             path, ["state", "subgoal", "action", "value"], index
         )
-        n_subgoals = max(g for (_, g, _), _ in entries) + 1
-        n_actions = max(a for (_, _, a), _ in entries) + 1
         table = cls(index, n_subgoals, n_actions)
-        for (s, g, a), v in entries:
+        for (s, g, a), v in entries.items():
             table._values[s][g][a] = v
         return table
 
@@ -205,10 +216,11 @@ class MetaTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, index: StateIndex) -> "MetaTable":
-        entries = _read_table_csv(path, ["state", "subgoal", "value"], index)
-        n_subgoals = max(g for (_, g), _ in entries) + 1
+        (n_subgoals,), entries = _read_table_csv(
+            path, ["state", "subgoal", "value"], index
+        )
         table = cls(index, n_subgoals)
-        for (s, g), v in entries:
+        for (s, g), v in entries.items():
             table._values[s][g] = v
         return table
 
@@ -240,10 +252,11 @@ class FlatTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, index: StateIndex) -> "FlatTable":
-        entries = _read_table_csv(path, ["state", "action", "value"], index)
-        n_actions = max(a for (_, a), _ in entries) + 1
+        (n_actions,), entries = _read_table_csv(
+            path, ["state", "action", "value"], index
+        )
         table = cls(index, n_actions)
-        for (s, a), v in entries:
+        for (s, a), v in entries.items():
             table._values[s][a] = v
         return table
 
@@ -330,16 +343,21 @@ def update_controller(
 ) -> None:
     """One TD step per item, in order, toward the intrinsic target."""
     _check_rates(alpha, gamma)
-    for tr in batch:
-        if tr.attained_or_terminal:
-            target = tr.r_intrinsic
-        else:
-            target = tr.r_intrinsic + gamma * max(
-                controller.action_values(tr.s_next, tr.goal_id)
-            )
-        row = controller.action_values(tr.s, tr.goal_id)
-        a = int(tr.a)
-        row[a] += alpha * (target - row[a])
+    values, rows = controller._values, controller.index._index
+    n_subgoals = controller.n_subgoals
+    try:
+        for s, g, a, r, s_next, done in batch:
+            if not 0 <= g < n_subgoals:
+                raise ValueError(f"unknown subgoal id {g}")
+            if done:
+                target = r
+            else:
+                target = r + gamma * max(values[rows[s_next]][g])
+            row = values[rows[s]][g]
+            row[a] += alpha * (target - row[a])
+    except KeyError as exc:
+        controller.index.encode(exc.args[0])  # raises encode's ValueError
+        raise
 
 
 def update_meta(
@@ -354,18 +372,24 @@ def update_meta(
     accrued over the temporally extended subgoal attempt.
     """
     _check_rates(alpha, gamma)
-    for tr in batch:
-        if not 0 <= tr.goal_id < meta.n_subgoals:
-            raise ValueError(f"unknown subgoal id {tr.goal_id}")
-        if tr.terminal:
-            target = tr.return_g
-        else:
-            target = tr.return_g + gamma ** tr.duration * max(
-                meta.goal_values(tr.s_end)
-            )
-        row = meta.goal_values(tr.s0)
-        g = tr.goal_id
-        row[g] += alpha * (target - row[g])
+    values, rows = meta._values, meta.index._index
+    n_subgoals = meta.n_subgoals
+    try:
+        for tr in batch:
+            g = tr.goal_id
+            if not 0 <= g < n_subgoals:
+                raise ValueError(f"unknown subgoal id {g}")
+            if tr.terminal:
+                target = tr.return_g
+            else:
+                target = tr.return_g + gamma ** tr.duration * max(
+                    values[rows[tr.s_end]]
+                )
+            row = values[rows[tr.s0]]
+            row[g] += alpha * (target - row[g])
+    except KeyError as exc:
+        meta.index.encode(exc.args[0])  # raises encode's ValueError
+        raise
 
 
 def flat_q_update(
@@ -376,11 +400,15 @@ def flat_q_update(
 ) -> None:
     """Standard one-step Q-learning update over raw transitions."""
     _check_rates(alpha, gamma)
-    for tr in batch:
-        if tr.terminal:
-            target = tr.r
-        else:
-            target = tr.r + gamma * max(table.action_values(tr.s_next))
-        row = table.action_values(tr.s)
-        a = int(tr.a)
-        row[a] += alpha * (target - row[a])
+    values, rows = table._values, table.index._index
+    try:
+        for s, a, r, s_next, terminal in batch:
+            if terminal:
+                target = r
+            else:
+                target = r + gamma * max(values[rows[s_next]])
+            row = values[rows[s]]
+            row[a] += alpha * (target - row[a])
+    except KeyError as exc:
+        table.index.encode(exc.args[0])  # raises encode's ValueError
+        raise

@@ -22,6 +22,7 @@ import yaml
 from .agent import ControllerTable, FlatTable, MetaTable, StateIndex
 from .discovery import SubgoalSet, discover
 from .memory import load_transitions_jsonl, save_transitions_jsonl
+from .rooms_env import N_ACTIONS
 from .trainer import (
     MODES,
     MetricsRecord,
@@ -106,6 +107,7 @@ def _build_configs(args) -> list[RunConfig]:
         if not isinstance(experiments, list):
             raise CliError("'experiments' must be a list")
         configs = []
+        listed: set[tuple] = set()
         for entry in experiments:
             if not isinstance(entry, dict) or set(entry) != {"mode", "seeds"}:
                 raise CliError(
@@ -120,6 +122,12 @@ def _build_configs(args) -> list[RunConfig]:
                     f"experiment seeds must be a list of integers, got {seeds!r}"
                 )
             for seed in seeds:
+                if (entry["mode"], seed) in listed:
+                    raise CliError(
+                        f"experiments list mode {entry['mode']!r} with seed "
+                        f"{seed} twice; both would write the same run directory"
+                    )
+                listed.add((entry["mode"], seed))
                 values = dict(base)
                 values["mode"] = entry["mode"]
                 values["seed"] = seed
@@ -273,11 +281,18 @@ def cmd_compare(args) -> int:
     by_mode: dict[str, list[list[MetricsRecord]]] = {}
     final_steps = []
     for d in run_dirs:
-        manifest = json.loads((d / MANIFEST_NAME).read_text())
-        records = metrics_from_csv((d / "metrics.csv").read_text())
+        try:
+            path = d / MANIFEST_NAME
+            mode = json.loads(path.read_text())["mode"]
+            path = d / "metrics.csv"
+            records = metrics_from_csv(path.read_text())
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise CliError(f"cannot load {path}: {exc!r}") from exc
+        if mode not in MODES:
+            raise CliError(f"{d / MANIFEST_NAME}: mode {mode!r} is not one of {MODES}")
         if not records:
             raise CliError(f"{d} has no metrics rows")
-        by_mode.setdefault(manifest["mode"], []).append(records)
+        by_mode.setdefault(mode, []).append(records)
         final_steps.append(records[-1].steps)
 
     grid_step = args.grid_step
@@ -349,6 +364,12 @@ def cmd_eval(args) -> int:
             )
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load run artifacts from {run_dir}: {exc}") from exc
+    for name in ("flat", "controller"):
+        if name in kwargs and kwargs[name].n_actions != N_ACTIONS:
+            raise CliError(
+                f"{name} table covers {kwargs[name].n_actions} actions but "
+                f"the environment has {N_ACTIONS}"
+            )
     for name in ("controller", "meta"):
         if name in kwargs and kwargs[name].n_subgoals != kwargs["subgoals"].size:
             raise CliError(

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Generic, Iterator, Sequence, TypeVar
+from typing import Generic, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -42,8 +42,7 @@ def accumulate_return(rewards: Sequence[float], gamma: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One raw environment step."""
 
     s: GridState
@@ -53,8 +52,7 @@ class Transition:
     terminal: bool
 
 
-@dataclass(frozen=True)
-class ControllerTransition:
+class ControllerTransition(NamedTuple):
     """One controller step taken while pursuing a subgoal.
 
     `attained_or_terminal` marks the end of the value bootstrap chain:
@@ -143,8 +141,8 @@ class BoundedMemory(Generic[T]):
         return self._items[(self._head + i) % self.capacity]
 
     def __iter__(self) -> Iterator[T]:
-        for i in range(len(self._items)):
-            yield self[i]
+        head = self._head
+        return iter(self._items[head:] + self._items[:head])
 
     def push(self, item: T) -> None:
         if len(self._items) < self.capacity:
@@ -162,10 +160,11 @@ class BoundedMemory(Generic[T]):
         size = len(self._items)
         if size == 0:
             raise ValueError("cannot sample from an empty memory")
+        idx = rng.integers(0, size, size=n)
+        if self._head:
+            idx = (idx + self._head) % self.capacity
         items = self._items
-        head = self._head
-        cap = self.capacity
-        return [items[(head + i) % cap] for i in rng.integers(0, size, size=n)]
+        return [items[i] for i in idx.tolist()]
 
 
 def transition_to_dict(t: Transition) -> dict:

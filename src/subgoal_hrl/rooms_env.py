@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +41,12 @@ ACTION_DELTAS: dict[Action, tuple[int, int]] = {
 N_ACTIONS = len(Action)
 
 
-@dataclass(frozen=True)
-class GridState:
-    """Agent position plus the key-possession flag."""
+class GridState(NamedTuple):
+    """Agent position plus the key-possession flag.
+
+    A tuple, so it hashes like `(x, y, has_key)` and is its own key in
+    the dense state index.
+    """
 
     x: int
     y: int

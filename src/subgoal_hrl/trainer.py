@@ -168,7 +168,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """Per-episode training metrics; wall_clock stays out of the CSV."""
+    """Per-episode training metrics, one row of metrics.csv."""
 
     episode: int
     steps: int
@@ -176,7 +176,6 @@ class MetricsRecord:
     coverage: float
     success_rate: float
     num_subgoals: int
-    wall_clock: float = 0.0
 
     def csv_row(self) -> str:
         return (
@@ -368,7 +367,6 @@ class Runner:
                 coverage=coverage(self.visited, self.playable),
                 success_rate=self._success_rate(),
                 num_subgoals=self.subgoals.size if self.subgoals else 0,
-                wall_clock=time.perf_counter() - self._t0,
             )
         )
         self.episode_index += 1

@@ -197,6 +197,60 @@ def test_controller_update_rejects_unknown_goal(layout):
         update_controller(ctrl, [tr], alpha=0.1, gamma=0.99)
 
 
+WALL = GridState(0, 0)
+
+
+@pytest.mark.parametrize("where", ["s", "s_next"])
+def test_updates_reject_wall_states(layout, where):
+    index = StateIndex(layout)
+    s, s_next = GridState(1, 1), GridState(2, 1)
+    if where == "s":
+        s = WALL
+    else:
+        s_next = WALL
+    with pytest.raises(ValueError, match="not indexable"):
+        update_controller(
+            ControllerTable(index, 1),
+            [ControllerTransition(s, 0, Action.EAST, 0.0, s_next, False)],
+            alpha=0.1, gamma=0.99,
+        )
+    with pytest.raises(ValueError, match="not indexable"):
+        update_meta(
+            MetaTable(index, 1),
+            [MetaTransition.from_rewards(s, 0, [0.0], 0.99, s_next, False)],
+            alpha=0.1, gamma=0.99,
+        )
+    with pytest.raises(ValueError, match="not indexable"):
+        flat_q_update(
+            FlatTable(index),
+            [Transition(s, Action.EAST, 0.0, s_next, False)],
+            alpha=0.1, gamma=0.99,
+        )
+
+
+@pytest.mark.parametrize("done", [False, True])
+def test_updates_reject_negative_goal_ids(layout, done):
+    # List indexing would wrap -1 to the last subgoal's column.
+    index = StateIndex(layout)
+    ctrl = ControllerTable(index, 2)
+    meta = MetaTable(index, 2)
+    s, s_next = GridState(1, 1), GridState(2, 1)
+    with pytest.raises(ValueError, match="unknown subgoal id -1"):
+        update_controller(
+            ctrl,
+            [ControllerTransition(s, -1, Action.EAST, 1.0, s_next, done)],
+            alpha=0.1, gamma=0.99,
+        )
+    with pytest.raises(ValueError, match="unknown subgoal id -1"):
+        update_meta(
+            meta,
+            [MetaTransition.from_rewards(s, -1, [1.0], 0.99, s_next, done)],
+            alpha=0.1, gamma=0.99,
+        )
+    assert ctrl.action_values(s, 1) == [0.0] * 4
+    assert meta.goal_values(s) == [0.0, 0.0]
+
+
 def value_iteration(n_states, n_actions, step_fn, gamma, tol=1e-13):
     """Q* for a deterministic MDP given step_fn(s, a) -> (s', r, done)."""
     q = [[0.0] * n_actions for _ in range(n_states)]
@@ -517,6 +571,28 @@ def test_table_from_csv_rejects_malformed_files(tmp_path, layout, text):
     path.write_text(text)
     with pytest.raises(ValueError):
         MetaTable.from_csv(path, index)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    ["first-4-rows", "drop-one-row", "duplicate-row", "drop-state"],
+)
+def test_table_from_csv_rejects_incomplete_tables(tmp_path, layout, edit):
+    index = StateIndex(layout)
+    ControllerTable(index, 2).to_csv(tmp_path / "full.csv")
+    header, *rows = (tmp_path / "full.csv").read_text().splitlines()
+    if edit == "first-4-rows":
+        rows = rows[:4]
+    elif edit == "drop-one-row":
+        rows = rows[:5] + rows[6:]
+    elif edit == "duplicate-row":
+        rows = rows[:5] + [rows[4]] + rows[6:]
+    else:
+        rows = [r for r in rows if r.split(",")[0] != "17"]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ValueError, match="one row per id combination"):
+        ControllerTable.from_csv(path, index)
 
 
 def test_table_from_csv_rejects_another_tables_header(tmp_path, layout):

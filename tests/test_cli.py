@@ -376,3 +376,105 @@ def test_eval_rejects_table_narrower_than_subgoal_set(trained_runs, tmp_path, ca
     capsys.readouterr()
     assert main(["eval", "--run", str(run_dir)]) == 1
     _assert_cli_error(capsys, "meta table covers 1 subgoals")
+
+
+def test_experiments_reject_repeated_mode_and_seed(tmp_path, capsys):
+    config = {
+        "total_steps": 600,
+        "warmup_steps": 50,
+        "experiments": [
+            {"mode": "random_walk", "seeds": [0, 1]},
+            {"mode": "flat_q", "seeds": [1]},
+            {"mode": "random_walk", "seeds": [1]},
+        ],
+    }
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    _assert_cli_error(capsys, "'random_walk'", "seed 1 twice")
+    assert not (tmp_path / "random_walk_seed0").exists()
+
+
+def _drop_action_rows(text, action_column):
+    lines = text.splitlines()
+    kept = [lines[0]] + [
+        ln for ln in lines[1:] if ln.split(",")[action_column] != "3"
+    ]
+    return "\n".join(kept) + "\n"
+
+
+@pytest.mark.parametrize(
+    "run_name,artifact,action_column,needle",
+    [
+        ("flat_q_seed1", "flat_q.csv", 1, "flat table covers 3 actions"),
+        ("unified_hrl_seed1", "controller_q.csv", 2,
+         "controller table covers 3 actions"),
+    ],
+)
+def test_eval_rejects_table_without_an_action(
+    trained_runs, tmp_path, capsys, run_name, artifact, action_column, needle
+):
+    text = (trained_runs / run_name / artifact).read_text()
+    run_dir = _corrupt_run(
+        trained_runs, tmp_path, run_name, artifact,
+        _drop_action_rows(text, action_column),
+    )
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, needle)
+
+
+def test_eval_rejects_table_missing_states(trained_runs, tmp_path, capsys):
+    lines = (trained_runs / "flat_q_seed1" / "flat_q.csv").read_text().splitlines()
+    run_dir = _corrupt_run(
+        trained_runs, tmp_path, "flat_q_seed1", "flat_q.csv",
+        "\n".join(lines[:5]) + "\n",
+    )
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "flat_q.csv", "one row per id combination")
+
+
+def _corrupt_compare(trained_runs, tmp_path, capsys, artifact, edit):
+    run_dir = tmp_path / "runs" / "flat_q_seed1"
+    shutil.copytree(trained_runs / "flat_q_seed1", run_dir)
+    shutil.copytree(trained_runs / "unified_hrl_seed1", tmp_path / "runs" / "u")
+    path = run_dir / artifact
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    return main([
+        "compare", "--root", str(tmp_path / "runs"), "--grid-step", "300",
+        "--out-dir", str(tmp_path / "cmp"),
+    ])
+
+
+def _drop_mode(text):
+    manifest = json.loads(text)
+    del manifest["mode"]
+    return json.dumps(manifest)
+
+
+def _list_mode(text):
+    manifest = json.loads(text)
+    manifest["mode"] = ["flat_q"]
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize(
+    "artifact,edit,needle",
+    [
+        ("metrics.csv", lambda text: "garbage\n", "metrics CSV header"),
+        ("metrics.csv", lambda text: text + "7,1500,0.0\n", "unpack"),
+        ("manifest.json", lambda text: text[: len(text) // 2], "JSONDecodeError"),
+        ("manifest.json", _drop_mode, "KeyError('mode')"),
+        ("manifest.json", _list_mode, "is not one of"),
+    ],
+    ids=["garbage-metrics", "short-metrics-row", "truncated-manifest",
+         "manifest-without-mode", "manifest-with-unknown-mode"],
+)
+def test_compare_rejects_malformed_runs(
+    trained_runs, tmp_path, capsys, artifact, edit, needle
+):
+    assert _corrupt_compare(trained_runs, tmp_path, capsys, artifact, edit) == 1
+    _assert_cli_error(capsys, f"flat_q_seed1/{artifact}", needle)
+    assert not (tmp_path / "cmp").exists()

@@ -10,6 +10,7 @@ Another numpy version may round some sums differently and so change them.
 import hashlib
 
 import pytest
+import yaml
 
 from subgoal_hrl.cli import main
 from subgoal_hrl.trainer import MODES
@@ -19,6 +20,14 @@ ARTIFACTS = (
     "metrics.csv", "controller_q.csv", "meta_q.csv", "flat_q.csv",
     "subgoals.json",
 )
+# Capacities small enough that all three memories wrap, none a divisor of
+# the step counts, so sampling and snapshots run with the ring head
+# anywhere but zero.
+WRAPPED_CAPACITIES = {
+    "memory_capacity": 1900,
+    "controller_memory_capacity": 1700,
+    "meta_memory_capacity": 300,
+}
 
 GOLDEN_SHA256 = {
     "flat_q_seed0/flat_q.csv":
@@ -107,4 +116,67 @@ def test_artifacts_match_golden_hashes(tmp_path, mode):
                 key = f"{mode}_seed{seed}/{name}"
                 got[key] = hashlib.sha256(path.read_bytes()).hexdigest()
     want = {k: v for k, v in GOLDEN_SHA256.items() if k.startswith(f"{mode}_seed")}
+    assert got == want
+
+
+# Recorded from the code before states and transitions became tuples and
+# before sampling indexed the ring with one vectorised modulo.
+WRAPPED_GOLDEN_SHA256 = {
+    "flat_q_seed0/flat_q.csv":
+        "a0cdcde917231a5929e88f89f5d21fdcbc9fdd0cd9a7b1ca1576f3eb66222db0",
+    "flat_q_seed0/memory.jsonl":
+        "a4dd77b5891376e45e1654adcc158fc8bd0592d6ba1fa9bc8020d139429bcec4",
+    "flat_q_seed0/metrics.csv":
+        "878efdd430851abc2dda0037040c1151e5a3ff42fd2636290b91462823ae5af3",
+    "flat_q_seed1/flat_q.csv":
+        "d797d9e97a6124d878a225bd82aadf78406500e89eb1f2edfc29f25145d6b679",
+    "flat_q_seed1/memory.jsonl":
+        "d90d6d7c674f5b69deaea00fd242de394bec5ace731924eedddaf34de3bc21d2",
+    "flat_q_seed1/metrics.csv":
+        "93e8226f710f1a0bbe967def7d75d5f61d17844454867bcbf5041c61be19ba56",
+    "unified_hrl_seed0/controller_q.csv":
+        "5497b3aef8318111b688354c456480e720274ed8dea19236ff05dc4909c87ca1",
+    "unified_hrl_seed0/memory.jsonl":
+        "1ee0722d47a4646e593c0e6bd1f73d52ddad7f2958f3ecc0773eea8e587e64e5",
+    "unified_hrl_seed0/meta_q.csv":
+        "59ed6a774468a08550755b09e5bafade1a2390f48ab77933a67ad06aadb9eda6",
+    "unified_hrl_seed0/metrics.csv":
+        "43db14dece71d655314f4188b5bd4afae5d046b1da41da7f4fa8505d79875505",
+    "unified_hrl_seed0/subgoals.json":
+        "de05c22d056905fa678a6970749473cf8fbcf8096221a0ae1955d002f41e0f8b",
+    "unified_hrl_seed1/controller_q.csv":
+        "305dbdb0c73371ec9838cf3cf966f048c82220bdb0479ffacf21a7e00d65bb7e",
+    "unified_hrl_seed1/memory.jsonl":
+        "e2d261139534227a7f70ec66d97f9090c45aeb73169e1c5714e51f13a3d34f5c",
+    "unified_hrl_seed1/meta_q.csv":
+        "79583676307ab4dbc4962c11940f68a29bbe667c4519e5734259abfc06b57a53",
+    "unified_hrl_seed1/metrics.csv":
+        "344f4480f653c8d46024f7de3f8f2bdd5d12f8a3de883f838edd85a252177ff0",
+    "unified_hrl_seed1/subgoals.json":
+        "f998c6ec9dd5c7ea39e529592dd27e9b7e7e6e3bd6e46d56616a502a0a95f70e",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", ("flat_q", "unified_hrl"))
+def test_wrapped_memory_artifacts_match_golden_hashes(tmp_path, mode):
+    got = {}
+    for seed in (0, 1):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump({
+            "mode": mode, "seed": seed, "total_steps": 20000,
+            "warmup_steps": 2000, "discovery_period": 4000,
+            **WRAPPED_CAPACITIES,
+        }))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        run_dir = tmp_path / f"{mode}_seed{seed}"
+        for name in ARTIFACTS + ("memory.jsonl",):
+            path = run_dir / name
+            if path.exists():
+                key = f"{mode}_seed{seed}/{name}"
+                got[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    want = {
+        k: v for k, v in WRAPPED_GOLDEN_SHA256.items()
+        if k.startswith(f"{mode}_seed")
+    }
     assert got == want

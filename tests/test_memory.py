@@ -44,6 +44,7 @@ def test_fifo_matches_last_capacity_pushes(rng):
             m.push(i)
             history.append(i)
         assert list(m) == history[-cap:]
+        assert m.snapshot() == tuple(history[-cap:])
 
 
 def test_sample_single_item_repeats():
@@ -60,6 +61,18 @@ def test_sample_reproducible_under_seed():
     a = m.sample(64, np.random.default_rng(7))
     b = m.sample(64, np.random.default_rng(7))
     assert a == b
+
+
+@pytest.mark.parametrize("cap,pushes", [(7, 7), (7, 10), (7, 13), (7, 30), (5, 3)])
+def test_sample_matches_indexing_oracle(cap, pushes):
+    # Oracle: sampling reads the items that indexing in insertion order
+    # reads, with the same draws, wherever the ring head sits.
+    m = BoundedMemory(cap)
+    for i in range(pushes):
+        m.push(i)
+    got = m.sample(200, np.random.default_rng(3))
+    oracle_rng = np.random.default_rng(3)
+    assert got == [m[i] for i in oracle_rng.integers(0, len(m), size=200)]
 
 
 def test_sample_uniform_frequencies():

@@ -214,3 +214,13 @@ def test_episode_step_counter(env):
     assert env.episode_steps == 2
     env.reset()
     assert env.episode_steps == 0
+
+
+def test_grid_state_is_the_tuple_of_its_fields():
+    # Same repr and hash as the field tuple, so set and dict iteration
+    # orders over states do not depend on the state type.
+    s = GridState(3, 4, True)
+    assert repr(s) == "GridState(x=3, y=4, has_key=True)"
+    assert hash(s) == hash((3, 4, True))
+    assert GridState(1, 1) == (1, 1, False)
+    assert s.cell == (3, 4)
