@@ -51,22 +51,30 @@ class EpsilonSchedule:
         return self.start + (self.end - self.start) * (t / self.horizon)
 
 
+class _StateIds(dict):
+    """State -> dense id; a state off the index raises ValueError."""
+
+    def __missing__(self, state):
+        raise ValueError(f"state {state} is not indexable (wall cell?)")
+
+
 class StateIndex:
-    """Dense index over (x, y, has_key) for all playable cells."""
+    """Dense index over (x, y, has_key) for all playable cells.
+
+    `ids` maps a state to its id; like `encode`, it raises ValueError for
+    a state off the index.
+    """
 
     def __init__(self, layout: RoomsLayout) -> None:
         self._cells = sorted(layout.playable)
-        self._index: dict[tuple[int, int, bool], int] = {}
+        self.ids = _StateIds()
         for i, (x, y) in enumerate(self._cells):
-            self._index[(x, y, False)] = 2 * i
-            self._index[(x, y, True)] = 2 * i + 1
+            self.ids[(x, y, False)] = 2 * i
+            self.ids[(x, y, True)] = 2 * i + 1
         self.size = 2 * len(self._cells)
 
     def encode(self, state: GridState) -> int:
-        idx = self._index.get(state)
-        if idx is None:
-            raise ValueError(f"state {state} is not indexable (wall cell?)")
-        return idx
+        return self.ids[state]
 
     def decode(self, idx: int) -> GridState:
         if not 0 <= idx < self.size:
@@ -343,21 +351,17 @@ def update_controller(
 ) -> None:
     """One TD step per item, in order, toward the intrinsic target."""
     _check_rates(alpha, gamma)
-    values, rows = controller._values, controller.index._index
+    values, rows = controller._values, controller.index.ids
     n_subgoals = controller.n_subgoals
-    try:
-        for s, g, a, r, s_next, done in batch:
-            if not 0 <= g < n_subgoals:
-                raise ValueError(f"unknown subgoal id {g}")
-            if done:
-                target = r
-            else:
-                target = r + gamma * max(values[rows[s_next]][g])
-            row = values[rows[s]][g]
-            row[a] += alpha * (target - row[a])
-    except KeyError as exc:
-        controller.index.encode(exc.args[0])  # raises encode's ValueError
-        raise
+    for s, g, a, r, s_next, done in batch:
+        if not 0 <= g < n_subgoals:
+            raise ValueError(f"unknown subgoal id {g}")
+        if done:
+            target = r
+        else:
+            target = r + gamma * max(values[rows[s_next]][g])
+        row = values[rows[s]][g]
+        row[a] += alpha * (target - row[a])
 
 
 def update_meta(
@@ -372,24 +376,20 @@ def update_meta(
     accrued over the temporally extended subgoal attempt.
     """
     _check_rates(alpha, gamma)
-    values, rows = meta._values, meta.index._index
+    values, rows = meta._values, meta.index.ids
     n_subgoals = meta.n_subgoals
-    try:
-        for tr in batch:
-            g = tr.goal_id
-            if not 0 <= g < n_subgoals:
-                raise ValueError(f"unknown subgoal id {g}")
-            if tr.terminal:
-                target = tr.return_g
-            else:
-                target = tr.return_g + gamma ** tr.duration * max(
-                    values[rows[tr.s_end]]
-                )
-            row = values[rows[tr.s0]]
-            row[g] += alpha * (target - row[g])
-    except KeyError as exc:
-        meta.index.encode(exc.args[0])  # raises encode's ValueError
-        raise
+    for tr in batch:
+        g = tr.goal_id
+        if not 0 <= g < n_subgoals:
+            raise ValueError(f"unknown subgoal id {g}")
+        if tr.terminal:
+            target = tr.return_g
+        else:
+            target = tr.return_g + gamma ** tr.duration * max(
+                values[rows[tr.s_end]]
+            )
+        row = values[rows[tr.s0]]
+        row[g] += alpha * (target - row[g])
 
 
 def flat_q_update(
@@ -400,15 +400,11 @@ def flat_q_update(
 ) -> None:
     """Standard one-step Q-learning update over raw transitions."""
     _check_rates(alpha, gamma)
-    values, rows = table._values, table.index._index
-    try:
-        for s, a, r, s_next, terminal in batch:
-            if terminal:
-                target = r
-            else:
-                target = r + gamma * max(values[rows[s_next]])
-            row = values[rows[s]]
-            row[a] += alpha * (target - row[a])
-    except KeyError as exc:
-        table.index.encode(exc.args[0])  # raises encode's ValueError
-        raise
+    values, rows = table._values, table.index.ids
+    for s, a, r, s_next, terminal in batch:
+        if terminal:
+            target = r
+        else:
+            target = r + gamma * max(values[rows[s_next]])
+        row = values[rows[s]]
+        row[a] += alpha * (target - row[a])

@@ -107,7 +107,7 @@ def _build_configs(args) -> list[RunConfig]:
         if not isinstance(experiments, list):
             raise CliError("'experiments' must be a list")
         configs = []
-        listed: set[tuple] = set()
+        run_dirs: set[str] = set()
         for entry in experiments:
             if not isinstance(entry, dict) or set(entry) != {"mode", "seeds"}:
                 raise CliError(
@@ -122,16 +122,18 @@ def _build_configs(args) -> list[RunConfig]:
                     f"experiment seeds must be a list of integers, got {seeds!r}"
                 )
             for seed in seeds:
-                if (entry["mode"], seed) in listed:
-                    raise CliError(
-                        f"experiments list mode {entry['mode']!r} with seed "
-                        f"{seed} twice; both would write the same run directory"
-                    )
-                listed.add((entry["mode"], seed))
                 values = dict(base)
                 values["mode"] = entry["mode"]
                 values["seed"] = seed
-                configs.append(_make_config(values))
+                cfg = _make_config(values)
+                name = run_dir_name(cfg)
+                if name in run_dirs:
+                    raise CliError(
+                        f"experiments list mode {cfg.mode!r} with seed "
+                        f"{cfg.seed} twice; both would write {name}"
+                    )
+                run_dirs.add(name)
+                configs.append(cfg)
         return configs
     if "mode" not in base:
         raise CliError("no mode given: pass --mode or a config with experiments")

@@ -160,9 +160,7 @@ class BoundedMemory(Generic[T]):
         size = len(self._items)
         if size == 0:
             raise ValueError("cannot sample from an empty memory")
-        idx = rng.integers(0, size, size=n)
-        if self._head:
-            idx = (idx + self._head) % self.capacity
+        idx = (rng.integers(0, size, size=n) + self._head) % self.capacity
         items = self._items
         return [items[i] for i in idx.tolist()]
 

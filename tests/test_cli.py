@@ -395,6 +395,19 @@ def test_experiments_reject_repeated_mode_and_seed(tmp_path, capsys):
     assert not (tmp_path / "random_walk_seed0").exists()
 
 
+@pytest.mark.parametrize("mode", [["flat_q"], {"a": 1}], ids=["list", "mapping"])
+def test_experiment_mode_must_be_a_mode_name(tmp_path, capsys, mode):
+    config = {
+        "total_steps": 600,
+        "warmup_steps": 50,
+        "experiments": [{"mode": mode, "seeds": [0]}],
+    }
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    _assert_cli_error(capsys, "invalid configuration", "mode must be one of")
+
+
 def _drop_action_rows(text, action_column):
     lines = text.splitlines()
     kept = [lines[0]] + [
