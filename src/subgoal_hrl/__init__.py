@@ -21,7 +21,6 @@ from .discovery import (
     SubgoalSet,
     anomaly_scores,
     discover,
-    dissimilarity_scores,
     kmeans_fit,
     merge,
 )

@@ -157,14 +157,14 @@ class ControllerTable:
             raise ValueError(f"unknown subgoal id {goal_id}")
         return self._values[self.index.encode(state)][goal_id]
 
-    def remapped(self, id_map: dict[int, int], n_subgoals: int) -> "ControllerTable":
-        """Copy with columns rearranged per merged-id -> old-id map."""
-        out = ControllerTable(self.index, n_subgoals, self.n_actions, self.init)
-        for s in range(self.index.size):
-            src, dst = self._values[s], out._values[s]
-            for new_id, old_id in id_map.items():
-                dst[new_id] = list(src[old_id])
-        return out
+    def grow(self, n_subgoals: int) -> None:
+        """Append `init` columns up to `n_subgoals` ids; ids are never dropped."""
+        if n_subgoals < self.n_subgoals:
+            raise ValueError(f"cannot shrink to {n_subgoals} subgoals")
+        for row in self._values:
+            row.extend([self.init] * self.n_actions
+                       for _ in range(n_subgoals - self.n_subgoals))
+        self.n_subgoals = n_subgoals
 
     def rows(self):
         for s in range(self.index.size):
@@ -202,13 +202,13 @@ class MetaTable:
     def goal_values(self, state: GridState) -> list[float]:
         return self._values[self.index.encode(state)]
 
-    def remapped(self, id_map: dict[int, int], n_subgoals: int) -> "MetaTable":
-        out = MetaTable(self.index, n_subgoals, self.init)
-        for s in range(self.index.size):
-            src, dst = self._values[s], out._values[s]
-            for new_id, old_id in id_map.items():
-                dst[new_id] = src[old_id]
-        return out
+    def grow(self, n_subgoals: int) -> None:
+        """Append `init` columns up to `n_subgoals` ids; ids are never dropped."""
+        if n_subgoals < self.n_subgoals:
+            raise ValueError(f"cannot shrink to {n_subgoals} subgoals")
+        for row in self._values:
+            row.extend([self.init] * (n_subgoals - self.n_subgoals))
+        self.n_subgoals = n_subgoals
 
     def rows(self):
         for s in range(self.index.size):

@@ -154,8 +154,13 @@ def run_dir_name(config: RunConfig) -> str:
 
 
 def write_run_artifacts(result: RunResult, run_dir: Path) -> dict:
-    """Write all artifacts; the manifest goes last and marks completion."""
+    """Write all artifacts; the manifest goes last and marks completion.
+
+    An old manifest is removed first and the new one is renamed into
+    place, so a write that fails part-way leaves no manifest behind.
+    """
     run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / MANIFEST_NAME).unlink(missing_ok=True)
     artifacts: dict[str, str] = {}
 
     (run_dir / "metrics.csv").write_text(metrics_to_csv(result.metrics))
@@ -197,9 +202,9 @@ def write_run_artifacts(result: RunResult, run_dir: Path) -> dict:
             "discovery_steps": list(result.discovery_steps),
         },
     }
-    (run_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True)
-    )
+    tmp = run_dir / (MANIFEST_NAME + ".tmp")
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    os.replace(tmp, run_dir / MANIFEST_NAME)
     return manifest
 
 
@@ -281,11 +286,13 @@ def _sample_at(steps: list[int], values: list[float], grid: list[int]) -> list[f
 def cmd_compare(args) -> int:
     run_dirs = _load_run_dirs(args)
     by_mode: dict[str, list[list[MetricsRecord]]] = {}
+    first_of_mode: dict[str, tuple[Path, dict]] = {}
     final_steps = []
     for d in run_dirs:
         try:
             path = d / MANIFEST_NAME
-            mode = json.loads(path.read_text())["mode"]
+            manifest = json.loads(path.read_text())
+            mode, config = manifest["mode"], dict(manifest["config"])
             path = d / "metrics.csv"
             records = metrics_from_csv(path.read_text())
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -294,6 +301,18 @@ def cmd_compare(args) -> int:
             raise CliError(f"{d / MANIFEST_NAME}: mode {mode!r} is not one of {MODES}")
         if not records:
             raise CliError(f"{d} has no metrics rows")
+        # Runs of one mode are averaged, so they may differ in seed alone.
+        first_dir, first = first_of_mode.setdefault(mode, (d, config))
+        differ = sorted(
+            key for key in first.keys() | config.keys()
+            if key != "seed" and first.get(key) != config.get(key)
+        )
+        if differ:
+            raise CliError(
+                f"{first_dir} and {d} are {mode} runs whose configs differ in "
+                f"{', '.join(differ)}; compare averages only runs that differ "
+                f"in seed"
+            )
         by_mode.setdefault(mode, []).append(records)
         final_steps.append(records[-1].steps)
 

@@ -329,32 +329,6 @@ def anomaly_scores(transitions: Sequence[Transition]) -> np.ndarray:
     return np.abs(rewards - rewards.mean()) / (std + _EPS)
 
 
-def dissimilarity_scores(
-    transitions: Sequence[Transition],
-    centroids: Sequence[Centroid] | np.ndarray,
-) -> np.ndarray:
-    """Distance of each arrival state to its nearest centroid, normalized
-    by the mean of those distances.
-
-    Off by default in discovery: meant for state spaces where entering a
-    new region is detectable as a jump in state dissimilarity.
-    """
-    if len(centroids) == 0:
-        raise ValueError("centroids must be non-empty")
-    if isinstance(centroids, np.ndarray):
-        cents = np.asarray(centroids, dtype=float)
-    else:
-        cents = np.array([(c.x, c.y) for c in centroids], dtype=float)
-    pts = np.array([(t.s_next.x, t.s_next.y) for t in transitions], dtype=float)
-    d = np.sqrt(
-        ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-    )
-    mean_d = float(d.mean())
-    if mean_d == 0.0:
-        return np.zeros(len(transitions))
-    return d / mean_d
-
-
 def discover(
     transitions: Sequence[Transition],
     k: int,
@@ -365,8 +339,6 @@ def discover(
     max_iter: int = 100,
     tol: float = 1e-6,
     n_init: int = 10,
-    use_dissimilarity: bool = False,
-    theta_dissim: float = 3.0,
 ) -> SubgoalSet:
     """Build a subgoal set from an experience-memory snapshot.
 
@@ -412,12 +384,6 @@ def discover(
                 flagged[state] = float(score)
             else:
                 flagged[state] = max(flagged[state], float(score))
-    if use_dissimilarity:
-        d_scores = dissimilarity_scores(transitions, fit.centroids)
-        for t, score in zip(transitions, d_scores):
-            if score > theta_dissim and t.s_next not in flagged:
-                order.append(t.s_next)
-                flagged[t.s_next] = float(score)
     anomalies = tuple(
         AnomalySubgoal(k + j, state, flagged[state])
         for j, state in enumerate(order)
@@ -430,20 +396,19 @@ def discover(
     )
 
 
-def merge(old: SubgoalSet, new: SubgoalSet) -> tuple[SubgoalSet, dict[int, int]]:
-    """Fold a fresh discovery into the existing subgoal set, keeping ids stable.
+def merge(old: SubgoalSet, new: SubgoalSet) -> SubgoalSet:
+    """Fold a fresh discovery into the existing subgoal set.
 
-    Each existing centroid id takes the position of its nearest new
-    centroid (greedy one-to-one by ascending distance). Existing
-    anomalies are kept; new anomaly states not already present are
-    appended with fresh ids. Returns the merged set plus a mapping
-    merged-id -> old-id for every id whose learned values carry over.
+    Ids are append-only: each existing centroid id takes the position of
+    its nearest new centroid (greedy one-to-one by ascending distance),
+    existing anomalies keep theirs, and new anomaly states are appended
+    with the next ids. Value tables carry over by growing new columns.
 
     Raises:
         ValueError: when both sets are non-empty with different K.
     """
     if old.size == 0:
-        return new, {}
+        return new
     if old.k != new.k:
         raise ValueError(f"cluster count mismatch: {old.k} != {new.k}")
 
@@ -477,11 +442,9 @@ def merge(old: SubgoalSet, new: SubgoalSet) -> tuple[SubgoalSet, dict[int, int]]
         known.add(a.state)
         next_id += 1
 
-    mapping = {i: i for i in range(old.size)}
-    merged = SubgoalSet(
+    return SubgoalSet(
         centroids=centroids,
         anomalies=tuple(anomalies),
         theta_anom=new.theta_anom,
         source_size=new.source_size,
     )
-    return merged, mapping

@@ -180,14 +180,25 @@ def transition_to_dict(t: Transition) -> dict:
 
 
 def transition_from_dict(d: dict) -> Transition:
+    """Inverse of `transition_to_dict`; ValueError unless the flags are JSON
+    booleans, the cell coordinates JSON integers >= 0 and the reward a
+    finite number."""
+    x, y, x_next, y_next = d["x"], d["y"], d["x_next"], d["y_next"]
+    has_key, has_key_next, terminal = d["has_key"], d["has_key_next"], d["terminal"]
+    r = d["reward"]
+    if not (
+        type(x) is type(y) is type(x_next) is type(y_next) is int
+        and x >= 0 and y >= 0 and x_next >= 0 and y_next >= 0
+        and type(has_key) is type(has_key_next) is type(terminal) is bool
+        and (type(r) is float or type(r) is int) and math.isfinite(r)
+    ):
+        raise ValueError(
+            "need true/false for has_key, has_key_next and terminal, integers "
+            ">= 0 for x, y, x_next and y_next, and a finite reward"
+        )
     return Transition(
-        s=GridState(int(d["x"]), int(d["y"]), bool(d["has_key"])),
-        a=Action[d["action"]],
-        r=float(d["reward"]),
-        s_next=GridState(
-            int(d["x_next"]), int(d["y_next"]), bool(d["has_key_next"])
-        ),
-        terminal=bool(d["terminal"]),
+        GridState(x, y, has_key), Action[d["action"]], float(r),
+        GridState(x_next, y_next, has_key_next), terminal,
     )
 
 
@@ -206,6 +217,6 @@ def load_transitions_jsonl(path: str | Path) -> list[Transition]:
                 continue
             try:
                 transitions.append(transition_from_dict(json.loads(line)))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"bad transition on line {line_no}: {exc}") from exc
     return transitions

@@ -295,15 +295,8 @@ class FourRoomsEnv:
         self.layout = layout if layout is not None else RoomsLayout.default()
         self.slip_prob = slip_prob
         self._rng = rng
-        self._episode_steps = 0
-
-    @property
-    def episode_steps(self) -> int:
-        """Steps taken since the last reset."""
-        return self._episode_steps
 
     def reset(self) -> GridState:
-        self._episode_steps = 0
         x, y = self.layout.start_cell
         return GridState(x, y, has_key=False)
 
@@ -341,7 +334,6 @@ class FourRoomsEnv:
         if target == self.layout.box_cell and has_key:
             reward = BOX_REWARD
             terminal = True
-        self._episode_steps += 1
         return StepOutcome(
             next_state=GridState(target[0], target[1], has_key),
             reward=reward,

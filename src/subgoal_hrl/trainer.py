@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from collections import defaultdict, deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -80,7 +80,6 @@ class RunConfig:
             linearly over the first half of training.
         flat_eps: Fixed exploration rate of the flat baseline.
         discovery_min_samples: Memory size required before discovery runs.
-        use_dissimilarity: Also flag state-dissimilarity outliers.
         layout_text: Optional custom grid (text format); default four-rooms.
     """
 
@@ -108,7 +107,6 @@ class RunConfig:
     meta_eps_end: float = 0.1
     flat_eps: float = 0.4
     discovery_min_samples: int = 100
-    use_dissimilarity: bool = False
     layout_text: str | None = None
 
     def validate(self) -> None:
@@ -157,9 +155,6 @@ class RunConfig:
         if self.layout_text is None:
             return RoomsLayout.default()
         return RoomsLayout.from_text(self.layout_text)
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -338,7 +333,6 @@ class Runner:
                 self.cfg.theta_anom,
                 self.rng,
                 min_samples=self.cfg.discovery_min_samples,
-                use_dissimilarity=self.cfg.use_dissimilarity,
             )
         except InsufficientMemoryError:
             return
@@ -349,10 +343,9 @@ class Runner:
             )
             self.meta = MetaTable(self.index, fresh.size, init=self.cfg.table_init)
         else:
-            merged, id_map = merge(self.subgoals, fresh)
-            self.subgoals = merged
-            self.controller = self.controller.remapped(id_map, merged.size)
-            self.meta = self.meta.remapped(id_map, merged.size)
+            self.subgoals = merge(self.subgoals, fresh)
+            self.controller.grow(self.subgoals.size)
+            self.meta.grow(self.subgoals.size)
         self.discovery_steps.append(self.steps)
 
     def _episode_over(self, terminal: bool) -> bool:

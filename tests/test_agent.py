@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_distance
 from subgoal_hrl.agent import (
@@ -27,7 +29,7 @@ from subgoal_hrl.agent import (
 )
 from subgoal_hrl.discovery import AnomalySubgoal, Centroid, SubgoalSet
 from subgoal_hrl.memory import ControllerTransition, MetaTransition, Transition
-from subgoal_hrl.rooms_env import Action, GridState
+from subgoal_hrl.rooms_env import Action, GridState, RoomsLayout
 
 
 def rooms_subgoals():
@@ -513,20 +515,31 @@ def test_state_index_round_trip(layout):
         index.encode(GridState(0, 0))
 
 
-def test_table_remap_carries_columns(layout):
+def test_table_grow_keeps_columns_and_appends_init(layout):
     index = StateIndex(layout)
-    ctrl = ControllerTable(index, 2)
+    ctrl = ControllerTable(index, 2, init=0.5)
     s = GridState(1, 1)
     ctrl.action_values(s, 0)[:] = [1.0, 2.0, 3.0, 4.0]
     ctrl.action_values(s, 1)[:] = [5.0, 6.0, 7.0, 8.0]
-    remapped = ctrl.remapped({0: 0, 1: 1}, 3)
-    assert remapped.action_values(s, 0) == [1.0, 2.0, 3.0, 4.0]
-    assert remapped.action_values(s, 1) == [5.0, 6.0, 7.0, 8.0]
-    assert remapped.action_values(s, 2) == [0.0] * 4
-    meta = MetaTable(index, 2)
-    meta.goal_values(s)[:] = [3.5, -1.0]
-    remapped_meta = meta.remapped({0: 1, 1: 0}, 2)
-    assert remapped_meta.goal_values(s) == [-1.0, 3.5]
+    ctrl.grow(4)
+    assert ctrl.n_subgoals == 4
+    assert ctrl.action_values(s, 0) == [1.0, 2.0, 3.0, 4.0]
+    assert ctrl.action_values(s, 1) == [5.0, 6.0, 7.0, 8.0]
+    assert ctrl.action_values(s, 2) == ctrl.action_values(s, 3) == [0.5] * 4
+    ctrl.action_values(s, 2)[0] = 9.0  # new columns are distinct lists
+    assert ctrl.action_values(s, 3) == [0.5] * 4
+    meta = MetaTable(index, 2, init=-1.0)
+    meta.goal_values(s)[:] = [3.5, 2.0]
+    meta.grow(2)
+    assert meta.goal_values(s) == [3.5, 2.0]
+    meta.grow(3)
+    assert meta.n_subgoals == 3
+    assert meta.goal_values(s) == [3.5, 2.0, -1.0]
+    assert all(len(row) == 3 for row in meta._values)
+    with pytest.raises(ValueError):
+        meta.grow(2)
+    with pytest.raises(ValueError):
+        ctrl.grow(3)
 
 
 def test_table_csv_round_trip(tmp_path, layout, rng):
@@ -547,6 +560,50 @@ def test_table_csv_round_trip(tmp_path, layout, rng):
     assert ctrl2._values == ctrl._values
     assert meta2._values == meta._values
     assert flat2._values == flat._values
+
+
+_values = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_subgoals=st.integers(1, 3),
+    init=_values,
+    # Each step: how many subgoals to add, then (state, goal, action, value)
+    # writes; goal indices are taken modulo the grown subgoal count.
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.lists(
+                st.tuples(st.integers(0, 207), st.integers(0, 9),
+                          st.integers(0, 3), _values),
+                max_size=4,
+            ),
+        ),
+        max_size=3,
+    ),
+)
+def test_grown_tables_round_trip_through_csv(
+    tmp_path_factory, n_subgoals, init, steps
+):
+    index = StateIndex(RoomsLayout.default())
+    ctrl = ControllerTable(index, n_subgoals, init=init)
+    meta = MetaTable(index, n_subgoals, init=init)
+    for extra, writes in steps:
+        ctrl.grow(ctrl.n_subgoals + extra)
+        meta.grow(meta.n_subgoals + extra)
+        for s, g, a, v in writes:
+            g %= ctrl.n_subgoals
+            ctrl._values[s][g][a] = v
+            meta._values[s][g] = -v
+    out = tmp_path_factory.mktemp("tables")
+    ctrl.to_csv(out / "c.csv")
+    meta.to_csv(out / "m.csv")
+    ctrl2 = ControllerTable.from_csv(out / "c.csv", index)
+    meta2 = MetaTable.from_csv(out / "m.csv", index)
+    assert ctrl2.n_subgoals == meta2.n_subgoals == ctrl.n_subgoals
+    assert ctrl2._values == ctrl._values
+    assert meta2._values == meta._values
 
 
 @pytest.mark.parametrize(

@@ -491,3 +491,96 @@ def test_compare_rejects_malformed_runs(
     assert _corrupt_compare(trained_runs, tmp_path, capsys, artifact, edit) == 1
     _assert_cli_error(capsys, f"flat_q_seed1/{artifact}", needle)
     assert not (tmp_path / "cmp").exists()
+
+
+_GOOD_LINE = {
+    "x": 9, "y": 2, "has_key": False, "action": "EAST", "reward": 10.0,
+    "x_next": 10, "y_next": 2, "has_key_next": True, "terminal": False,
+}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"has_key": "false"},
+        {"has_key_next": 0},
+        {"terminal": "no"},
+        {"x_next": 500, "y_next": -3},
+        {"x": True},
+        {"y": 2.0},
+        {"reward": "1.0"},
+        {"reward": float("nan")},
+        {"reward": False},
+        {"has_key": "false", "terminal": "no", "x_next": 500, "y_next": -3},
+    ],
+    ids=["string-flag", "integer-flag", "string-terminal", "negative-cell",
+         "boolean-cell", "float-cell", "string-reward", "nan-reward",
+         "boolean-reward", "all-at-once"],
+)
+def test_discover_rejects_mistyped_memory_lines(tmp_path, capsys, edit):
+    path = tmp_path / "memory.jsonl"
+    lines = [_GOOD_LINE, {**_GOOD_LINE, **edit}] + [_GOOD_LINE] * 3
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = tmp_path / "subgoals.json"
+    assert main(["discover", "--memory", str(path), "--k", "1",
+                 "--out", str(out)]) == 1
+    _assert_cli_error(capsys, "bad transition on line 2")
+    assert not out.exists()
+
+
+def test_discover_rejects_a_memory_line_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "memory.jsonl"
+    path.write_text(json.dumps(_GOOD_LINE) + "\n[1, 2]\n")
+    assert main(["discover", "--memory", str(path), "--k", "1"]) == 1
+    _assert_cli_error(capsys, "bad transition on line 2")
+
+
+def test_failed_retrain_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    assert main(train_args(tmp_path, mode="flat_q", seed=0)) == 0
+    run_dir = tmp_path / "flat_q_seed0"
+    assert (run_dir / "manifest.json").exists()
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("subgoal_hrl.cli.save_transitions_jsonl", fail)
+    args = train_args(tmp_path, mode="flat_q", seed=0)
+    args[args.index("--steps") + 1] = "3000"
+    with pytest.raises(OSError):
+        main(args)
+    assert not (run_dir / "manifest.json").exists()
+    assert not (run_dir / "manifest.json.tmp").exists()
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "no manifest.json")
+
+
+def test_compare_rejects_same_mode_runs_with_different_configs(tmp_path, capsys):
+    assert main(train_args(tmp_path, mode="flat_q", seed=0)) == 0
+    assert main(train_args(tmp_path, mode="flat_q", seed=1, alpha=0.5)) == 0
+    assert main(train_args(tmp_path, mode="random_walk", seed=0)) == 0
+    capsys.readouterr()
+    assert main([
+        "compare", "--root", str(tmp_path), "--grid-step", "300",
+        "--out-dir", str(tmp_path / "cmp"),
+    ]) == 1
+    _assert_cli_error(
+        capsys,
+        str(tmp_path / "flat_q_seed0"), str(tmp_path / "flat_q_seed1"), "alpha",
+    )
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_manifest_with_use_dissimilarity_is_refused(tmp_path, capsys):
+    assert main(train_args(tmp_path, mode="flat_q", seed=0)) == 0
+    manifest_path = tmp_path / "flat_q_seed0" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["use_dissimilarity"] = False
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--run", str(manifest_path.parent)]) == 1
+    _assert_cli_error(capsys, "use_dissimilarity")
+    assert main(["train", "--config", str(manifest_path),
+                 "--out", str(tmp_path / "again")]) == 1
+    _assert_cli_error(capsys, "use_dissimilarity")
+    assert not (tmp_path / "again").exists()

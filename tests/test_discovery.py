@@ -14,7 +14,6 @@ from subgoal_hrl.discovery import (
     SubgoalSet,
     anomaly_scores,
     discover,
-    dissimilarity_scores,
     kmeans_fit,
     merge,
 )
@@ -102,7 +101,7 @@ def test_kmeans_four_rooms_centroids_land_in_each_room(rng, env):
     assert rooms == {"NW", "NE", "SW", "SE"}
 
 
-# -- anomaly and dissimilarity scores -------------------------------------
+# -- anomaly scores --------------------------------------------------------
 
 
 def test_anomaly_scores_all_zero_rewards(rng):
@@ -160,40 +159,6 @@ def test_anomaly_scores_key_and_box_top_two(env):
 def test_anomaly_scores_need_two_transitions():
     with pytest.raises(ValueError):
         anomaly_scores(_arrivals([(1, 1)]))
-
-
-def test_dissimilarity_zero_at_centroid():
-    centroids = [Centroid(0, 3.0, 3.0)]
-    transitions = _arrivals([(3, 3), (5, 5)])
-    scores = dissimilarity_scores(transitions, centroids)
-    assert scores[0] == 0.0
-
-
-def test_dissimilarity_equidistant_is_one():
-    centroids = [Centroid(0, 2.0, 2.0)]
-    transitions = _arrivals([(1, 1), (3, 3), (1, 3), (3, 1)])
-    scores = dissimilarity_scores(transitions, centroids)
-    assert np.allclose(scores, 1.0)
-
-
-def test_dissimilarity_doorways_above_room_interiors(env):
-    # Exhaustive over the 104 cells with centroids at exact room centers.
-    layout = env.layout
-    centroids = [
-        Centroid(i, x, y)
-        for i, (x, y) in enumerate(sorted(layout.room_interior_centers().values()))
-    ]
-    cells = sorted(layout.playable)
-    transitions = _arrivals(cells)
-    scores = dissimilarity_scores(transitions, centroids)
-    doorway_scores = [
-        s for c, s in zip(cells, scores) if layout.room_of(c).startswith("doorway")
-    ]
-    interior_scores = [
-        s for c, s in zip(cells, scores) if not layout.room_of(c).startswith("doorway")
-    ]
-    interior_mean = sum(interior_scores) / len(interior_scores)
-    assert all(s > interior_mean for s in doorway_scores)
 
 
 # -- discover --------------------------------------------------------------
@@ -276,16 +241,12 @@ def _rooms_subgoal_set(offsets=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)):
 
 def test_merge_identity():
     old = _rooms_subgoal_set()
-    merged, mapping = merge(old, old)
-    assert merged == old
-    assert mapping == {i: i for i in range(6)}
+    assert merge(old, old) == old
 
 
 def test_merge_empty_old_gives_fresh_ids():
     new = _rooms_subgoal_set()
-    merged, mapping = merge(SubgoalSet((), ()), new)
-    assert merged == new
-    assert mapping == {}
+    assert merge(SubgoalSet((), ()), new) == new
 
 
 def test_merge_k_mismatch_rejected(rng):
@@ -302,19 +263,17 @@ def test_merge_appends_new_anomalies_with_fresh_ids():
         centroids=old.centroids,
         anomalies=(old.anomalies[0], old.anomalies[1], extra),
     )
-    merged, mapping = merge(old, new)
+    merged = merge(old, new)
     assert merged.size == 7
     assert merged.anomalies[-1].state == GridState(6, 3, False)
     assert merged.anomalies[-1].id == 6
-    assert mapping == {i: i for i in range(6)}
 
 
 def test_merge_keeps_old_anomalies_missing_from_new():
     old = _rooms_subgoal_set()
     new = SubgoalSet(centroids=old.centroids, anomalies=())
-    merged, mapping = merge(old, new)
+    merged = merge(old, new)
     assert merged.anomalies == old.anomalies
-    assert mapping == {i: i for i in range(6)}
 
 
 def test_merge_perturbed_centroids_preserve_room_identity(layout):
@@ -326,8 +285,7 @@ def test_merge_perturbed_centroids_preserve_room_identity(layout):
         for dx in combo:
             offsets += [dx, -dx]
         new = _rooms_subgoal_set(tuple(offsets))
-        merged, mapping = merge(old, new)
-        assert mapping == {i: i for i in range(6)}
+        merged = merge(old, new)
         for old_c, new_c in zip(old.centroids, merged.centroids):
             old_room = layout.room_of((round(old_c.x), round(old_c.y)))
             new_room = layout.room_of((round(new_c.x), round(new_c.y)))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgoal_hrl.memory import (
     BoundedMemory,
@@ -13,6 +15,8 @@ from subgoal_hrl.memory import (
     accumulate_return,
     load_transitions_jsonl,
     save_transitions_jsonl,
+    transition_from_dict,
+    transition_to_dict,
 )
 from subgoal_hrl.rooms_env import Action, GridState
 
@@ -207,3 +211,25 @@ def test_jsonl_rejects_malformed_lines(tmp_path):
     path.write_text('{"x": 1}\n')
     with pytest.raises(ValueError):
         load_transitions_jsonl(path)
+
+
+_states = st.builds(
+    GridState, st.integers(min_value=0), st.integers(min_value=0), st.booleans()
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(
+        Transition,
+        _states,
+        st.sampled_from(Action),
+        st.floats(allow_nan=False, allow_infinity=False),
+        _states,
+        st.booleans(),
+    )
+)
+def test_transition_dict_json_round_trip(t):
+    back = transition_from_dict(json.loads(json.dumps(transition_to_dict(t))))
+    assert back == t
+    assert repr(back.r) == repr(t.r)  # -0.0 stays -0.0

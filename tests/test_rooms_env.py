@@ -206,16 +206,6 @@ def test_slip_requires_rng(layout):
         FourRoomsEnv(layout, slip_prob=0.2)
 
 
-def test_episode_step_counter(env):
-    s = env.reset()
-    assert env.episode_steps == 0
-    env.step(s, Action.EAST)
-    env.step(s, Action.EAST)
-    assert env.episode_steps == 2
-    env.reset()
-    assert env.episode_steps == 0
-
-
 def test_grid_state_is_the_tuple_of_its_fields():
     # Same repr and hash as the field tuple, so set and dict iteration
     # orders over states do not depend on the state type.

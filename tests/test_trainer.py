@@ -1,6 +1,7 @@
 """Training-loop contracts: scheduling, accounting, determinism, metrics."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -314,3 +315,12 @@ def test_unified_learns_at_desk_scale():
     # The box state was found and flagged as an anomaly subgoal.
     anomaly_states = {a.state for a in result.subgoals.anomalies}
     assert GridState(2, 10, True) in anomaly_states
+
+
+def test_readme_configuration_table_lists_every_field():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+    keys = [
+        line.split("`")[1] for line in section.splitlines() if line.startswith("| `")
+    ]
+    assert keys == list(RunConfig.field_names())
