@@ -11,6 +11,7 @@ minimizing the squared TD error.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,44 +93,56 @@ def _check_rates(alpha: float, gamma: float) -> None:
 
 def _read_table_csv(
     path: str | Path, header: list[str], index: StateIndex
-) -> tuple[tuple[int, ...], dict[tuple[int, ...], float]]:
-    """Column counts and the ids -> value rows of a table CSV from `to_csv`.
+) -> np.ndarray:
+    """Values of a table CSV from `to_csv`, shaped (states, *counts).
 
     The ids are the integer columns (state first) and must be in range
-    for `index`. The counts are those of the columns after the state
-    (subgoals, actions), each one past its largest id. Raises ValueError
-    on a wrong header, no rows, a malformed row, or a table that does not
+    for `index`; the rows may come in any order. The counts are those of
+    the columns after the state (subgoals, actions), each one past its
+    largest id. Raises ValueError naming `path` on a wrong header, no
+    rows, a malformed row, a non-finite value, or a table that does not
     hold exactly one row per id combination.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
+    with open(path, encoding="utf-8") as fh:
+        found = fh.readline().rstrip("\n")
+        if found != ",".join(header):
             raise ValueError(
-                f"{path}: expected header {','.join(header)}, got {found}"
+                f"{path}: expected header {','.join(header)}, got {found!r}"
             )
-        rows = list(reader)
-    if not rows:
+        body = fh.read()
+    if not body.strip():
         raise ValueError(f"{path}: table has no rows")
-    entries: dict[tuple[int, ...], float] = {}
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"{path}: malformed row {row}")
-        ids = tuple(int(v) for v in row[:-1])
-        if not 0 <= ids[0] < index.size or min(ids) < 0:
-            raise ValueError(f"{path}: id out of range in row {row}")
-        entries[ids] = float(row[-1])
-    counts = tuple(
-        max(ids[col] for ids in entries) + 1 for col in range(1, len(header) - 1)
-    )
-    expected = index.size * math.prod(counts)
-    if len(rows) != expected or len(entries) != expected:
-        raise ValueError(
-            f"{path}: expected one row per id combination of "
-            f"{index.size} states x {' x '.join(map(str, counts))}, "
-            f"got {len(rows)} rows"
+    dtype = [(name, np.int64) for name in header[:-1]]
+    try:
+        rows = np.loadtxt(
+            io.StringIO(body), dtype=dtype + [(header[-1], np.float64)],
+            delimiter=",", comments=None, ndmin=1,
         )
-    return counts, entries
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed row: {exc}") from exc
+    ids = [rows[name] for name, _ in dtype]
+    values = rows[header[-1]]
+    out_of_range = ids[0] >= index.size
+    for col in ids:
+        out_of_range |= col < 0
+    for bad, what in ((out_of_range, "id out of range"),
+                      (~np.isfinite(values), "non-finite value")):
+        if bad.any():
+            raise ValueError(f"{path}: {what} in row {rows[bad.argmax()]}")
+    counts = tuple(int(col.max()) + 1 for col in ids[1:])
+    shape = (index.size, *counts)
+    expected = math.prod(shape)
+    if len(rows) == expected:
+        flat = np.ravel_multi_index(ids, shape)
+        if (np.bincount(flat, minlength=expected) == 1).all():
+            table = np.empty(expected)
+            table[flat] = values
+            return table.reshape(shape)
+    raise ValueError(
+        f"{path}: expected one row per id combination of "
+        f"{index.size} states x {' x '.join(map(str, counts))}, "
+        f"got {len(rows)} rows"
+    )
 
 
 class ControllerTable:
@@ -181,12 +194,11 @@ class ControllerTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, index: StateIndex) -> "ControllerTable":
-        (n_subgoals, n_actions), entries = _read_table_csv(
+        values = _read_table_csv(
             path, ["state", "subgoal", "action", "value"], index
         )
-        table = cls(index, n_subgoals, n_actions)
-        for (s, g, a), v in entries.items():
-            table._values[s][g][a] = v
+        table = cls(index, *values.shape[1:])
+        table._values = values.tolist()
         return table
 
 
@@ -224,12 +236,9 @@ class MetaTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, index: StateIndex) -> "MetaTable":
-        (n_subgoals,), entries = _read_table_csv(
-            path, ["state", "subgoal", "value"], index
-        )
-        table = cls(index, n_subgoals)
-        for (s, g), v in entries.items():
-            table._values[s][g] = v
+        values = _read_table_csv(path, ["state", "subgoal", "value"], index)
+        table = cls(index, *values.shape[1:])
+        table._values = values.tolist()
         return table
 
 
@@ -260,12 +269,9 @@ class FlatTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, index: StateIndex) -> "FlatTable":
-        (n_actions,), entries = _read_table_csv(
-            path, ["state", "action", "value"], index
-        )
-        table = cls(index, n_actions)
-        for (s, a), v in entries.items():
-            table._values[s][a] = v
+        values = _read_table_csv(path, ["state", "action", "value"], index)
+        table = cls(index, *values.shape[1:])
+        table._values = values.tolist()
         return table
 
 

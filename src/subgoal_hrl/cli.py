@@ -211,9 +211,15 @@ def write_run_artifacts(result: RunResult, run_dir: Path) -> dict:
 def cmd_train(args) -> int:
     configs = _build_configs(args)
     out_root = _out_root(args)
-    for config in configs:
+    run_dirs = [out_root / run_dir_name(config) for config in configs]
+    # A bad output location fails here, before any training step.
+    try:
+        for run_dir in run_dirs:
+            run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create run directory: {exc}") from exc
+    for config, run_dir in zip(configs, run_dirs):
         result = run(config)
-        run_dir = out_root / run_dir_name(config)
         write_run_artifacts(result, run_dir)
         last_return = result.metrics[-1].ep_return if result.metrics else 0.0
         print(

@@ -124,22 +124,43 @@ class SubgoalSet:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SubgoalSet":
-        return cls(
-            centroids=tuple(
-                Centroid(int(c["id"]), float(c["x"]), float(c["y"]))
-                for c in d["centroids"]
-            ),
-            anomalies=tuple(
-                AnomalySubgoal(
-                    int(a["id"]),
-                    GridState(int(a["x"]), int(a["y"]), bool(a["has_key"])),
-                    float(a["score"]),
+        """Inverse of `to_json_dict`; ValueError unless every id is a JSON
+        integer, centroid x/y and anomaly scores are finite numbers,
+        anomaly x/y are JSON integers >= 0 and has_key a JSON boolean."""
+        centroids = []
+        for c in d["centroids"]:
+            i, x, y = c["id"], c["x"], c["y"]
+            if not (type(i) is int and _finite(x) and _finite(y)):
+                raise ValueError(
+                    f"need an integer id and finite x and y for centroid {c}"
                 )
-                for a in d["anomalies"]
-            ),
+            centroids.append(Centroid(i, float(x), float(y)))
+        anomalies = []
+        for a in d["anomalies"]:
+            i, x, y, has_key = a["id"], a["x"], a["y"], a["has_key"]
+            score = a["score"]
+            if not (
+                type(i) is type(x) is type(y) is int and x >= 0 and y >= 0
+                and type(has_key) is bool and _finite(score)
+            ):
+                raise ValueError(
+                    "need an integer id, integers >= 0 for x and y, true/false "
+                    f"for has_key and a finite score for anomaly {a}"
+                )
+            anomalies.append(
+                AnomalySubgoal(i, GridState(x, y, has_key), float(score))
+            )
+        return cls(
+            centroids=tuple(centroids),
+            anomalies=tuple(anomalies),
             theta_anom=d.get("theta_anom"),
             source_size=d.get("source_memory_size"),
         )
+
+
+def _finite(v) -> bool:
+    """Whether `v` is a finite JSON number (an int or a float, not a bool)."""
+    return (type(v) is float or type(v) is int) and math.isfinite(v)
 
 
 @dataclass(frozen=True)

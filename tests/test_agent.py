@@ -542,6 +542,14 @@ def test_table_grow_keeps_columns_and_appends_init(layout):
         ctrl.grow(3)
 
 
+def _reprs(values):
+    """`repr` of every value of a nested table: -0.0 and the last bit count."""
+    if isinstance(values, list):
+        return [_reprs(v) for v in values]
+    assert type(values) is float
+    return repr(values)
+
+
 def test_table_csv_round_trip(tmp_path, layout, rng):
     index = StateIndex(layout)
     ctrl = ControllerTable(index, 2)
@@ -550,16 +558,18 @@ def test_table_csv_round_trip(tmp_path, layout, rng):
     s = GridState(4, 7, True)
     ctrl.action_values(s, 1)[2] = 0.123456789
     meta.goal_values(s)[0] = -7.25
+    meta.goal_values(s)[1] = -0.0
     flat.action_values(s)[3] = 39.9999
+    flat.action_values(s)[0] = 5e-324
+    flat.action_values(s)[1] = 0.1 + 0.2
     ctrl.to_csv(tmp_path / "c.csv")
     meta.to_csv(tmp_path / "m.csv")
     flat.to_csv(tmp_path / "f.csv")
     ctrl2 = ControllerTable.from_csv(tmp_path / "c.csv", index)
     meta2 = MetaTable.from_csv(tmp_path / "m.csv", index)
     flat2 = FlatTable.from_csv(tmp_path / "f.csv", index)
-    assert ctrl2._values == ctrl._values
-    assert meta2._values == meta._values
-    assert flat2._values == flat._values
+    for before, after in ((ctrl, ctrl2), (meta, meta2), (flat, flat2)):
+        assert _reprs(after._values) == _reprs(before._values)
 
 
 _values = st.floats(allow_nan=False, allow_infinity=False)
@@ -602,8 +612,8 @@ def test_grown_tables_round_trip_through_csv(
     ctrl2 = ControllerTable.from_csv(out / "c.csv", index)
     meta2 = MetaTable.from_csv(out / "m.csv", index)
     assert ctrl2.n_subgoals == meta2.n_subgoals == ctrl.n_subgoals
-    assert ctrl2._values == ctrl._values
-    assert meta2._values == meta._values
+    assert _reprs(ctrl2._values) == _reprs(ctrl._values)
+    assert _reprs(meta2._values) == _reprs(meta._values)
 
 
 @pytest.mark.parametrize(
@@ -616,10 +626,14 @@ def test_grown_tables_round_trip_through_csv(
         "state,subgoal,value\n0,0\n",
         "state,subgoal,value\n9999,0,1.5\n",
         "state,subgoal,value\n0,-1,1.5\n",
+        "state,subgoal,value\n0,0,nan\n",
+        "state,subgoal,value\n0,0,inf\n",
+        "state,subgoal,value\n0,0,-inf\n",
     ],
     ids=[
         "garbage", "no-value-column", "no-rows", "non-integer-id",
         "short-row", "state-out-of-range", "negative-subgoal",
+        "nan-value", "inf-value", "negative-inf-value",
     ],
 )
 def test_table_from_csv_rejects_malformed_files(tmp_path, layout, text):
@@ -659,3 +673,59 @@ def test_table_from_csv_rejects_another_tables_header(tmp_path, layout):
         ControllerTable.from_csv(tmp_path / "f.csv", index)
     with pytest.raises(ValueError, match="header"):
         MetaTable.from_csv(tmp_path / "f.csv", index)
+
+
+def test_table_from_csv_loads_rows_in_any_order(tmp_path, layout, rng):
+    index = StateIndex(layout)
+    ctrl = ControllerTable(index, 3)
+    for row in ctrl._values:
+        for values in row:
+            values[:] = rng.normal(size=len(values)).tolist()
+    ctrl.to_csv(tmp_path / "c.csv")
+    header, *rows = (tmp_path / "c.csv").read_text().splitlines()
+    rng.shuffle(rows)
+    (tmp_path / "shuffled.csv").write_text("\n".join([header] + rows) + "\n")
+    loaded = ControllerTable.from_csv(tmp_path / "shuffled.csv", index)
+    assert loaded.n_subgoals == 3
+    assert _reprs(loaded._values) == _reprs(ctrl._values)
+
+
+@pytest.mark.parametrize(
+    "column,needle", [(0, "id out of range"), (1, "one row per id combination")]
+)
+def test_table_from_csv_rejects_largest_int64_id(tmp_path, layout, column, needle):
+    index = StateIndex(layout)
+    MetaTable(index, 1).to_csv(tmp_path / "m.csv")
+    header, first, *rows = (tmp_path / "m.csv").read_text().splitlines()
+    ids = first.split(",")
+    ids[column] = str(2**63 - 1)
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([header, ",".join(ids)] + rows) + "\n")
+    with pytest.raises(ValueError, match=needle):
+        MetaTable.from_csv(path, index)
+
+
+def test_table_from_csv_reports_blank_body_as_no_rows(tmp_path, layout):
+    path = tmp_path / "t.csv"
+    path.write_text("state,subgoal,value\n\n  \n\n")
+    with pytest.raises(ValueError, match="no rows"):
+        MetaTable.from_csv(path, StateIndex(layout))
+
+
+def test_table_from_csv_names_the_file_on_a_malformed_row(tmp_path, layout):
+    path = tmp_path / "t.csv"
+    path.write_text("state,action,value\n0,0,1.5\n0,1\n")
+    with pytest.raises(ValueError, match="t.csv: malformed row"):
+        FlatTable.from_csv(path, StateIndex(layout))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_table_from_csv_rejects_non_finite_values(tmp_path, layout, value):
+    index = StateIndex(layout)
+    FlatTable(index).to_csv(tmp_path / "f.csv")
+    header, *rows = (tmp_path / "f.csv").read_text().splitlines()
+    rows[100] = ",".join(rows[100].split(",")[:-1] + [value])
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ValueError, match="t.csv: non-finite value"):
+        FlatTable.from_csv(path, index)

@@ -584,3 +584,54 @@ def test_manifest_with_use_dissimilarity_is_refused(tmp_path, capsys):
                  "--out", str(tmp_path / "again")]) == 1
     _assert_cli_error(capsys, "use_dissimilarity")
     assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_eval_rejects_non_finite_table_values(trained_runs, tmp_path, capsys, value):
+    header, first, *rows = (
+        (trained_runs / "unified_hrl_seed1" / "meta_q.csv").read_text().splitlines()
+    )
+    first = ",".join(first.split(",")[:-1] + [value])
+    run_dir = _corrupt_run(
+        trained_runs, tmp_path, "unified_hrl_seed1", "meta_q.csv",
+        "\n".join([header, first] + rows) + "\n",
+    )
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "meta_q.csv", "non-finite value")
+
+
+def test_train_rejects_an_output_root_under_a_file(tmp_path, capsys, monkeypatch):
+    (tmp_path / "afile").write_text("not a directory\n")
+
+    def fail(config):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("subgoal_hrl.cli.run", fail)
+    args = train_args(tmp_path, mode="random_walk", seed=0)
+    args[args.index("--out") + 1] = str(tmp_path / "afile" / "runs")
+    assert main(args) == 1
+    _assert_cli_error(capsys, "cannot create run directory", "afile")
+
+
+@pytest.mark.parametrize(
+    "part,edit,needle",
+    [
+        ("anomalies", {"has_key": "false"}, "for has_key"),
+        ("centroids", {"x": "2.5"}, "finite x and y"),
+    ],
+    ids=["string-has-key", "string-centroid-x"],
+)
+def test_eval_rejects_mistyped_subgoals(
+    trained_runs, tmp_path, capsys, part, edit, needle
+):
+    path = trained_runs / "unified_hrl_seed1" / "subgoals.json"
+    blob = json.loads(path.read_text())
+    blob[part][0].update(edit)
+    run_dir = _corrupt_run(
+        trained_runs, tmp_path, "unified_hrl_seed1", "subgoals.json",
+        json.dumps(blob),
+    )
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "cannot load run artifacts", needle)

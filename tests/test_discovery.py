@@ -325,3 +325,55 @@ def test_subgoal_set_json_round_trip(full_coverage_memory, rng):
     assert blob["size"] == 6
     assert blob["theta_anom"] == 3.0
     assert blob["source_memory_size"] == len(full_coverage_memory)
+
+
+_SUBGOALS_JSON = {
+    "k": 1,
+    "size": 2,
+    "theta_anom": 3.0,
+    "source_memory_size": 10,
+    "centroids": [{"id": 0, "x": 2.5, "y": 3}],
+    "anomalies": [
+        {"id": 1, "x": 10, "y": 2, "has_key": True, "score": 7.5},
+    ],
+}
+
+
+def test_subgoal_set_from_json_dict_accepts_integer_numbers():
+    subgoals = SubgoalSet.from_json_dict(_SUBGOALS_JSON)
+    assert subgoals.centroids == (Centroid(0, 2.5, 3.0),)
+    assert subgoals.anomalies == (AnomalySubgoal(1, GridState(10, 2, True), 7.5),)
+    assert type(subgoals.centroids[0].y) is float
+
+
+@pytest.mark.parametrize(
+    "part,edit",
+    [
+        ("centroids", {"id": "0"}),
+        ("centroids", {"id": 0.0}),
+        ("centroids", {"id": False}),
+        ("centroids", {"x": "2.5"}),
+        ("centroids", {"y": math.nan}),
+        ("centroids", {"x": math.inf}),
+        ("centroids", {"y": True}),
+        ("anomalies", {"has_key": "false"}),
+        ("anomalies", {"has_key": 0}),
+        ("anomalies", {"x": 10.0}),
+        ("anomalies", {"y": -2}),
+        ("anomalies", {"x": True}),
+        ("anomalies", {"score": "7.5"}),
+        ("anomalies", {"score": -math.inf}),
+        ("anomalies", {"id": "1"}),
+    ],
+    ids=[
+        "string-centroid-id", "float-centroid-id", "boolean-centroid-id",
+        "string-centroid-x", "nan-centroid-y", "inf-centroid-x",
+        "boolean-centroid-y", "string-has-key", "integer-has-key",
+        "float-anomaly-x", "negative-anomaly-y", "boolean-anomaly-x",
+        "string-score", "infinite-score", "string-anomaly-id",
+    ],
+)
+def test_subgoal_set_from_json_dict_rejects_mistyped_fields(part, edit):
+    blob = {**_SUBGOALS_JSON, part: [{**_SUBGOALS_JSON[part][0], **edit}]}
+    with pytest.raises(ValueError):
+        SubgoalSet.from_json_dict(blob)
