@@ -5,7 +5,9 @@ the meta-controller learns subgoal values Q(s, g) from discounted task
 returns between subgoal selections. Both are exact tables over the
 dense (x, y, has_key) state index. Loss minimization is realized as
 per-sample tabular TD updates, the exact-table special case of
-minimizing the squared TD error.
+minimizing the squared TD error. The updates index rows by state id,
+trusting ids as the trainer's replays hold them; a batch of `GridState`
+transitions is encoded, and so checked, once on entry.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .discovery import AnomalySubgoal, SubgoalSet
 from .memory import ControllerTransition, MetaTransition, Transition
-from .rooms_env import Action, GridState, N_ACTIONS, RoomsLayout
+from .rooms_env import Action, GridState, N_ACTIONS, StateIndex
 
 INTRINSIC_REWARD = 1.0
 
@@ -50,38 +52,6 @@ class EpsilonSchedule:
         if t >= self.horizon:
             return self.end
         return self.start + (self.end - self.start) * (t / self.horizon)
-
-
-class _StateIds(dict):
-    """State -> dense id; a state off the index raises ValueError."""
-
-    def __missing__(self, state):
-        raise ValueError(f"state {state} is not indexable (wall cell?)")
-
-
-class StateIndex:
-    """Dense index over (x, y, has_key) for all playable cells.
-
-    `ids` maps a state to its id; like `encode`, it raises ValueError for
-    a state off the index.
-    """
-
-    def __init__(self, layout: RoomsLayout) -> None:
-        self._cells = sorted(layout.playable)
-        self.ids = _StateIds()
-        for i, (x, y) in enumerate(self._cells):
-            self.ids[(x, y, False)] = 2 * i
-            self.ids[(x, y, True)] = 2 * i + 1
-        self.size = 2 * len(self._cells)
-
-    def encode(self, state: GridState) -> int:
-        return self.ids[state]
-
-    def decode(self, idx: int) -> GridState:
-        if not 0 <= idx < self.size:
-            raise ValueError(f"state index {idx} out of range")
-        x, y = self._cells[idx // 2]
-        return GridState(x, y, bool(idx % 2))
 
 
 def _check_rates(alpha: float, gamma: float) -> None:
@@ -154,12 +124,13 @@ class ControllerTable:
         n_subgoals: int,
         n_actions: int = N_ACTIONS,
         init: float = 0.0,
+        values: list | None = None,
     ) -> None:
         self.index = index
         self.n_subgoals = n_subgoals
         self.n_actions = n_actions
         self.init = init
-        self._values = [
+        self._values = values or [
             [[init] * n_actions for _ in range(n_subgoals)]
             for _ in range(index.size)
         ]
@@ -197,19 +168,20 @@ class ControllerTable:
         values = _read_table_csv(
             path, ["state", "subgoal", "action", "value"], index
         )
-        table = cls(index, *values.shape[1:])
-        table._values = values.tolist()
-        return table
+        return cls(index, *values.shape[1:], values=values.tolist())
 
 
 class MetaTable:
     """Q(state, subgoal) estimates in task-reward units."""
 
-    def __init__(self, index: StateIndex, n_subgoals: int, init: float = 0.0) -> None:
+    def __init__(
+        self, index: StateIndex, n_subgoals: int, init: float = 0.0,
+        values: list | None = None,
+    ) -> None:
         self.index = index
         self.n_subgoals = n_subgoals
         self.init = init
-        self._values = [[init] * n_subgoals for _ in range(index.size)]
+        self._values = values or [[init] * n_subgoals for _ in range(index.size)]
 
     def goal_values(self, state: GridState) -> list[float]:
         return self._values[self.index.encode(state)]
@@ -237,20 +209,19 @@ class MetaTable:
     @classmethod
     def from_csv(cls, path: str | Path, index: StateIndex) -> "MetaTable":
         values = _read_table_csv(path, ["state", "subgoal", "value"], index)
-        table = cls(index, *values.shape[1:])
-        table._values = values.tolist()
-        return table
+        return cls(index, *values.shape[1:], values=values.tolist())
 
 
 class FlatTable:
     """Plain Q(state, action) table for the non-hierarchical baseline."""
 
     def __init__(
-        self, index: StateIndex, n_actions: int = N_ACTIONS, init: float = 0.0
+        self, index: StateIndex, n_actions: int = N_ACTIONS, init: float = 0.0,
+        values: list | None = None,
     ) -> None:
         self.index = index
         self.n_actions = n_actions
-        self._values = [[init] * n_actions for _ in range(index.size)]
+        self._values = values or [[init] * n_actions for _ in range(index.size)]
 
     def action_values(self, state: GridState) -> list[float]:
         return self._values[self.index.encode(state)]
@@ -270,9 +241,7 @@ class FlatTable:
     @classmethod
     def from_csv(cls, path: str | Path, index: StateIndex) -> "FlatTable":
         values = _read_table_csv(path, ["state", "action", "value"], index)
-        table = cls(index, *values.shape[1:])
-        table._values = values.tolist()
-        return table
+        return cls(index, *values.shape[1:], values=values.tolist())
 
 
 def epsilon_greedy_index(
@@ -357,16 +326,18 @@ def update_controller(
 ) -> None:
     """One TD step per item, in order, toward the intrinsic target."""
     _check_rates(alpha, gamma)
-    values, rows = controller._values, controller.index.ids
-    n_subgoals = controller.n_subgoals
+    if batch and type(batch[0].s) is not int:
+        ids = controller.index.ids
+        batch = [(ids[s], g, a, r, ids[s2], d) for s, g, a, r, s2, d in batch]
+    values, n_subgoals = controller._values, controller.n_subgoals
     for s, g, a, r, s_next, done in batch:
         if not 0 <= g < n_subgoals:
             raise ValueError(f"unknown subgoal id {g}")
         if done:
             target = r
         else:
-            target = r + gamma * max(values[rows[s_next]][g])
-        row = values[rows[s]][g]
+            target = r + gamma * max(values[s_next][g])
+        row = values[s][g]
         row[a] += alpha * (target - row[a])
 
 
@@ -382,8 +353,10 @@ def update_meta(
     accrued over the temporally extended subgoal attempt.
     """
     _check_rates(alpha, gamma)
-    values, rows = meta._values, meta.index.ids
-    n_subgoals = meta.n_subgoals
+    if batch and type(batch[0].s0) is not int:
+        ids = meta.index.ids
+        batch = [replace(tr, s0=ids[tr.s0], s_end=ids[tr.s_end]) for tr in batch]
+    values, n_subgoals = meta._values, meta.n_subgoals
     for tr in batch:
         g = tr.goal_id
         if not 0 <= g < n_subgoals:
@@ -391,10 +364,8 @@ def update_meta(
         if tr.terminal:
             target = tr.return_g
         else:
-            target = tr.return_g + gamma ** tr.duration * max(
-                values[rows[tr.s_end]]
-            )
-        row = values[rows[tr.s0]]
+            target = tr.return_g + gamma ** tr.duration * max(values[tr.s_end])
+        row = values[tr.s0]
         row[g] += alpha * (target - row[g])
 
 
@@ -406,11 +377,14 @@ def flat_q_update(
 ) -> None:
     """Standard one-step Q-learning update over raw transitions."""
     _check_rates(alpha, gamma)
-    values, rows = table._values, table.index.ids
+    if batch and type(batch[0].s) is not int:
+        ids = table.index.ids
+        batch = [(ids[s], a, r, ids[s2], t) for s, a, r, s2, t in batch]
+    values = table._values
     for s, a, r, s_next, terminal in batch:
         if terminal:
             target = r
         else:
-            target = r + gamma * max(values[rows[s_next]])
-        row = values[rows[s]]
+            target = r + gamma * max(values[s_next])
+        row = values[s]
         row[a] += alpha * (target - row[a])

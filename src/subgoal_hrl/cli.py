@@ -22,7 +22,7 @@ import yaml
 from .agent import ControllerTable, FlatTable, MetaTable, StateIndex
 from .discovery import SubgoalSet, discover
 from .memory import load_transitions_jsonl, save_transitions_jsonl
-from .rooms_env import N_ACTIONS
+from .rooms_env import N_ACTIONS, RoomsLayout
 from .trainer import (
     MODES,
     MetricsRecord,
@@ -220,7 +220,11 @@ def cmd_train(args) -> int:
         raise CliError(f"cannot create run directory: {exc}") from exc
     for config, run_dir in zip(configs, run_dirs):
         result = run(config)
-        write_run_artifacts(result, run_dir)
+        try:
+            write_run_artifacts(result, run_dir)
+        except OSError as exc:
+            (run_dir / (MANIFEST_NAME + ".tmp")).unlink(missing_ok=True)
+            raise CliError(f"cannot write run artifacts to {run_dir}: {exc}") from exc
         last_return = result.metrics[-1].ep_return if result.metrics else 0.0
         print(
             f"{config.mode} seed={config.seed}: steps={result.steps} "
@@ -238,9 +242,13 @@ def cmd_discover(args) -> int:
         raise CliError(
             f"memory file exceeds {args.max_bytes} bytes; refusing to load"
         )
+    manifest = path.parent / MANIFEST_NAME
     try:
-        transitions = load_transitions_jsonl(path)
-    except (OSError, ValueError) as exc:
+        layout = RoomsLayout.default()
+        if manifest.exists():
+            layout = _make_config(json.loads(manifest.read_text())["config"]).layout()
+        transitions = load_transitions_jsonl(path, StateIndex(layout))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load memory: {exc}") from exc
     if not transitions:
         raise CliError("memory file contains no transitions")

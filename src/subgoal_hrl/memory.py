@@ -3,7 +3,7 @@
 Three memories drive training: the raw environment memory feeding
 subgoal discovery, the controller memory of intrinsic-reward
 transitions, and the meta-controller memory of completed subgoal
-attempts.
+attempts. The trainer fills them with state ids and int actions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Generic, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .rooms_env import Action, GridState
+from .rooms_env import Action, GridState, StateIndex
 
 T = TypeVar("T")
 
@@ -45,10 +45,10 @@ def accumulate_return(rewards: Sequence[float], gamma: float) -> float:
 class Transition(NamedTuple):
     """One raw environment step."""
 
-    s: GridState
-    a: Action
+    s: GridState | int
+    a: Action | int
     r: float
-    s_next: GridState
+    s_next: GridState | int
     terminal: bool
 
 
@@ -60,11 +60,11 @@ class ControllerTransition(NamedTuple):
     episode ended.
     """
 
-    s: GridState
+    s: GridState | int
     goal_id: int
-    a: Action
+    a: Action | int
     r_intrinsic: float
-    s_next: GridState
+    s_next: GridState | int
     attained_or_terminal: bool
 
 
@@ -77,10 +77,10 @@ class MetaTransition:
     later.
     """
 
-    s0: GridState
+    s0: GridState | int
     goal_id: int
     return_g: float
-    s_end: GridState
+    s_end: GridState | int
     duration: int
     rewards: tuple[float, ...]
     gamma: float
@@ -209,14 +209,21 @@ def save_transitions_jsonl(path: str | Path, transitions: Sequence[Transition]) 
             fh.write(json.dumps(transition_to_dict(t)) + "\n")
 
 
-def load_transitions_jsonl(path: str | Path) -> list[Transition]:
+def load_transitions_jsonl(
+    path: str | Path, index: StateIndex | None = None
+) -> list[Transition]:
+    """ValueError names the line of a bad transition or of a state off `index`."""
     transitions = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                transitions.append(transition_from_dict(json.loads(line)))
+                t = transition_from_dict(json.loads(line))
+                if index is not None:
+                    index.encode(t.s)
+                    index.encode(t.s_next)
+                transitions.append(t)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"bad transition on line {line_no}: {exc}") from exc
     return transitions

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -274,12 +274,42 @@ class RoomsLayout:
         )
 
 
-class FourRoomsEnv:
-    """Deterministic four-rooms environment.
+class _StateIds(dict):
+    """State -> dense id; a state off the index raises ValueError."""
 
-    `step` is a pure function of (state, action) when `slip_prob` is 0
-    (the default); with slip enabled the chosen action is replaced by a
-    uniformly random one with probability `slip_prob`, drawn from `rng`.
+    def __missing__(self, state):
+        raise ValueError(f"state {state} is not indexable (wall cell?)")
+
+
+class StateIndex:
+    """Dense ids over (x, y, has_key) for all playable cells.
+
+    `states[i]` is the state of id i; `ids` maps a state to its id and,
+    like `encode`, raises ValueError for a state off the index.
+    """
+
+    def __init__(self, layout: RoomsLayout) -> None:
+        self.cells = sorted(layout.playable)
+        self.states = [GridState(x, y, k) for x, y in self.cells for k in (False, True)]
+        self.ids = _StateIds((s, i) for i, s in enumerate(self.states))
+        self.size = len(self.states)
+
+    def encode(self, state: GridState) -> int:
+        return self.ids[state]
+
+    def decode(self, idx: int) -> GridState:
+        if not 0 <= idx < self.size:
+            raise ValueError(f"state index {idx} out of range")
+        return self.states[idx]
+
+
+class FourRoomsEnv:
+    """Deterministic four-rooms environment over the compiled move rule.
+
+    `step` is `step_id` between encoding and decoding the state. Steps are
+    a pure function of (state, action) when `slip_prob` is 0 (the default);
+    with slip enabled the chosen action is replaced by a uniformly random
+    one with probability `slip_prob`, drawn from `rng`.
     """
 
     def __init__(
@@ -292,16 +322,15 @@ class FourRoomsEnv:
             raise ValueError("slip_prob must be in [0, 1)")
         if slip_prob > 0.0 and rng is None:
             raise ValueError("slip_prob > 0 requires an rng")
-        self.layout = layout if layout is not None else RoomsLayout.default()
+        self.layout = layout = layout if layout is not None else RoomsLayout.default()
         self.slip_prob = slip_prob
         self._rng = rng
+        self.index, self.next_id, self.reward, self.terminal = compile_moves(layout)
+        self.terminal_id = self.index.ids[(*layout.box_cell, True)]
 
     def reset(self) -> GridState:
         x, y = self.layout.start_cell
         return GridState(x, y, has_key=False)
-
-    def is_terminal(self, state: GridState) -> bool:
-        return state.cell == self.layout.box_cell and state.has_key
 
     def playable_cells(self) -> frozenset[tuple[int, int]]:
         return self.layout.playable
@@ -315,27 +344,35 @@ class FourRoomsEnv:
         Raises:
             ValueError: when stepping from a non-playable or terminal state.
         """
-        if state.cell not in self.layout.playable:
-            raise ValueError(f"state {state} is not playable")
-        if self.is_terminal(state):
+        sid = self.index.encode(state)
+        next_id, reward, terminal = self.step_id(sid, Action(action))
+        return StepOutcome(self.index.states[next_id], reward, terminal)
+
+    def step_id(self, sid: int, action: int) -> tuple[int, float, bool]:
+        """(next id, reward, terminal); ValueError from the terminal state."""
+        if sid == self.terminal_id:
             raise ValueError("cannot step from a terminal state")
         if self.slip_prob > 0.0 and self._rng.random() < self.slip_prob:
-            action = Action(int(self._rng.integers(N_ACTIONS)))
-        dx, dy = ACTION_DELTAS[Action(action)]
-        target = (state.x + dx, state.y + dy)
-        if target in self.layout.walls:
-            target = state.cell
-        has_key = state.has_key
-        reward = 0.0
-        if target == self.layout.key_cell and not has_key:
-            reward = KEY_REWARD
-            has_key = True
-        terminal = False
-        if target == self.layout.box_cell and has_key:
-            reward = BOX_REWARD
-            terminal = True
-        return StepOutcome(
-            next_state=GridState(target[0], target[1], has_key),
-            reward=reward,
-            terminal=terminal,
-        )
+            action = int(self._rng.integers(N_ACTIONS))
+        i = sid * N_ACTIONS + action
+        return self.next_id[i], self.reward[i], self.terminal[i]
+
+
+@lru_cache(maxsize=16)
+def compile_moves(layout: RoomsLayout) -> tuple[StateIndex, list, list, list]:
+    """The move rule as `next_id`, `reward` and `terminal` lists indexed by
+    `state_id * N_ACTIONS + action`, with their state index. Compiled once
+    per layout and shared by its envs, so nothing may write to them."""
+    index = StateIndex(layout)
+    next_id, reward, terminal = [], [], []
+    for x, y, has_key in index.states:
+        for dx, dy in (ACTION_DELTAS[a] for a in Action):
+            cell = (x + dx, y + dy)
+            if cell in layout.walls:
+                cell = (x, y)
+            takes_key = cell == layout.key_cell and not has_key
+            done = cell == layout.box_cell and has_key
+            next_id.append(index.ids[(*cell, has_key or takes_key)])
+            reward.append(BOX_REWARD if done else KEY_REWARD if takes_key else 0.0)
+            terminal.append(done)
+    return index, next_id, reward, terminal

@@ -20,11 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .agent import (
+    INTRINSIC_REWARD,
     ControllerTable,
     EpsilonSchedule,
     FlatTable,
     MetaTable,
-    StateIndex,
     epsilon_greedy_index,
     flat_q_update,
     intrinsic_critic,
@@ -43,6 +43,7 @@ from .memory import (
 from .rooms_env import Action, FourRoomsEnv, GridState, N_ACTIONS, RoomsLayout
 
 MODES = ("random_walk", "flat_q", "random_meta_hrl", "unified_hrl")
+ACTIONS = list(Action)  # action id -> Action, without an enum call
 
 METRICS_HEADER = "episode,steps,return,coverage,success_rate,num_subgoals"
 
@@ -251,7 +252,11 @@ class RunResult:
 
 
 class Runner:
-    """Executes one run. Internal machinery behind :func:`run`."""
+    """Executes one run. Internal machinery behind :func:`run`.
+
+    The state `sid` and the replays' states are ids of `env.index`; states
+    are decoded only for `discover` and the `RunResult`.
+    """
 
     def __init__(self, config: RunConfig) -> None:
         config.validate()
@@ -259,8 +264,7 @@ class Runner:
         self.rng = np.random.default_rng(config.seed)
         layout = config.layout()
         self.env = FourRoomsEnv(layout, slip_prob=config.slip_prob, rng=self.rng)
-        self.index = StateIndex(layout)
-        self.playable = layout.playable
+        self.index = self.env.index
 
         self.memory: BoundedMemory[Transition] = BoundedMemory(
             config.memory_capacity
@@ -272,19 +276,21 @@ class Runner:
             config.meta_memory_capacity
         )
 
-        self.subgoals: SubgoalSet | None = None
+        self.subgoals = None
         self.controller: ControllerTable | None = None
         self.meta: MetaTable | None = None
         self.flat: FlatTable | None = None
 
-        self.visited: set[tuple[int, int]] = set()
+        # One byte per cell (state id // 2), plus the count of ones.
+        self._visits = bytearray(len(self.index.cells))
+        self._n_visited = 0
         self.metrics: list[MetricsRecord] = []
         self.steps = 0
         self.episode_index = 0
         self.ep_steps = 0
         self.ep_return = 0.0
-        self.state = self.env.reset()
-        self._mark_visit(self.state)
+        self.sid = self._start = self.index.encode(self.env.reset())
+        self._mark_visit(self.sid)
 
         self.warmup_steps_used = 0
         self.attempt_steps_total = 0
@@ -305,22 +311,41 @@ class Runner:
 
     # -- shared plumbing ---------------------------------------------------
 
-    def _mark_visit(self, state: GridState) -> None:
-        self.visited.add(state.cell)
+    @property
+    def subgoals(self) -> SubgoalSet | None:
+        return self._subgoals
 
-    def _env_step(self, action: Action, record: bool = True):
-        s = self.state
-        out = self.env.step(s, action)
+    @subgoals.setter
+    def subgoals(self, subgoals: SubgoalSet | None) -> None:
+        # Attain rows: _attains[g][sid] says whether arriving in sid attains g.
+        self._subgoals = subgoals
+        self._attains = subgoals and [
+            [intrinsic_critic(s, g, subgoals)[0] for s in self.index.states]
+            for g in range(subgoals.size)
+        ]
+
+    def _mark_visit(self, sid: int) -> None:
+        cell = sid >> 1
+        if not self._visits[cell]:
+            self._visits[cell] = 1
+            self._n_visited += 1
+
+    def _decoded(self, transitions: Sequence[Transition]) -> tuple[Transition, ...]:
+        states = self.index.states
+        return tuple(Transition(states[s], ACTIONS[a], r, states[s2], t)
+                     for s, a, r, s2, t in transitions)
+
+    def _env_step(self, action: int) -> tuple[float, bool]:
+        s = self.sid
+        nxt, reward, terminal = self.env.step_id(s, action)
         self.steps += 1
         self.ep_steps += 1
-        self.ep_return += out.reward
-        if record:
-            self.memory.push(Transition(s, action, out.reward, out.next_state,
-                                        out.terminal))
-        self._mark_visit(out.next_state)
-        self.state = out.next_state
+        self.ep_return += reward
+        self.memory.push(Transition(s, action, reward, nxt, terminal))
+        self._mark_visit(nxt)
+        self.sid = nxt
         self._maybe_discover()
-        return out
+        return reward, terminal
 
     def _maybe_discover(self) -> None:
         if self._next_discovery is None or self.steps < self._next_discovery:
@@ -328,7 +353,7 @@ class Runner:
         self._next_discovery += self.cfg.discovery_period
         try:
             fresh = discover(
-                self.memory.snapshot(),
+                self._decoded(self.memory.snapshot()),
                 self.cfg.k,
                 self.cfg.theta_anom,
                 self.rng,
@@ -357,14 +382,14 @@ class Runner:
                 episode=self.episode_index,
                 steps=self.steps,
                 ep_return=self.ep_return,
-                coverage=coverage(self.visited, self.playable),
+                coverage=self._n_visited / len(self._visits),
                 success_rate=self._success_rate(),
                 num_subgoals=self.subgoals.size if self.subgoals else 0,
             )
         )
         self.episode_index += 1
-        self.state = self.env.reset()
-        self._mark_visit(self.state)
+        self.sid = self._start
+        self._mark_visit(self.sid)
         self.ep_steps = 0
         self.ep_return = 0.0
 
@@ -396,12 +421,12 @@ class Runner:
         return RunResult(
             config=self.cfg,
             metrics=self.metrics,
-            visited=frozenset(self.visited),
+            visited=frozenset(c for c, v in zip(self.index.cells, self._visits) if v),
             subgoals=self.subgoals,
             controller=self.controller,
             meta=self.meta,
             flat=self.flat,
-            memory=self.memory.snapshot(),
+            memory=self._decoded(self.memory.snapshot()),
             discovery_steps=tuple(self.discovery_steps),
             warmup_steps_used=self.warmup_steps_used,
             attempt_steps_total=self.attempt_steps_total,
@@ -411,48 +436,41 @@ class Runner:
 
     def _run_random_walk(self) -> None:
         while self.steps < self.cfg.total_steps:
-            action = Action(int(self.rng.integers(N_ACTIONS)))
-            out = self._env_step(action)
-            if self._episode_over(out.terminal):
+            _, terminal = self._env_step(int(self.rng.integers(N_ACTIONS)))
+            if self._episode_over(terminal):
                 self._end_episode()
 
     def _run_flat(self) -> None:
         cfg = self.cfg
         self.flat = FlatTable(self.index, init=cfg.table_init)
+        values = self.flat._values
         while self.steps < cfg.total_steps:
             # Classic argmax baseline: deterministic first-index tie
             # breaking, so untrained regions do not turn into a uniform
             # random walk.
-            action = Action(
-                epsilon_greedy_index(
-                    self.flat.action_values(self.state),
-                    cfg.flat_eps,
-                    self.rng,
-                    tie_break="first",
-                )
+            action = epsilon_greedy_index(
+                values[self.sid], cfg.flat_eps, self.rng, tie_break="first"
             )
-            out = self._env_step(action)
+            _, terminal = self._env_step(action)
             flat_q_update(
                 self.flat,
                 self.memory.sample(cfg.batch_size, self.rng),
                 cfg.alpha,
                 cfg.gamma,
             )
-            if self._episode_over(out.terminal):
+            if self._episode_over(terminal):
                 self._end_episode()
 
     def _warmup_step(self) -> None:
-        action = Action(int(self.rng.integers(N_ACTIONS)))
-        out = self._env_step(action)
+        _, terminal = self._env_step(int(self.rng.integers(N_ACTIONS)))
         self.warmup_steps_used += 1
-        if self._episode_over(out.terminal):
+        if self._episode_over(terminal):
             self._end_episode()
 
     def _choose_subgoal(self, unified: bool) -> int:
         if unified:
-            return select_subgoal(
-                self.meta,
-                self.state,
+            return epsilon_greedy_index(
+                self.meta._values[self.sid],
                 self._meta_schedule.value(self.steps),
                 self.rng,
             )
@@ -464,33 +482,30 @@ class Runner:
         Returns (attained, terminal, duration).
         """
         cfg = self.cfg
-        s0 = self.state
+        s0 = self.sid
+        # Outcomes change only when an attempt ends, so epsilon holds within it.
+        epsilon = self._goal_epsilon(goal_id)
         rewards: list[float] = []
         attained = False
         terminal = False
         t_in = 0
         while True:
-            action = select_action(
-                self.controller,
-                self.state,
-                goal_id,
-                self._goal_epsilon(goal_id),
-                self.rng,
+            s_prev = self.sid
+            action = epsilon_greedy_index(
+                self.controller._values[s_prev][goal_id], epsilon, self.rng
             )
-            s_prev = self.state
-            out = self._env_step(action)
+            reward, terminal = self._env_step(action)
             t_in += 1
-            attained, r_int = intrinsic_critic(
-                out.next_state, goal_id, self.subgoals
-            )
+            # A rediscovery inside the step may have replaced the rows.
+            attained = self._attains[goal_id][self.sid]
             self.ctrl_memory.push(
                 ControllerTransition(
                     s_prev,
                     goal_id,
                     action,
-                    r_int,
-                    out.next_state,
-                    attained or out.terminal,
+                    INTRINSIC_REWARD if attained else 0.0,
+                    self.sid,
+                    attained or terminal,
                 )
             )
             update_controller(
@@ -499,8 +514,7 @@ class Runner:
                 cfg.alpha,
                 cfg.gamma,
             )
-            rewards.append(out.reward)
-            terminal = out.terminal
+            rewards.append(reward)
             if (
                 attained
                 or terminal
@@ -512,7 +526,7 @@ class Runner:
         duration = len(rewards)
         self.attempt_steps_total += duration
         meta_tr = MetaTransition.from_rewards(
-            s0, goal_id, rewards, cfg.gamma, self.state, terminal
+            s0, goal_id, rewards, cfg.gamma, self.sid, terminal
         )
         self.meta_memory.push(meta_tr)
         self._goal_outcomes[goal_id].append(attained)

@@ -528,6 +528,60 @@ def test_discover_rejects_mistyped_memory_lines(tmp_path, capsys, edit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cell", [(500, 3), (0, 0), (6, 6)], ids=["off-grid", "border", "inner-wall"]
+)
+@pytest.mark.parametrize("where", ["x", "x_next"])
+def test_discover_rejects_cells_that_are_not_playable(tmp_path, capsys, cell, where):
+    path = tmp_path / "memory.jsonl"
+    bad = {**_GOOD_LINE, where: cell[0], where.replace("x", "y"): cell[1]}
+    lines = [_GOOD_LINE, _GOOD_LINE, bad, _GOOD_LINE]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = tmp_path / "subgoals.json"
+    assert main(["discover", "--memory", str(path), "--k", "1",
+                 "--out", str(out)]) == 1
+    _assert_cli_error(capsys, "bad transition on line 3", "not indexable")
+    assert not out.exists()
+
+
+def test_discover_checks_cells_against_the_run_layout(tmp_path, capsys):
+    # (6, 2) is wall in the default layout and floor in this one; (10, 10)
+    # is the other way round.
+    grid = "#########\n#S......#\n#...K...#\n#B......#\n#########\n"
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump({"mode": "random_walk", "seed": 0,
+                                   "total_steps": 300, "warmup_steps": 10,
+                                   "layout_text": grid}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    run_dir = tmp_path / "random_walk_seed0"
+    memory = (run_dir / "memory.jsonl").read_text()
+    n_lines = memory.count("\n")
+    on_run_floor = {**_GOOD_LINE, "x": 5, "y": 2, "x_next": 6, "y_next": 2,
+                    "has_key_next": False, "reward": 0.0}
+    on_default_floor = {**on_run_floor, "x_next": 10, "y_next": 10}
+    out = tmp_path / "subgoals.json"
+    argv = ["discover", "--memory", str(run_dir / "memory.jsonl"), "--k", "2",
+            "--out", str(out)]
+
+    (run_dir / "memory.jsonl").write_text(memory + json.dumps(on_run_floor) + "\n")
+    assert main(argv) == 0
+    (run_dir / "memory.jsonl").write_text(memory + json.dumps(on_default_floor) + "\n")
+    out.unlink()
+    capsys.readouterr()
+    assert main(argv) == 1
+    _assert_cli_error(capsys, f"bad transition on line {n_lines + 1}", "x=10, y=10")
+    assert not out.exists()
+
+    # Without the manifest, the default layout applies.
+    (run_dir / "manifest.json").unlink()
+    for line, code in ((on_default_floor, 0), (on_run_floor, 1)):
+        (run_dir / "memory.jsonl").write_text(
+            json.dumps(_GOOD_LINE) + "\n" + json.dumps(line) + "\n"
+        )
+        assert main(argv) == code
+    _assert_cli_error(capsys, "bad transition on line 2", "x=6, y=2")
+
+
 def test_discover_rejects_a_memory_line_that_is_not_an_object(tmp_path, capsys):
     path = tmp_path / "memory.jsonl"
     path.write_text(json.dumps(_GOOD_LINE) + "\n[1, 2]\n")
@@ -546,13 +600,26 @@ def test_failed_retrain_leaves_no_manifest(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("subgoal_hrl.cli.save_transitions_jsonl", fail)
     args = train_args(tmp_path, mode="flat_q", seed=0)
     args[args.index("--steps") + 1] = "3000"
-    with pytest.raises(OSError):
-        main(args)
+    capsys.readouterr()
+    assert main(args) == 1
+    _assert_cli_error(capsys, "cannot write run artifacts", "disk full")
     assert not (run_dir / "manifest.json").exists()
     assert not (run_dir / "manifest.json.tmp").exists()
-    capsys.readouterr()
     assert main(["eval", "--run", str(run_dir)]) == 1
     _assert_cli_error(capsys, "no manifest.json")
+
+
+def test_failed_manifest_write_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("subgoal_hrl.cli.os.replace", fail)
+    assert main(train_args(tmp_path, mode="random_walk", seed=0)) == 1
+    _assert_cli_error(capsys, "cannot write run artifacts", "disk full")
+    run_dir = tmp_path / "random_walk_seed0"
+    assert (run_dir / "metrics.csv").exists()
+    assert not (run_dir / "manifest.json").exists()
+    assert not (run_dir / "manifest.json.tmp").exists()
 
 
 def test_compare_rejects_same_mode_runs_with_different_configs(tmp_path, capsys):

@@ -180,3 +180,45 @@ def test_wrapped_memory_artifacts_match_golden_hashes(tmp_path, mode):
         if k.startswith(f"{mode}_seed")
     }
     assert got == want
+
+
+# Recorded from the code before the move rule was compiled to tables over
+# state ids, which moved the slip draw (rng.random(), then rng.integers(4)
+# only on a slip) into the id step.
+SLIP_GOLDEN_SHA256 = {
+    "flat_q_seed0/flat_q.csv":
+        "b6683ca3c2197e0b86e38af0e2bbc683c01bb119c2afb891951cefd3ebba6097",
+    "flat_q_seed0/memory.jsonl":
+        "00046d2e38add955c64d7441cb406c67079f1bbd959a6fb5ab7cad1d16cc9294",
+    "flat_q_seed0/metrics.csv":
+        "888f7002898fc064527b7740134bd3c2858e47ccc13dcf713b7ee882c4539d4f",
+    "unified_hrl_seed0/controller_q.csv":
+        "a5a2016bff631bcf5bc62b90ab6e858f4664a6da612c0fadad695ec468bf066a",
+    "unified_hrl_seed0/memory.jsonl":
+        "a666b26a404f04e97aac2f839c7931ad121ea1a045aab6592896045129350e53",
+    "unified_hrl_seed0/meta_q.csv":
+        "9251a75dc95bd1ddddda5aad81aa43bfa3ea227bc44fb949852a443b686698c4",
+    "unified_hrl_seed0/metrics.csv":
+        "69080e328f36c8d4084f88bc94805ccfd6378b58161d34180886a9dd62e8ecc6",
+    "unified_hrl_seed0/subgoals.json":
+        "38850a08cc763ca0cdf73edc257aee46fb8fc07c84632c32f82b7c2f41c54b7e",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", ("flat_q", "unified_hrl"))
+def test_slip_artifacts_match_golden_hashes(tmp_path, mode):
+    assert main([
+        "train", "--mode", mode, "--seed", "0", "--steps", "20000",
+        "--warmup-steps", "2000", "--discovery-period", "4000",
+        "--slip-prob", "0.1", "--out", str(tmp_path),
+    ]) == 0
+    got = {}
+    for name in ARTIFACTS + ("memory.jsonl",):
+        path = tmp_path / f"{mode}_seed0" / name
+        if path.exists():
+            got[f"{mode}_seed0/{name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    want = {
+        k: v for k, v in SLIP_GOLDEN_SHA256.items() if k.startswith(f"{mode}_seed")
+    }
+    assert got == want

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subgoal_hrl.rooms_env import (
+    ACTION_DELTAS,
     Action,
     FourRoomsEnv,
     GridState,
@@ -120,7 +121,7 @@ def test_step_deterministic_and_contained(env, layout):
     for cell in layout.playable:
         for has_key in (False, True):
             s = GridState(cell[0], cell[1], has_key)
-            if env.is_terminal(s):
+            if env.index.encode(s) == env.terminal_id:
                 continue
             for a in Action:
                 out1 = env.step(s, a)
@@ -214,3 +215,64 @@ def test_grid_state_is_the_tuple_of_its_fields():
     assert hash(s) == hash((3, 4, True))
     assert GridState(1, 1) == (1, 1, False)
     assert s.cell == (3, 4)
+
+
+def _reference_step(layout, state, action):
+    """The move rule written out per step, as `step` did before compiling."""
+    dx, dy = ACTION_DELTAS[action]
+    target = (state.x + dx, state.y + dy)
+    if target in layout.walls:
+        target = state.cell
+    has_key, reward = state.has_key, 0.0
+    if target == layout.key_cell and not has_key:
+        has_key, reward = True, 10.0
+    terminal = target == layout.box_cell and has_key
+    if terminal:
+        reward = 40.0
+    return StepOutcome(GridState(*target, has_key), reward, terminal)
+
+
+CUSTOM_GRID = (
+    "#########\n"
+    "#S......#\n"
+    "#...K.#.#\n"
+    "#B......#\n"
+    "#########\n"
+)
+
+
+@pytest.mark.parametrize(
+    "grid", [RoomsLayout.default(), RoomsLayout.from_text(CUSTOM_GRID)],
+    ids=["default", "custom"],
+)
+def test_compiled_tables_match_the_reference_move_rule(grid):
+    env = FourRoomsEnv(grid)
+    states = env.index.states
+    assert len(env.next_id) == len(env.reward) == len(env.terminal) == 4 * len(states)
+    assert states[env.terminal_id] == GridState(*grid.box_cell, True)
+    for sid, state in enumerate(states):
+        if sid == env.terminal_id:
+            continue
+        for a in Action:
+            want = _reference_step(grid, state, a)
+            i = sid * 4 + a
+            got = (states[env.next_id[i]], env.reward[i], env.terminal[i])
+            assert got == (want.next_state, want.reward, want.terminal), (state, a)
+            assert env.step(state, a) == want
+
+
+def test_rejected_steps_draw_no_slip(layout):
+    rng = np.random.default_rng(5)
+    env = FourRoomsEnv(layout, slip_prob=0.5, rng=rng)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        env.step_id(env.terminal_id, Action.NORTH)
+    with pytest.raises(ValueError):
+        env.step(GridState(2, 10, has_key=True), Action.NORTH)
+    with pytest.raises(ValueError):
+        env.step(GridState(0, 0), Action.SOUTH)
+    with pytest.raises(ValueError):
+        env.step(GridState(20, 1), Action.SOUTH)
+    with pytest.raises(ValueError):
+        env.step(GridState(1, 1), 4)
+    assert rng.bit_generator.state == before

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from conftest import grid_distance
-from subgoal_hrl.agent import ControllerTable, MetaTable
-from subgoal_hrl.discovery import AnomalySubgoal, Centroid, SubgoalSet
+from subgoal_hrl.agent import ControllerTable, MetaTable, intrinsic_critic
+from subgoal_hrl.discovery import AnomalySubgoal, Centroid, SubgoalSet, merge
 from subgoal_hrl.memory import accumulate_return
 from subgoal_hrl.rooms_env import Action, GridState
 from subgoal_hrl.trainer import (
@@ -231,6 +231,42 @@ def _manual_runner(config, subgoals):
     return runner
 
 
+def _assert_attain_rows_match_the_critic(runner):
+    subgoals = runner.subgoals
+    assert len(runner._attains) == subgoals.size
+    for g, row in enumerate(runner._attains):
+        assert row == [
+            intrinsic_critic(s, g, subgoals)[0] for s in runner.index.states
+        ]
+
+
+def test_attain_rows_match_the_critic_after_discovery_and_merge():
+    runner = Runner(small_config(seed=43))
+    runner.run()
+    assert len(runner.discovery_steps) >= 2  # a discovery, then merges
+    _assert_attain_rows_match_the_critic(runner)
+
+    # (4, 3) is equidistant from both centroids: the tie goes to id 0.
+    tie = SubgoalSet(
+        centroids=(Centroid(0, 3.0, 3.0), Centroid(1, 5.0, 3.0)),
+        anomalies=(AnomalySubgoal(2, GridState(4, 3, True), 5.0),),
+    )
+    runner.subgoals = tie
+    _assert_attain_rows_match_the_critic(runner)
+    on_tie = runner.index.encode(GridState(4, 3))
+    assert runner._attains[0][on_tie] and not runner._attains[1][on_tie]
+
+    # After a merge the centroids move and (4, 3) is on a tie again.
+    fresh = SubgoalSet(
+        centroids=(Centroid(0, 4.0, 4.0), Centroid(1, 4.0, 2.0)),
+        anomalies=(AnomalySubgoal(2, GridState(9, 9), 4.0),),
+    )
+    runner.subgoals = merge(tie, fresh)
+    assert runner.subgoals.size == 4
+    _assert_attain_rows_match_the_critic(runner)
+    assert runner._attains[0][on_tie] and not runner._attains[1][on_tie]
+
+
 def test_unattainable_subgoal_times_out(layout):
     # The box-with-key state is unreachable without the key; the attempt
     # must run exactly subgoal_timeout steps and count as a failure.
@@ -256,12 +292,12 @@ def test_trained_controller_attains_key_from_adjacent_cell(layout):
         centroids=(), anomalies=(AnomalySubgoal(0, key_state, 9.0),)
     )
     runner = _manual_runner(cfg, subgoals)
-    runner.state = GridState(9, 2, False)
+    runner.sid = runner.index.encode(GridState(9, 2, False))
     runner.controller.action_values(GridState(9, 2, False), 0)[Action.EAST] = 1.0
     attained, terminal, duration = runner._attempt(0)
     assert attained
     assert duration == 1
-    assert runner.state == key_state
+    assert runner.index.decode(runner.sid) == key_state
 
 
 def test_own_region_subgoal_attains_on_first_step(layout):
@@ -272,7 +308,7 @@ def test_own_region_subgoal_attains_on_first_step(layout):
         centroids=(Centroid(0, 3.0, 3.0), Centroid(1, 9.0, 9.0)), anomalies=()
     )
     runner = _manual_runner(cfg, subgoals)
-    runner.state = GridState(2, 2, False)
+    runner.sid = runner.index.encode(GridState(2, 2, False))
     attained, _, duration = runner._attempt(0)
     assert attained
     assert duration == 1
