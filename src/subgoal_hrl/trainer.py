@@ -40,7 +40,7 @@ from .memory import (
     MetaTransition,
     Transition,
 )
-from .rooms_env import Action, FourRoomsEnv, GridState, N_ACTIONS, RoomsLayout
+from .rooms_env import Action, FourRoomsEnv, N_ACTIONS, RoomsLayout
 
 MODES = ("random_walk", "flat_q", "random_meta_hrl", "unified_hrl")
 ACTIONS = list(Action)  # action id -> Action, without an enum call

@@ -734,31 +734,29 @@ def test_table_from_csv_rejects_non_finite_values(tmp_path, layout, value):
 def test_updates_on_grid_states_equal_updates_on_ids(layout):
     # The public updates take GridState transitions (acceptance criterion
     # 5b builds them) or id-coded ones (the trainer's replays); both must
-    # run the same kernel.
+    # give the same tables.
     index = StateIndex(layout)
     rng = np.random.default_rng(7)
-    states = index.states
-    picks = rng.integers(len(states), size=(40, 2)).tolist()
-    rewards = rng.random(40).tolist()
-    ctrl = [ControllerTransition(states[s], s % 3, Action(s % 4), r, states[s2],
-                                 r > 0.8) for (s, s2), r in zip(picks, rewards)]
-    meta = [MetaTransition.from_rewards(states[s], s % 3, [r, 1.0], 0.9,
-                                        states[s2], r > 0.8)
-            for (s, s2), r in zip(picks, rewards)]
-    flat = [Transition(states[s], Action(s2 % 4), r, states[s2], r > 0.8)
-            for (s, s2), r in zip(picks, rewards)]
-    ids = index.ids
-    tables = []
-    for encode in (False, True):
-        c, m, f = ControllerTable(index, 3, init=0.5), MetaTable(index, 3), FlatTable(index)
-        update_controller(c, [t._replace(s=ids[t.s], s_next=ids[t.s_next])
-                              for t in ctrl] if encode else ctrl, 0.3, 0.9)
-        update_meta(m, [MetaTransition.from_rewards(ids[t.s0], t.goal_id,
-                                                    t.rewards, 0.9, ids[t.s_end],
-                                                    t.terminal)
-                        for t in meta] if encode else meta, 0.3, 0.9)
-        flat_q_update(f, [t._replace(s=ids[t.s], s_next=ids[t.s_next])
-                          for t in flat] if encode else flat, 0.3, 0.9)
-        tables.append((c._values, m._values, f._values))
-    assert tables[0] == tables[1]
-    assert any(v != 0.5 for row in tables[0][0] for col in row for v in col)
+    samples = list(zip(rng.integers(index.size, size=40).tolist(),
+                       rng.integers(index.size, size=40).tolist(),
+                       rng.random(40).tolist()))
+
+    def updated(state):
+        """Tables after one update of each kind, with `state(id)` as states."""
+        ctrl, meta, flat = ControllerTable(index, 3, init=0.5), MetaTable(index, 3), FlatTable(index)
+        update_controller(ctrl, [
+            ControllerTransition(state(s), s % 3, s % 4, r, state(s2), r > 0.8)
+            for s, s2, r in samples
+        ], 0.3, 0.9)
+        update_meta(meta, [
+            MetaTransition.from_rewards(state(s), s % 3, [r, 1.0], 0.9, state(s2), r > 0.8)
+            for s, s2, r in samples
+        ], 0.3, 0.9)
+        flat_q_update(flat, [
+            Transition(state(s), s2 % 4, r, state(s2), r > 0.8) for s, s2, r in samples
+        ], 0.3, 0.9)
+        return ctrl._values, meta._values, flat._values
+
+    on_states = updated(index.decode)
+    assert on_states == updated(int)
+    assert all(any(v for row in table for v in row) for table in on_states[1:])
