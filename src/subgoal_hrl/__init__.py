@@ -46,7 +46,6 @@ from .trainer import (
     MetricsRecord,
     RunConfig,
     RunResult,
-    coverage,
     greedy_rollout,
     moving_average,
     run,

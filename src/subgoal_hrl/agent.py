@@ -6,8 +6,9 @@ returns between subgoal selections. Both are exact tables over the
 dense (x, y, has_key) state index. Loss minimization is realized as
 per-sample tabular TD updates, the exact-table special case of
 minimizing the squared TD error. The updates index rows by state id,
-trusting ids as the trainer's replays hold them; a batch of `GridState`
-transitions is encoded, and so checked, once on entry.
+trusting ids as the trainer's replays hold them except for a negative id,
+which list indexing would wrap to another state's row; a batch of
+`GridState` transitions is encoded, and so checked, once on entry.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _check_rates(alpha: float, gamma: float) -> None:
 
 
 def _read_table_csv(
-    path: str | Path, header: list[str], index: StateIndex
+    path: str | Path, header: Sequence[str], index: StateIndex
 ) -> np.ndarray:
     """Values of a table CSV from `to_csv`, shaped (states, *counts).
 
@@ -115,25 +116,76 @@ def _read_table_csv(
     )
 
 
-class ControllerTable:
+def _filled(shape: tuple[int, ...], init: float) -> list:
+    """Nested lists of `shape` holding `init`; the innermost rows are made
+    as `[init] * n` in one comprehension, with no call per row."""
+    n, *inner = shape
+    if len(inner) > 1:
+        return [_filled(inner, init) for _ in range(n)]
+    if inner:
+        return [[init] * inner[0] for _ in range(n)]
+    return [init] * n
+
+
+class _ValueTable:
+    """Exact values in nested lists indexed (state id, *column ids).
+
+    `shape` is (states, *column counts) and the only record of the
+    table's dimensions. The subclasses name the columns in `header` and
+    bind `to_csv`/`from_csv` in their own class bodies, because
+    `perfbench/tracer.py` wraps each class's own codec methods.
+    """
+
+    header: tuple[str, ...]
+
+    def __init__(self, index: StateIndex, *counts: int, init: float) -> None:
+        self.index = index
+        self.init = init
+        self.shape = (index.size, *counts)
+        self._values = _filled(self.shape, init)
+
+    def grow(self, n_subgoals: int) -> None:
+        """Append `init` columns up to `n_subgoals` ids; ids are never dropped."""
+        n_states, old, *inner = self.shape
+        if n_subgoals < old:
+            raise ValueError(f"cannot shrink to {n_subgoals} subgoals")
+        for row in self._values:
+            row.extend(_filled((n_subgoals - old, *inner), self.init))
+        self.shape = (n_states, n_subgoals, *inner)
+
+    def rows(self) -> list[tuple]:
+        """(state id, *column ids, value) for every entry, in id order."""
+        rows = [((s,), row) for s, row in enumerate(self._values)]
+        for _ in self.shape[2:]:
+            rows = [(ids + (c,), sub) for ids, row in rows for c, sub in enumerate(row)]
+        return [ids + (c, v) for ids, row in rows for c, v in enumerate(row)]
+
+    def to_csv(self, path: str | Path) -> None:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(self.header)
+            writer.writerows(self.rows())  # csv writes a float as its repr
+
+    @classmethod
+    def from_csv(cls, path: str | Path, index: StateIndex) -> _ValueTable:
+        values = _read_table_csv(path, cls.header, index)
+        table = object.__new__(cls)
+        table.index, table.init, table.shape = index, 0.0, values.shape
+        table._values = values.tolist()
+        return table
+
+
+class ControllerTable(_ValueTable):
     """q(state, subgoal, action) estimates in intrinsic-reward units."""
 
-    def __init__(
-        self,
-        index: StateIndex,
-        n_subgoals: int,
-        n_actions: int = N_ACTIONS,
-        init: float = 0.0,
-        values: list | None = None,
-    ) -> None:
-        self.index = index
-        self.n_subgoals = n_subgoals
-        self.n_actions = n_actions
-        self.init = init
-        self._values = values or [
-            [[init] * n_actions for _ in range(n_subgoals)]
-            for _ in range(index.size)
-        ]
+    header = ("state", "subgoal", "action", "value")
+    to_csv = _ValueTable.to_csv
+    from_csv = vars(_ValueTable)["from_csv"]
+    n_subgoals = property(lambda self: self.shape[1])
+    n_actions = property(lambda self: self.shape[2])
+
+    def __init__(self, index: StateIndex, n_subgoals: int, init: float = 0.0) -> None:
+        super().__init__(index, n_subgoals, N_ACTIONS, init=init)
 
     def action_values(self, state: GridState, goal_id: int) -> list[float]:
         """Live value row for (state, goal); mutations write through."""
@@ -141,107 +193,35 @@ class ControllerTable:
             raise ValueError(f"unknown subgoal id {goal_id}")
         return self._values[self.index.encode(state)][goal_id]
 
-    def grow(self, n_subgoals: int) -> None:
-        """Append `init` columns up to `n_subgoals` ids; ids are never dropped."""
-        if n_subgoals < self.n_subgoals:
-            raise ValueError(f"cannot shrink to {n_subgoals} subgoals")
-        for row in self._values:
-            row.extend([self.init] * self.n_actions
-                       for _ in range(n_subgoals - self.n_subgoals))
-        self.n_subgoals = n_subgoals
 
-    def rows(self):
-        for s in range(self.index.size):
-            for g in range(self.n_subgoals):
-                for a in range(self.n_actions):
-                    yield s, g, a, self._values[s][g][a]
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state", "subgoal", "action", "value"])
-            for s, g, a, v in self.rows():
-                writer.writerow([s, g, a, repr(v)])
-
-    @classmethod
-    def from_csv(cls, path: str | Path, index: StateIndex) -> "ControllerTable":
-        values = _read_table_csv(
-            path, ["state", "subgoal", "action", "value"], index
-        )
-        return cls(index, *values.shape[1:], values=values.tolist())
-
-
-class MetaTable:
+class MetaTable(_ValueTable):
     """Q(state, subgoal) estimates in task-reward units."""
 
-    def __init__(
-        self, index: StateIndex, n_subgoals: int, init: float = 0.0,
-        values: list | None = None,
-    ) -> None:
-        self.index = index
-        self.n_subgoals = n_subgoals
-        self.init = init
-        self._values = values or [[init] * n_subgoals for _ in range(index.size)]
+    header = ("state", "subgoal", "value")
+    to_csv = _ValueTable.to_csv
+    from_csv = vars(_ValueTable)["from_csv"]
+    n_subgoals = property(lambda self: self.shape[1])
+
+    def __init__(self, index: StateIndex, n_subgoals: int, init: float = 0.0) -> None:
+        super().__init__(index, n_subgoals, init=init)
 
     def goal_values(self, state: GridState) -> list[float]:
         return self._values[self.index.encode(state)]
 
-    def grow(self, n_subgoals: int) -> None:
-        """Append `init` columns up to `n_subgoals` ids; ids are never dropped."""
-        if n_subgoals < self.n_subgoals:
-            raise ValueError(f"cannot shrink to {n_subgoals} subgoals")
-        for row in self._values:
-            row.extend([self.init] * (n_subgoals - self.n_subgoals))
-        self.n_subgoals = n_subgoals
 
-    def rows(self):
-        for s in range(self.index.size):
-            for g in range(self.n_subgoals):
-                yield s, g, self._values[s][g]
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state", "subgoal", "value"])
-            for s, g, v in self.rows():
-                writer.writerow([s, g, repr(v)])
-
-    @classmethod
-    def from_csv(cls, path: str | Path, index: StateIndex) -> "MetaTable":
-        values = _read_table_csv(path, ["state", "subgoal", "value"], index)
-        return cls(index, *values.shape[1:], values=values.tolist())
-
-
-class FlatTable:
+class FlatTable(_ValueTable):
     """Plain Q(state, action) table for the non-hierarchical baseline."""
 
-    def __init__(
-        self, index: StateIndex, n_actions: int = N_ACTIONS, init: float = 0.0,
-        values: list | None = None,
-    ) -> None:
-        self.index = index
-        self.n_actions = n_actions
-        self._values = values or [[init] * n_actions for _ in range(index.size)]
+    header = ("state", "action", "value")
+    to_csv = _ValueTable.to_csv
+    from_csv = vars(_ValueTable)["from_csv"]
+    n_actions = property(lambda self: self.shape[1])
+
+    def __init__(self, index: StateIndex, init: float = 0.0) -> None:
+        super().__init__(index, N_ACTIONS, init=init)
 
     def action_values(self, state: GridState) -> list[float]:
         return self._values[self.index.encode(state)]
-
-    def rows(self):
-        for s in range(self.index.size):
-            for a in range(self.n_actions):
-                yield s, a, self._values[s][a]
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state", "action", "value"])
-            for s, a, v in self.rows():
-                writer.writerow([s, a, repr(v)])
-
-    @classmethod
-    def from_csv(cls, path: str | Path, index: StateIndex) -> "FlatTable":
-        values = _read_table_csv(path, ["state", "action", "value"], index)
-        return cls(index, *values.shape[1:], values=values.tolist())
 
 
 def epsilon_greedy_index(
@@ -333,6 +313,8 @@ def update_controller(
     for s, g, a, r, s_next, done in batch:
         if not 0 <= g < n_subgoals:
             raise ValueError(f"unknown subgoal id {g}")
+        if s < 0 or s_next < 0:
+            raise ValueError(f"negative state id in ({s}, {s_next})")
         if done:
             target = r
         else:
@@ -361,6 +343,8 @@ def update_meta(
         g = tr.goal_id
         if not 0 <= g < n_subgoals:
             raise ValueError(f"unknown subgoal id {g}")
+        if tr.s0 < 0 or tr.s_end < 0:
+            raise ValueError(f"negative state id in ({tr.s0}, {tr.s_end})")
         if tr.terminal:
             target = tr.return_g
         else:
@@ -382,6 +366,8 @@ def flat_q_update(
         batch = [(ids[s], a, r, ids[s2], t) for s, a, r, s2, t in batch]
     values = table._values
     for s, a, r, s_next, terminal in batch:
+        if s < 0 or s_next < 0:
+            raise ValueError(f"negative state id in ({s}, {s_next})")
         if terminal:
             target = r
         else:

@@ -70,35 +70,21 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_configs(args) -> list[RunConfig]:
+    fields = set(RunConfig.field_names())
     file_values: dict = {}
     experiments: list[dict] = []
     if args.config:
         raw = _load_config_file(args.config)
         experiments = raw.pop("experiments", []) or []
-        unknown = set(raw) - set(RunConfig.field_names()) - {"out_root"}
+        unknown = set(raw) - fields - {"out_root"}
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
         raw.pop("out_root", None)
         file_values = raw
 
     flag_overrides = {
-        name: getattr(args, name)
-        for name in (
-            "mode",
-            "seed",
-            "total_steps",
-            "k",
-            "theta_anom",
-            "warmup_steps",
-            "discovery_period",
-            "subgoal_timeout",
-            "episode_cap",
-            "alpha",
-            "gamma",
-            "batch_size",
-            "slip_prob",
-        )
-        if getattr(args, name, None) is not None
+        name: value for name, value in vars(args).items()
+        if name in fields and value is not None
     }
 
     base = dict(file_values)
@@ -174,15 +160,14 @@ def write_run_artifacts(result: RunResult, run_dir: Path) -> dict:
             json.dumps(result.subgoals.to_json_dict(), indent=2, sort_keys=True)
         )
         artifacts["subgoals"] = "subgoals.json"
-    if result.controller is not None:
-        result.controller.to_csv(run_dir / "controller_q.csv")
-        artifacts["controller_table"] = "controller_q.csv"
-    if result.meta is not None:
-        result.meta.to_csv(run_dir / "meta_q.csv")
-        artifacts["meta_table"] = "meta_q.csv"
-    if result.flat is not None:
-        result.flat.to_csv(run_dir / "flat_q.csv")
-        artifacts["flat_table"] = "flat_q.csv"
+    for key, table, name in (
+        ("controller_table", result.controller, "controller_q.csv"),
+        ("meta_table", result.meta, "meta_q.csv"),
+        ("flat_table", result.flat, "flat_q.csv"),
+    ):
+        if table is not None:
+            table.to_csv(run_dir / name)
+            artifacts[key] = name
 
     manifest = {
         "schema": 1,

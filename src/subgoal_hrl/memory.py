@@ -214,13 +214,16 @@ def load_transitions_jsonl(
 ) -> list[Transition]:
     """ValueError names the line of a bad transition or of a state off `index`."""
     transitions = []
+    ids = index.ids if index is not None else None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 t = transition_from_dict(json.loads(line))
-                if index is not None:
+                # One dict membership per state; `encode` runs only to
+                # raise for a state off the index.
+                if ids is not None and (t.s not in ids or t.s_next not in ids):
                     index.encode(t.s)
                     index.encode(t.s_next)
                 transitions.append(t)

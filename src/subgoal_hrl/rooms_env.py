@@ -332,12 +332,6 @@ class FourRoomsEnv:
         x, y = self.layout.start_cell
         return GridState(x, y, has_key=False)
 
-    def playable_cells(self) -> frozenset[tuple[int, int]]:
-        return self.layout.playable
-
-    def room_of(self, cell: tuple[int, int]) -> str:
-        return self.layout.room_of(cell)
-
     def step(self, state: GridState, action: Action) -> StepOutcome:
         """Move one cell, handing out key/box rewards.
 

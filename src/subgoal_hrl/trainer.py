@@ -206,14 +206,6 @@ def metrics_from_csv(text: str) -> list[MetricsRecord]:
     return records
 
 
-def coverage(
-    visited: set[tuple[int, int]] | frozenset[tuple[int, int]],
-    playable: frozenset[tuple[int, int]],
-) -> float:
-    """Fraction of playable cells visited at least once."""
-    return len(visited & playable) / len(playable)
-
-
 def moving_average(series: Sequence[float], window: int) -> list[float]:
     """Trailing mean over the last `window` points (fewer at the start)."""
     if window < 1:

@@ -204,30 +204,38 @@ WALL = GridState(0, 0)
 
 @pytest.mark.parametrize("where", ["s", "s_next"])
 def test_updates_reject_wall_states(layout, where):
+    # A wall cell on the GridState path; a negative id on the int path,
+    # where list indexing would wrap -1 to the last state's row.
     index = StateIndex(layout)
-    s, s_next = GridState(1, 1), GridState(2, 1)
-    if where == "s":
-        s = WALL
-    else:
-        s_next = WALL
-    with pytest.raises(ValueError, match="not indexable"):
-        update_controller(
-            ControllerTable(index, 1),
-            [ControllerTransition(s, 0, Action.EAST, 0.0, s_next, False)],
-            alpha=0.1, gamma=0.99,
-        )
-    with pytest.raises(ValueError, match="not indexable"):
-        update_meta(
-            MetaTable(index, 1),
-            [MetaTransition.from_rewards(s, 0, [0.0], 0.99, s_next, False)],
-            alpha=0.1, gamma=0.99,
-        )
-    with pytest.raises(ValueError, match="not indexable"):
-        flat_q_update(
-            FlatTable(index),
-            [Transition(s, Action.EAST, 0.0, s_next, False)],
-            alpha=0.1, gamma=0.99,
-        )
+    good = (GridState(1, 1), GridState(2, 1))
+    for bad, message, (s, s_next) in (
+        (WALL, "not indexable", good),
+        (-1, "negative state id", map(index.encode, good)),
+    ):
+        if where == "s":
+            s = bad
+        else:
+            s_next = bad
+        ctrl, meta, flat = ControllerTable(index, 1), MetaTable(index, 1), FlatTable(index)
+        with pytest.raises(ValueError, match=message):
+            update_controller(
+                ctrl,
+                [ControllerTransition(s, 0, Action.EAST, 1.0, s_next, False)],
+                alpha=0.1, gamma=0.99,
+            )
+        with pytest.raises(ValueError, match=message):
+            update_meta(
+                meta,
+                [MetaTransition.from_rewards(s, 0, [1.0], 0.99, s_next, False)],
+                alpha=0.1, gamma=0.99,
+            )
+        with pytest.raises(ValueError, match=message):
+            flat_q_update(
+                flat,
+                [Transition(s, Action.EAST, 1.0, s_next, False)],
+                alpha=0.1, gamma=0.99,
+            )
+        assert all(v == 0.0 for table in (ctrl, meta, flat) for *_, v in table.rows())
 
 
 @pytest.mark.parametrize("done", [False, True])
@@ -501,6 +509,15 @@ def test_update_rate_validation(layout):
 # -- table plumbing -----------------------------------------------------------
 
 
+def test_table_classes_bind_their_own_csv_codec(layout):
+    # perfbench/tracer.py wraps to_csv and from_csv as found in each table
+    # class's own __dict__, and builds FlatTable(index).
+    for cls in (ControllerTable, MetaTable, FlatTable):
+        assert callable(cls.__dict__["to_csv"])
+        assert isinstance(cls.__dict__["from_csv"], classmethod)
+    assert FlatTable(StateIndex(layout)).shape == (208, 4)
+
+
 def test_state_index_round_trip(layout):
     index = StateIndex(layout)
     assert index.size == 208
@@ -540,6 +557,10 @@ def test_table_grow_keeps_columns_and_appends_init(layout):
         meta.grow(2)
     with pytest.raises(ValueError):
         ctrl.grow(3)
+    empty = ControllerTable(index, 0, init=0.5)
+    empty.grow(1)
+    assert empty.shape == (208, 1, 4)
+    assert empty.action_values(s, 0) == [0.5] * 4
 
 
 def _reprs(values):

@@ -1,5 +1,6 @@
 """CLI contracts: artifacts, precedence, determinism, comparison."""
 
+import argparse
 import json
 import shutil
 
@@ -7,9 +8,9 @@ import pytest
 import yaml
 
 from conftest import build_full_coverage_memory
-from subgoal_hrl.cli import main
+from subgoal_hrl.cli import _build_configs, build_parser, main
 from subgoal_hrl.memory import save_transitions_jsonl
-from subgoal_hrl.trainer import metrics_from_csv
+from subgoal_hrl.trainer import RunConfig, metrics_from_csv
 
 
 def train_args(tmp_path, mode="unified_hrl", seed=3, **extra):
@@ -91,6 +92,42 @@ def test_flag_overrides_config_file(tmp_path):
     )
     assert manifest["config"]["total_steps"] == 900  # flag wins
     assert manifest["config"]["warmup_steps"] == 100  # file value kept
+
+
+def test_every_train_flag_overrides_its_config_field(tmp_path):
+    parser = build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        a.dest: a.option_strings[0]
+        for a in subparsers.choices["train"]._actions
+        if a.dest not in ("help", "config", "out")
+    }
+    file_values = {
+        "mode": "random_walk", "seed": 1, "total_steps": 5000, "k": 3,
+        "theta_anom": 2.0, "warmup_steps": 400, "discovery_period": 900,
+        "subgoal_timeout": 30, "episode_cap": 150, "alpha": 0.2, "gamma": 0.9,
+        "batch_size": 16, "slip_prob": 0.05,
+    }
+    flag_values = {
+        "mode": "flat_q", "seed": 7, "total_steps": 6000, "k": 5,
+        "theta_anom": 2.5, "warmup_steps": 500, "discovery_period": 1100,
+        "subgoal_timeout": 40, "episode_cap": 170, "alpha": 0.3, "gamma": 0.95,
+        "batch_size": 8, "slip_prob": 0.1,
+    }
+    assert flags.keys() == flag_values.keys()
+    assert flags.keys() <= set(RunConfig.field_names())
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(file_values))
+    argv = ["train", "--config", str(cfg_path)]
+
+    def built(argv):
+        [config] = _build_configs(parser.parse_args(argv))
+        return {name: getattr(config, name) for name in flags}
+
+    assert built(argv) == file_values
+    for dest, flag in flags.items():
+        argv += [flag, str(flag_values[dest])]
+    assert built(argv) == flag_values
 
 
 def test_config_experiments_matrix(tmp_path):

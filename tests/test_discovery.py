@@ -95,7 +95,7 @@ def test_kmeans_four_rooms_centroids_land_in_each_room(rng, env):
     res = kmeans_fit(pts, 4, rng)
     rooms = set()
     for cx, cy in res.centroids:
-        room = env.room_of((round(cx), round(cy)))
+        room = env.layout.room_of((round(cx), round(cy)))
         assert not room.startswith("doorway")
         rooms.add(room)
     assert rooms == {"NW", "NE", "SW", "SE"}

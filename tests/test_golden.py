@@ -99,10 +99,29 @@ GOLDEN_SHA256 = {
 }
 
 
+# stdout of `eval --episodes 3` on the runs above, recorded from the code
+# before the three table classes shared one implementation.
+EVAL_STDOUT_SHA256 = {
+    "flat_q_seed0":
+        "79097979b3a7a75db86ff4ac30f89d285b09127801505254115c4f62cf13be60",
+    "flat_q_seed1":
+        "a3ecb88b84ba095cce0c92d8e3f1f7f2a675bed946391cc4693b6203c28ca6f8",
+    "flat_q_seed2":
+        "42a7c2ea237f94ddfeeb21e3c0617369a84f3fe3eed7c34d09d6d02f527620e7",
+    "unified_hrl_seed0":
+        "e0e7a16276ecf38069b665657d622fea9203d6e1cdf3b5ddd0e770c2d6816aca",
+    "unified_hrl_seed1":
+        "806edbd0d87ad5540d6e416b1f5986319e0b28000c842013a3b8a1efccc45e00",
+    "unified_hrl_seed2":
+        "dfa6d7b7bfc9dde348dc03f719e88e0a0d5da435c3c856cce025b752f42fb747",
+}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("mode", MODES)
-def test_artifacts_match_golden_hashes(tmp_path, mode):
+def test_artifacts_match_golden_hashes(tmp_path, capsys, mode):
     got = {}
+    got_eval = {}
     for seed in SEEDS:
         assert main([
             "train", "--mode", mode, "--seed", str(seed),
@@ -115,8 +134,17 @@ def test_artifacts_match_golden_hashes(tmp_path, mode):
             if path.exists():
                 key = f"{mode}_seed{seed}/{name}"
                 got[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+        if mode in ("flat_q", "unified_hrl"):
+            capsys.readouterr()
+            assert main(["eval", "--run", str(run_dir), "--episodes", "3"]) == 0
+            stdout = capsys.readouterr().out
+            got_eval[f"{mode}_seed{seed}"] = hashlib.sha256(stdout.encode()).hexdigest()
     want = {k: v for k, v in GOLDEN_SHA256.items() if k.startswith(f"{mode}_seed")}
     assert got == want
+    want_eval = {
+        k: v for k, v in EVAL_STDOUT_SHA256.items() if k.startswith(f"{mode}_seed")
+    }
+    assert got_eval == want_eval
 
 
 # Recorded from the code before states and transitions became tuples and

@@ -18,7 +18,7 @@ from subgoal_hrl.memory import (
     transition_from_dict,
     transition_to_dict,
 )
-from subgoal_hrl.rooms_env import Action, GridState
+from subgoal_hrl.rooms_env import Action, GridState, StateIndex
 
 
 def test_fifo_eviction_keeps_newest():
@@ -211,6 +211,16 @@ def test_jsonl_rejects_malformed_lines(tmp_path):
     path.write_text('{"x": 1}\n')
     with pytest.raises(ValueError):
         load_transitions_jsonl(path)
+
+
+def test_jsonl_index_check_names_the_first_off_grid_line(tmp_path, layout):
+    good = Transition(GridState(1, 1), Action.EAST, 0.0, GridState(2, 1), False)
+    off_grid = good._replace(s_next=GridState(500, 3))
+    path = tmp_path / "memory.jsonl"
+    save_transitions_jsonl(path, [good] * 4 + [off_grid, good, off_grid])
+    with pytest.raises(ValueError, match=r"line 5: state .*500.* not indexable"):
+        load_transitions_jsonl(path, StateIndex(layout))
+    assert load_transitions_jsonl(path) == [good] * 4 + [off_grid, good, off_grid]
 
 
 _states = st.builds(

@@ -81,30 +81,30 @@ def test_playable_cell_count_is_104(env, layout):
     # interior wall lines (11 + 11 - 1 shared, minus 4 doorways).
     expected = 13 * 13 - 48 - (11 + 11 - 1 - 4)
     assert expected == 104
-    assert len(env.playable_cells()) == 104
+    assert len(env.layout.playable) == 104
     assert len(layout.playable) == 4 * 25 + 4
 
 
 def test_wall_and_doorway_membership(env):
-    assert (0, 0) not in env.playable_cells()
-    assert (6, 3) in env.playable_cells()
-    assert (6, 6) not in env.playable_cells()
+    assert (0, 0) not in env.layout.playable
+    assert (6, 3) in env.layout.playable
+    assert (6, 6) not in env.layout.playable
 
 
 def test_room_of_rooms_and_doorways(env):
-    assert env.room_of((2, 2)) == "NW"
-    assert env.room_of((9, 9)) == "SE"
-    assert env.room_of((10, 2)) == "NE"
-    assert env.room_of((2, 10)) == "SW"
-    assert env.room_of((6, 3)) == "doorway-west-east-north"
-    assert env.room_of((6, 9)) == "doorway-west-east-south"
-    assert env.room_of((3, 6)) == "doorway-north-south-west"
-    assert env.room_of((9, 6)) == "doorway-north-south-east"
+    assert env.layout.room_of((2, 2)) == "NW"
+    assert env.layout.room_of((9, 9)) == "SE"
+    assert env.layout.room_of((10, 2)) == "NE"
+    assert env.layout.room_of((2, 10)) == "SW"
+    assert env.layout.room_of((6, 3)) == "doorway-west-east-north"
+    assert env.layout.room_of((6, 9)) == "doorway-west-east-south"
+    assert env.layout.room_of((3, 6)) == "doorway-north-south-west"
+    assert env.layout.room_of((9, 6)) == "doorway-north-south-east"
 
 
 def test_room_of_rejects_walls(env):
     with pytest.raises(ValueError):
-        env.room_of((6, 6))
+        env.layout.room_of((6, 6))
 
 
 def test_room_interior_centers(layout):

@@ -14,7 +14,6 @@ from subgoal_hrl.trainer import (
     ConfigError,
     RunConfig,
     Runner,
-    coverage,
     metrics_from_csv,
     metrics_to_csv,
     moving_average,
@@ -70,18 +69,7 @@ def test_run_rejects_invalid_config_before_stepping():
         run(RunConfig(mode="unified_hrl", total_steps=10, warmup_steps=10))
 
 
-# -- coverage and smoothing -----------------------------------------------------
-
-
-def test_coverage_values(layout):
-    playable = layout.playable
-    assert coverage({(1, 1)}, playable) == pytest.approx(1 / 104)
-    assert coverage(set(playable), playable) == 1.0
-    nw_room = {c for c in playable if layout.room_of(c) == "NW"}
-    visited = nw_room | {(6, 3), (3, 6)}
-    assert len(visited) == 27
-    assert coverage(visited, playable) == pytest.approx(27 / 104)
-    assert coverage({(0, 0), (1, 1)}, playable) == pytest.approx(1 / 104)
+# -- smoothing -----------------------------------------------------------------
 
 
 def test_moving_average():
