@@ -3,7 +3,6 @@ subgoal discovery on a four-rooms key/lock gridworld."""
 
 from .agent import (
     ControllerTable,
-    EpsilonSchedule,
     FlatTable,
     MetaTable,
     StateIndex,

@@ -5,9 +5,9 @@ the meta-controller learns subgoal values Q(s, g) from discounted task
 returns between subgoal selections. Both are exact tables over the
 dense (x, y, has_key) state index. Loss minimization is realized as
 per-sample tabular TD updates, the exact-table special case of
-minimizing the squared TD error. The updates index rows by state id,
-trusting ids as the trainer's replays hold them except for a negative id,
-which list indexing would wrap to another state's row; a batch of
+minimizing the squared TD error. The updates index rows by state id and
+columns by action id; a negative id, which list indexing would wrap, or
+an id past the end raises ValueError naming the transition. A batch of
 `GridState` transitions is encoded, and so checked, once on entry.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -27,32 +27,6 @@ from .memory import ControllerTransition, MetaTransition, Transition
 from .rooms_env import Action, GridState, N_ACTIONS, StateIndex
 
 INTRINSIC_REWARD = 1.0
-
-
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Linear exploration-rate decay, clamped at the floor.
-
-    Attributes:
-        start: Initial epsilon.
-        end: Final epsilon after `horizon` steps.
-        horizon: Steps over which epsilon anneals linearly.
-    """
-
-    start: float
-    end: float
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.end <= self.start <= 1.0:
-            raise ValueError("need 0 <= end <= start <= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-
-    def value(self, t: int) -> float:
-        if t >= self.horizon:
-            return self.end
-        return self.start + (self.end - self.start) * (t / self.horizon)
 
 
 def _check_rates(alpha: float, gamma: float) -> None:
@@ -310,17 +284,21 @@ def update_controller(
         ids = controller.index.ids
         batch = [(ids[s], g, a, r, ids[s2], d) for s, g, a, r, s2, d in batch]
     values, n_subgoals = controller._values, controller.n_subgoals
-    for s, g, a, r, s_next, done in batch:
-        if not 0 <= g < n_subgoals:
-            raise ValueError(f"unknown subgoal id {g}")
-        if s < 0 or s_next < 0:
-            raise ValueError(f"negative state id in ({s}, {s_next})")
-        if done:
-            target = r
-        else:
-            target = r + gamma * max(values[s_next][g])
-        row = values[s][g]
-        row[a] += alpha * (target - row[a])
+    try:
+        for tr in batch:
+            s, g, a, r, s_next, done = tr
+            if not 0 <= g < n_subgoals:
+                raise ValueError(f"unknown subgoal id {g}")
+            if s < 0 or s_next < 0 or a < 0:
+                raise ValueError(f"negative id in transition {tr}")
+            if done:
+                target = r
+            else:
+                target = r + gamma * max(values[s_next][g])
+            row = values[s][g]
+            row[a] += alpha * (target - row[a])
+    except IndexError:
+        raise ValueError(f"id out of range in transition {tr}") from None
 
 
 def update_meta(
@@ -339,18 +317,21 @@ def update_meta(
         ids = meta.index.ids
         batch = [replace(tr, s0=ids[tr.s0], s_end=ids[tr.s_end]) for tr in batch]
     values, n_subgoals = meta._values, meta.n_subgoals
-    for tr in batch:
-        g = tr.goal_id
-        if not 0 <= g < n_subgoals:
-            raise ValueError(f"unknown subgoal id {g}")
-        if tr.s0 < 0 or tr.s_end < 0:
-            raise ValueError(f"negative state id in ({tr.s0}, {tr.s_end})")
-        if tr.terminal:
-            target = tr.return_g
-        else:
-            target = tr.return_g + gamma ** tr.duration * max(values[tr.s_end])
-        row = values[tr.s0]
-        row[g] += alpha * (target - row[g])
+    try:
+        for tr in batch:
+            g = tr.goal_id
+            if not 0 <= g < n_subgoals:
+                raise ValueError(f"unknown subgoal id {g}")
+            if tr.s0 < 0 or tr.s_end < 0:
+                raise ValueError(f"negative id in transition {tr}")
+            if tr.terminal:
+                target = tr.return_g
+            else:
+                target = tr.return_g + gamma ** tr.duration * max(values[tr.s_end])
+            row = values[tr.s0]
+            row[g] += alpha * (target - row[g])
+    except IndexError:
+        raise ValueError(f"id out of range in transition {tr}") from None
 
 
 def flat_q_update(
@@ -365,12 +346,16 @@ def flat_q_update(
         ids = table.index.ids
         batch = [(ids[s], a, r, ids[s2], t) for s, a, r, s2, t in batch]
     values = table._values
-    for s, a, r, s_next, terminal in batch:
-        if s < 0 or s_next < 0:
-            raise ValueError(f"negative state id in ({s}, {s_next})")
-        if terminal:
-            target = r
-        else:
-            target = r + gamma * max(values[s_next])
-        row = values[s]
-        row[a] += alpha * (target - row[a])
+    try:
+        for tr in batch:
+            s, a, r, s_next, terminal = tr
+            if s < 0 or s_next < 0 or a < 0:
+                raise ValueError(f"negative id in transition {tr}")
+            if terminal:
+                target = r
+            else:
+                target = r + gamma * max(values[s_next])
+            row = values[s]
+            row[a] += alpha * (target - row[a])
+    except IndexError:
+        raise ValueError(f"id out of range in transition {tr}") from None

@@ -76,10 +76,9 @@ def _build_configs(args) -> list[RunConfig]:
     if args.config:
         raw = _load_config_file(args.config)
         experiments = raw.pop("experiments", []) or []
-        unknown = set(raw) - fields - {"out_root"}
+        unknown = set(raw) - fields
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-        raw.pop("out_root", None)
         file_values = raw
 
     flag_overrides = {

@@ -17,7 +17,6 @@ import numpy as np
 from .memory import Transition
 from .rooms_env import GridState
 
-DEFAULT_ANOMALY_THRESHOLD = 3.0
 _EPS = 1e-12
 
 
@@ -353,13 +352,10 @@ def anomaly_scores(transitions: Sequence[Transition]) -> np.ndarray:
 def discover(
     transitions: Sequence[Transition],
     k: int,
-    theta_anom: float = DEFAULT_ANOMALY_THRESHOLD,
-    rng: np.random.Generator | None = None,
+    theta_anom: float,
+    rng: np.random.Generator,
     *,
     min_samples: int = 2,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    n_init: int = 10,
 ) -> SubgoalSet:
     """Build a subgoal set from an experience-memory snapshot.
 
@@ -374,8 +370,6 @@ def discover(
     """
     if not (math.isfinite(theta_anom) and theta_anom > 0):
         raise ValueError(f"theta_anom must be finite and > 0, got {theta_anom!r}")
-    if rng is None:
-        rng = np.random.default_rng()
     required = max(k, min_samples, 2)
     if len(transitions) < required:
         raise InsufficientMemoryError(
@@ -384,7 +378,7 @@ def discover(
     points = np.array(
         [(t.s_next.x, t.s_next.y) for t in transitions], dtype=float
     )
-    fit = kmeans_fit(points, k, rng, max_iter=max_iter, tol=tol, n_init=n_init)
+    fit = kmeans_fit(points, k, rng)
     positions = [tuple(c) for c in fit.centroids]
     if len(set(positions)) != k:
         raise InsufficientMemoryError(

@@ -180,16 +180,6 @@ class RoomsLayout:
             return cols[0], rows[0]
         return None
 
-    @cached_property
-    def doorways(self) -> frozenset[tuple[int, int]]:
-        """Playable cells sitting on the internal wall lines."""
-        if self._splits is None:
-            return frozenset()
-        sx, sy = self._splits
-        return frozenset(
-            (x, y) for (x, y) in self.playable if x == sx or y == sy
-        )
-
     def room_of(self, cell: tuple[int, int]) -> str:
         """Room id (NW/NE/SW/SE) or doorway id for a playable cell."""
         if cell not in self.playable:
@@ -296,11 +286,6 @@ class StateIndex:
 
     def encode(self, state: GridState) -> int:
         return self.ids[state]
-
-    def decode(self, idx: int) -> GridState:
-        if not 0 <= idx < self.size:
-            raise ValueError(f"state index {idx} out of range")
-        return self.states[idx]
 
 
 class FourRoomsEnv:

@@ -3,6 +3,7 @@ agents together, plus the baseline regimes used for comparison.
 
 Modes:
     random_walk     uniform random actions; fills the experience memory only
+                    (the HRL warm-up, run for the whole budget)
     flat_q          non-hierarchical Q-learning with replay
     random_meta_hrl discovered subgoals picked uniformly; controller learns
     unified_hrl     full loop: discovery, controller and meta-controller
@@ -11,7 +12,6 @@ Modes:
 
 from __future__ import annotations
 
-import math
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, fields
@@ -22,7 +22,6 @@ import numpy as np
 from .agent import (
     INTRINSIC_REWARD,
     ControllerTable,
-    EpsilonSchedule,
     FlatTable,
     MetaTable,
     epsilon_greedy_index,
@@ -33,14 +32,14 @@ from .agent import (
     update_controller,
     update_meta,
 )
-from .discovery import InsufficientMemoryError, SubgoalSet, discover, merge
+from .discovery import InsufficientMemoryError, SubgoalSet, _finite, discover, merge
 from .memory import (
     BoundedMemory,
     ControllerTransition,
     MetaTransition,
     Transition,
 )
-from .rooms_env import Action, FourRoomsEnv, N_ACTIONS, RoomsLayout
+from .rooms_env import Action, FourRoomsEnv, LayoutError, N_ACTIONS, RoomsLayout
 
 MODES = ("random_walk", "flat_q", "random_meta_hrl", "unified_hrl")
 ACTIONS = list(Action)  # action id -> Action, without an enum call
@@ -113,10 +112,21 @@ class RunConfig:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "int" and type(value) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _finite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.layout_text is not None:
+            if type(self.layout_text) is not str:
+                raise ConfigError("layout_text must be a string or null")
+            try:
+                self.layout()
+            except LayoutError as exc:
+                raise ConfigError(f"layout_text: {exc}") from exc
         if not self.total_steps > self.warmup_steps > 0:
             raise ConfigError("need total_steps > warmup_steps > 0")
         if self.subgoal_timeout < 1:
@@ -294,11 +304,6 @@ class Runner:
             lambda: deque(maxlen=config.success_window)
         )
         self._recent_attempts: deque[bool] = deque(maxlen=config.success_window)
-        self._meta_schedule = EpsilonSchedule(
-            config.meta_eps_start,
-            config.meta_eps_end,
-            max(1, config.total_steps // 2),
-        )
         self._t0 = time.perf_counter()
 
     # -- shared plumbing ---------------------------------------------------
@@ -398,15 +403,23 @@ class Runner:
             cfg.controller_eps_start - cfg.controller_eps_end
         ) * rate
 
+    def _meta_epsilon(self) -> float:
+        """Linear from meta_eps_start to meta_eps_end over the first half
+        of the run, then held at meta_eps_end."""
+        start, end = self.cfg.meta_eps_start, self.cfg.meta_eps_end
+        horizon = max(1, self.cfg.total_steps // 2)
+        if self.steps >= horizon:
+            return end
+        return start + (end - start) * (self.steps / horizon)
+
     # -- mode loops ----------------------------------------------------------
 
     def run(self) -> RunResult:
         mode = self.cfg.mode
-        if mode == "random_walk":
-            self._run_random_walk()
-        elif mode == "flat_q":
+        if mode == "flat_q":
             self._run_flat()
         else:
+            # A random walk schedules no discovery, so it is all warm-up.
             self._run_hrl(unified=mode == "unified_hrl")
         if self.ep_steps > 0:
             self._end_episode()
@@ -425,12 +438,6 @@ class Runner:
             steps=self.steps,
             elapsed_seconds=time.perf_counter() - self._t0,
         )
-
-    def _run_random_walk(self) -> None:
-        while self.steps < self.cfg.total_steps:
-            _, terminal = self._env_step(int(self.rng.integers(N_ACTIONS)))
-            if self._episode_over(terminal):
-                self._end_episode()
 
     def _run_flat(self) -> None:
         cfg = self.cfg
@@ -463,7 +470,7 @@ class Runner:
         if unified:
             return epsilon_greedy_index(
                 self.meta._values[self.sid],
-                self._meta_schedule.value(self.steps),
+                self._meta_epsilon(),
                 self.rng,
             )
         return int(self.rng.integers(self.subgoals.size))
@@ -556,11 +563,9 @@ def greedy_rollout(
     meta: MetaTable | None = None,
     subgoals: SubgoalSet | None = None,
     flat: FlatTable | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> dict:
     """One greedy episode from saved tables; reports return and subgoal path."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     layout = config.layout()
     env = FourRoomsEnv(layout)
     state = env.reset()

@@ -5,7 +5,10 @@ minutes; run with `-s` to watch the per-criterion lines appear.
 """
 
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,23 +46,53 @@ def _final_100_mean(result) -> float:
     return sum(returns) / len(returns)
 
 
+def run_pooled(configs: list[RunConfig]) -> list:
+    """`run` over independent configs in up to two worker processes, never
+    more than there are cores. Each run seeds its own Generator, so the
+    results equal those of running the configs one after another."""
+    with ProcessPoolExecutor(
+        max_workers=min(2, os.cpu_count() or 1),
+        mp_context=multiprocessing.get_context("spawn"),
+    ) as pool:
+        return list(pool.map(run, configs))
+
+
 @pytest.fixture(scope="module")
 def unified_200k():
-    return [
-        run(RunConfig(mode="unified_hrl", seed=seed, total_steps=200_000))
+    return run_pooled([
+        RunConfig(mode="unified_hrl", seed=seed, total_steps=200_000)
         for seed in SEEDS
-    ]
+    ])
 
 
 @pytest.fixture(scope="module")
 def matched_100k():
+    modes = ("flat_q", "random_meta_hrl", "unified_hrl")
+    results = run_pooled([
+        RunConfig(mode=mode, seed=seed, total_steps=100_000)
+        for mode in modes
+        for seed in SEEDS
+    ])
     return {
-        mode: [
-            run(RunConfig(mode=mode, seed=seed, total_steps=100_000))
-            for seed in SEEDS
-        ]
-        for mode in ("flat_q", "random_meta_hrl", "unified_hrl")
+        mode: results[i * len(SEEDS):(i + 1) * len(SEEDS)]
+        for i, mode in enumerate(modes)
     }
+
+
+def test_pooled_runs_equal_sequential_runs():
+    configs = [
+        RunConfig(mode=mode, seed=seed, total_steps=1500, warmup_steps=200,
+                  discovery_period=500, discovery_min_samples=20)
+        for mode, seed in (("unified_hrl", 0), ("flat_q", 1), ("unified_hrl", 2))
+    ]
+    for pooled, alone in zip(run_pooled(configs), map(run, configs)):
+        assert metrics_to_csv(pooled.metrics) == metrics_to_csv(alone.metrics)
+        assert pooled.memory == alone.memory
+        assert pooled.subgoals == alone.subgoals
+        assert pooled.discovery_steps == alone.discovery_steps
+        for name in ("controller", "meta", "flat"):
+            a, b = getattr(pooled, name), getattr(alone, name)
+            assert (a and a.rows()) == (b and b.rows())
 
 
 @pytest.mark.slow

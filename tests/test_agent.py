@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import grid_distance
 from subgoal_hrl.agent import (
     ControllerTable,
-    EpsilonSchedule,
     FlatTable,
     MetaTable,
     StateIndex,
@@ -44,17 +43,7 @@ def rooms_subgoals():
     return SubgoalSet(centroids=centroids, anomalies=anomalies)
 
 
-# -- schedules and selection -------------------------------------------------
-
-
-def test_epsilon_schedule_linear_and_clamped():
-    sched = EpsilonSchedule(1.0, 0.1, 100)
-    assert sched.value(0) == 1.0
-    assert sched.value(50) == pytest.approx(0.55)
-    assert sched.value(100) == 0.1
-    assert sched.value(10_000) == 0.1
-    with pytest.raises(ValueError):
-        EpsilonSchedule(0.1, 0.5, 100)
+# -- selection ---------------------------------------------------------------
 
 
 def test_greedy_picks_argmax(rng, layout):
@@ -202,37 +191,44 @@ def test_controller_update_rejects_unknown_goal(layout):
 WALL = GridState(0, 0)
 
 
-@pytest.mark.parametrize("where", ["s", "s_next"])
+@pytest.mark.parametrize("where", ["s", "s_next", "a"])
 def test_updates_reject_wall_states(layout, where):
-    # A wall cell on the GridState path; a negative id on the int path,
-    # where list indexing would wrap -1 to the last state's row.
+    # A wall cell on the GridState path; on the int path, a negative id,
+    # which list indexing would wrap to the last row or column, and an id
+    # past the end, which would raise a bare IndexError.
     index = StateIndex(layout)
     good = (GridState(1, 1), GridState(2, 1))
-    for bad, message, (s, s_next) in (
-        (WALL, "not indexable", good),
-        (-1, "negative state id", map(index.encode, good)),
-    ):
+    ids = tuple(map(index.encode, good))
+    past_end = len(Action) if where == "a" else index.size
+    cases = [(-1, "negative id in transition", ids), (past_end, "id out of range", ids)]
+    if where != "a":
+        cases.append((WALL, "not indexable", good))
+    for bad, message, (s, s_next) in cases:
+        a = Action.EAST
         if where == "s":
             s = bad
-        else:
+        elif where == "s_next":
             s_next = bad
+        else:
+            a = bad
         ctrl, meta, flat = ControllerTable(index, 1), MetaTable(index, 1), FlatTable(index)
         with pytest.raises(ValueError, match=message):
             update_controller(
                 ctrl,
-                [ControllerTransition(s, 0, Action.EAST, 1.0, s_next, False)],
+                [ControllerTransition(s, 0, a, 1.0, s_next, False)],
                 alpha=0.1, gamma=0.99,
             )
-        with pytest.raises(ValueError, match=message):
-            update_meta(
-                meta,
-                [MetaTransition.from_rewards(s, 0, [1.0], 0.99, s_next, False)],
-                alpha=0.1, gamma=0.99,
-            )
+        if where != "a":
+            with pytest.raises(ValueError, match=message):
+                update_meta(
+                    meta,
+                    [MetaTransition.from_rewards(s, 0, [1.0], 0.99, s_next, False)],
+                    alpha=0.1, gamma=0.99,
+                )
         with pytest.raises(ValueError, match=message):
             flat_q_update(
                 flat,
-                [Transition(s, Action.EAST, 1.0, s_next, False)],
+                [Transition(s, a, 1.0, s_next, False)],
                 alpha=0.1, gamma=0.99,
             )
         assert all(v == 0.0 for table in (ctrl, meta, flat) for *_, v in table.rows())
@@ -525,7 +521,7 @@ def test_state_index_round_trip(layout):
     for cell in layout.playable:
         for key in (False, True):
             idx = index.encode(GridState(*cell, key))
-            assert index.decode(idx) == GridState(*cell, key)
+            assert index.states[idx] == GridState(*cell, key)
             seen.add(idx)
     assert seen == set(range(208))
     with pytest.raises(ValueError):
@@ -778,6 +774,6 @@ def test_updates_on_grid_states_equal_updates_on_ids(layout):
         ], 0.3, 0.9)
         return ctrl._values, meta._values, flat._values
 
-    on_states = updated(index.decode)
+    on_states = updated(index.states.__getitem__)
     assert on_states == updated(int)
     assert all(any(v for row in table for v in row) for table in on_states[1:])

@@ -1,16 +1,25 @@
 """CLI contracts: artifacts, precedence, determinism, comparison."""
 
 import argparse
+import contextlib
+import io
 import json
+import math
 import shutil
+import string
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_full_coverage_memory
 from subgoal_hrl.cli import _build_configs, build_parser, main
 from subgoal_hrl.memory import save_transitions_jsonl
-from subgoal_hrl.trainer import RunConfig, metrics_from_csv
+from subgoal_hrl.trainer import MODES, RunConfig, metrics_from_csv
 
 
 def train_args(tmp_path, mode="unified_hrl", seed=3, **extra):
@@ -150,6 +159,20 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path.write_text(yaml.safe_dump({"mode": "random_walk", "bogus": 1}))
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_out_root_config_key_rejected(tmp_path, capsys):
+    # The output root comes from --out, $SUBGOAL_HRL_OUT or ./runs only.
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump({
+        "mode": "random_walk", "total_steps": 600, "warmup_steps": 50,
+        "out_root": str(tmp_path / "elsewhere"),
+    }))
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    _assert_cli_error(capsys, "out_root")
+    assert not (tmp_path / "elsewhere").exists()
+    assert not out.exists()
 
 
 def test_train_reproduces_from_manifest(tmp_path):
@@ -739,3 +762,80 @@ def test_eval_rejects_mistyped_subgoals(
     capsys.readouterr()
     assert main(["eval", "--run", str(run_dir)]) == 1
     _assert_cli_error(capsys, "cannot load run artifacts", needle)
+
+
+# A tiny valid flat_q run; each property example replaces one of its fields.
+BASE_CONFIG = {"mode": "flat_q", "total_steps": 600, "warmup_steps": 50}
+_BELOW_ONE = st.integers(max_value=0)
+_ABOVE_ONE = st.floats(min_value=1.0, exclude_min=True)
+_OUTSIDE_UNIT = st.floats(max_value=0.0, exclude_max=True) | _ABOVE_ONE
+_NOT_A_RATE = st.floats(max_value=0.0) | _ABOVE_ONE  # alpha, gamma: (0, 1]
+_NOT_AN_EPS_START = st.floats(max_value=0.1, exclude_max=True) | _ABOVE_ONE  # end is 0.1
+# Right-typed values that validation must refuse, given BASE_CONFIG.
+OUT_OF_RANGE = {
+    "mode": st.text(string.printable).filter(lambda m: m not in MODES),
+    "seed": st.integers(max_value=-1),
+    "total_steps": st.integers(max_value=BASE_CONFIG["warmup_steps"]),
+    "k": _BELOW_ONE,
+    "theta_anom": st.floats(max_value=0.0),
+    "warmup_steps": _BELOW_ONE | st.integers(min_value=BASE_CONFIG["total_steps"]),
+    "discovery_period": _BELOW_ONE,
+    "subgoal_timeout": _BELOW_ONE,
+    "episode_cap": _BELOW_ONE,
+    "slip_prob": st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.0),
+    "memory_capacity": _BELOW_ONE,
+    "controller_memory_capacity": _BELOW_ONE,
+    "meta_memory_capacity": _BELOW_ONE,
+    "alpha": _NOT_A_RATE,
+    "gamma": _NOT_A_RATE,
+    "batch_size": _BELOW_ONE,
+    "table_init": st.nothing(),
+    "controller_eps_start": _NOT_AN_EPS_START,
+    "controller_eps_end": _OUTSIDE_UNIT,
+    "success_window": _BELOW_ONE,
+    "meta_eps_start": _NOT_AN_EPS_START,
+    "meta_eps_end": _OUTSIDE_UNIT,
+    "flat_eps": _OUTSIDE_UNIT,
+    "discovery_min_samples": st.integers(max_value=1),
+    # Never parses: no key marker.
+    "layout_text": st.text("#.BS \n"),
+}
+# Values of the wrong type for each annotated field type.
+_OTHER = st.none() | st.booleans() | st.text(string.printable) | st.lists(
+    st.integers(), max_size=2
+)
+_NOT_TEXT = st.integers() | st.floats() | st.booleans() | st.lists(st.text(), max_size=2)
+MISTYPED = {
+    "int": _OTHER | st.floats(),
+    "float": _OTHER | st.sampled_from([math.nan, math.inf, -math.inf]),
+    "str": _NOT_TEXT,
+    "str | None": _NOT_TEXT,
+}
+
+
+def _bad_value(field):
+    return st.tuples(st.just(field.name), OUT_OF_RANGE[field.name] | MISTYPED[field.type])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(fields(RunConfig)).flatmap(_bad_value))
+@example(case=("layout_text", 5))
+@example(case=("seed", -1))
+@example(case=("seed", "x"))
+@example(case=("k", True))
+@example(case=("batch_size", 2.5))
+@example(case=("memory_capacity", 100.5))
+@example(case=("total_steps", 600.5))
+@example(case=("episode_cap", 1.5))
+@example(case=("total_steps", 600.0))
+def test_train_refuses_any_bad_config_value_before_any_step(case):
+    name, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "c.yaml", Path(tmp) / "runs"
+        cfg_path.write_text(yaml.safe_dump({**BASE_CONFIG, name: value}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert err.getvalue().startswith("error:")
+        assert "Traceback" not in err.getvalue()
+        assert not out.exists()

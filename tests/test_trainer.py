@@ -69,6 +69,19 @@ def test_run_rejects_invalid_config_before_stepping():
         run(RunConfig(mode="unified_hrl", total_steps=10, warmup_steps=10))
 
 
+def test_meta_epsilon_linear_and_held_at_end():
+    # Horizon: the first half of the run, 201 // 2 = 100 steps.
+    runner = Runner(small_config(total_steps=201, warmup_steps=100))
+    for steps, expected in ((0, 1.0), (37, 1.0 + (0.1 - 1.0) * (37 / 100)),
+                            (100, 0.1), (10_000, 0.1)):
+        runner.steps = steps
+        assert runner._meta_epsilon() == expected
+    runner.steps = 50
+    assert runner._meta_epsilon() == pytest.approx(0.55)
+    with pytest.raises(ConfigError, match="meta epsilon"):
+        small_config(meta_eps_start=0.1, meta_eps_end=0.5).validate()
+
+
 # -- smoothing -----------------------------------------------------------------
 
 
@@ -89,6 +102,7 @@ def test_random_walk_step_accounting():
     runner = Runner(cfg)
     result = runner.run()
     assert result.steps == 10
+    assert result.warmup_steps_used == 10  # the whole run is warm-up
     assert len(result.memory) == 10
     assert len(runner.ctrl_memory) == 0
     assert len(runner.meta_memory) == 0
@@ -285,7 +299,7 @@ def test_trained_controller_attains_key_from_adjacent_cell(layout):
     attained, terminal, duration = runner._attempt(0)
     assert attained
     assert duration == 1
-    assert runner.index.decode(runner.sid) == key_state
+    assert runner.index.states[runner.sid] == key_state
 
 
 def test_own_region_subgoal_attains_on_first_step(layout):
