@@ -254,6 +254,13 @@ def cmd_discover(args) -> int:
     return 0
 
 
+def _require_positive(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise CliError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 def _load_run_dirs(args) -> list[Path]:
     dirs: list[Path] = []
     if args.runs:
@@ -282,6 +289,7 @@ def _sample_at(steps: list[int], values: list[float], grid: list[int]) -> list[f
 
 
 def cmd_compare(args) -> int:
+    _require_positive(args, "grid_step", "window")
     run_dirs = _load_run_dirs(args)
     by_mode: dict[str, list[list[MetricsRecord]]] = {}
     first_of_mode: dict[str, tuple[Path, dict]] = {}
@@ -353,6 +361,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_positive(args, "episodes")
     run_dir = Path(args.run)
     manifest_path = run_dir / MANIFEST_NAME
     if not manifest_path.exists():

@@ -203,30 +203,49 @@ def transition_from_dict(d: dict) -> Transition:
 
 
 def save_transitions_jsonl(path: str | Path, transitions: Sequence[Transition]) -> None:
-    """Write one JSON object per line; round-trips bit-exactly."""
+    """Write one JSON object per line; round-trips bit-exactly.
+
+    Each distinct transition object is rendered once. The memo is keyed on
+    identity, not value (-0.0 == 0.0 and True == 1 render differently), and
+    holds the object so that its id is not reused while the memo lives.
+    """
+    rendered: dict[int, tuple[Transition, str]] = {}
+
+    def line(t: Transition) -> str:
+        hit = rendered.get(id(t))
+        if hit is None:
+            hit = rendered[id(t)] = (t, json.dumps(transition_to_dict(t)) + "\n")
+        return hit[1]
+
     with open(path, "w", encoding="utf-8") as fh:
-        for t in transitions:
-            fh.write(json.dumps(transition_to_dict(t)) + "\n")
+        fh.writelines(map(line, transitions))
 
 
 def load_transitions_jsonl(
     path: str | Path, index: StateIndex | None = None
 ) -> list[Transition]:
-    """ValueError names the line of a bad transition or of a state off `index`."""
+    """ValueError names the line of a bad transition or of a state off `index`.
+
+    Each distinct line is parsed and checked once; a repeat reuses its
+    `Transition`, so a bad line still fails at its first occurrence.
+    """
     transitions = []
+    parsed: dict[str, Transition] = {}
     ids = index.ids if index is not None else None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                t = transition_from_dict(json.loads(line))
-                # One dict membership per state; `encode` runs only to
-                # raise for a state off the index.
-                if ids is not None and (t.s not in ids or t.s_next not in ids):
-                    index.encode(t.s)
-                    index.encode(t.s_next)
-                transitions.append(t)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"bad transition on line {line_no}: {exc}") from exc
+            t = parsed.get(line)
+            if t is None:
+                if not line.strip():
+                    continue
+                try:
+                    t = parsed[line] = transition_from_dict(json.loads(line))
+                    # One dict membership per state; `encode` runs only to
+                    # raise for a state off the index.
+                    if ids is not None and (t.s not in ids or t.s_next not in ids):
+                        index.encode(t.s)
+                        index.encode(t.s_next)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"bad transition on line {line_no}: {exc}") from exc
+            transitions.append(t)
     return transitions

@@ -283,6 +283,7 @@ class Runner:
         self.meta: MetaTable | None = None
         self.flat: FlatTable | None = None
 
+        self._decode_memo: dict[Transition, Transition] = {}
         # One byte per cell (state id // 2), plus the count of ones.
         self._visits = bytearray(len(self.index.cells))
         self._n_visited = 0
@@ -328,9 +329,19 @@ class Runner:
             self._n_visited += 1
 
     def _decoded(self, transitions: Sequence[Transition]) -> tuple[Transition, ...]:
+        # Memoised on the int tuple, so equal transitions share one decoded
+        # object across snapshots. Rewards and flags come from the compiled
+        # move tables, so equal keys decode to values of identical repr.
+        memo = self._decode_memo
         states = self.index.states
-        return tuple(Transition(states[s], ACTIONS[a], r, states[s2], t)
-                     for s, a, r, s2, t in transitions)
+        out = []
+        for t in transitions:
+            d = memo.get(t)
+            if d is None:
+                s, a, r, s2, term = t
+                d = memo[t] = Transition(states[s], ACTIONS[a], r, states[s2], term)
+            out.append(d)
+        return tuple(out)
 
     def _env_step(self, action: int) -> tuple[float, bool]:
         s = self.sid

@@ -381,6 +381,26 @@ def trained_runs(tmp_path_factory):
     return root
 
 
+@pytest.mark.parametrize("episodes", ["0", "-2"])
+def test_eval_rejects_episode_counts_below_one(trained_runs, capsys, episodes):
+    run_dir = trained_runs / "flat_q_seed1"
+    assert main(["eval", "--run", str(run_dir), "--episodes", episodes]) == 1
+    _assert_cli_error(capsys, f"--episodes must be >= 1, got {episodes}")
+
+
+@pytest.mark.parametrize("flag", ["--grid-step", "--window"])
+@pytest.mark.parametrize("value", ["0", "-100"])
+def test_compare_rejects_grid_step_and_window_below_one(
+    trained_runs, tmp_path, capsys, flag, value
+):
+    out_dir = tmp_path / "cmp"
+    assert main([
+        "compare", "--root", str(trained_runs), flag, value, "--out-dir", str(out_dir),
+    ]) == 1
+    _assert_cli_error(capsys, f"{flag} must be >= 1, got {value}")
+    assert not out_dir.exists()
+
+
 def _corrupt_run(trained_runs, tmp_path, run_name, artifact, text):
     run_dir = tmp_path / run_name
     shutil.copytree(trained_runs / run_name, run_dir)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from subgoal_hrl.memory import (
@@ -243,3 +243,107 @@ def test_transition_dict_json_round_trip(t):
     back = transition_from_dict(json.loads(json.dumps(transition_to_dict(t))))
     assert back == t
     assert repr(back.r) == repr(t.r)  # -0.0 stays -0.0
+
+
+def _save_per_line(path, transitions):
+    """The codec's reference: one render and one write per transition."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for t in transitions:
+            fh.write(json.dumps(transition_to_dict(t)) + "\n")
+
+
+def _outcome(save, path, transitions):
+    try:
+        save(path, transitions)
+        error = None
+    except Exception as exc:  # any type; both writers must raise the same
+        error = type(exc)
+    return error, path.read_bytes()
+
+
+# Values that compare equal but render differently (-0.0/0.0, 1/True/1.0,
+# 0/False), plus some that cannot be rendered (a bare int action, a None
+# state), which both writers must refuse alike.
+_flags = st.sampled_from([False, True, 0, 1])
+_coords = st.sampled_from([0, 1, 2, True])
+_render_states = st.one_of(
+    st.builds(GridState, _coords, _coords, _flags), st.just(None)
+)
+_render_transitions = st.builds(
+    Transition,
+    _render_states,
+    st.one_of(st.sampled_from(Action), st.just(2)),
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, True, 10.0, 1e-300]),
+    _render_states,
+    _flags,
+)
+# How a picked transition enters the list: as the pooled object itself, as
+# an equal copy, or as an equal twin that renders differently.
+_twins = {
+    "same": lambda t: t,
+    "copy": lambda t: Transition(*t),
+    "negated reward": lambda t: t._replace(r=-t.r),
+    "int terminal": lambda t: t._replace(terminal=int(t.terminal)),
+}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pool=st.lists(_render_transitions, min_size=1, max_size=6),
+    picks=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(sorted(_twins))),
+                   max_size=30),
+)
+def test_jsonl_save_matches_the_per_line_render(tmp_path, pool, picks):
+    transitions = [_twins[twin](pool[i % len(pool)]) for i, twin in picks]
+    assert _outcome(save_transitions_jsonl, tmp_path / "memo.jsonl", transitions) == (
+        _outcome(_save_per_line, tmp_path / "ref.jsonl", transitions)
+    )
+
+
+_small_states = st.builds(GridState, st.integers(0, 1), st.integers(0, 1), st.booleans())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pool=st.lists(
+        st.builds(Transition, _small_states, st.sampled_from(Action),
+                  st.sampled_from([0.0, 10.0]), _small_states, st.booleans()),
+        min_size=1, max_size=5,
+    ),
+    picks=st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from(["plain", "indented", "negated", "blank"])),
+        max_size=30,
+    ),
+)
+def test_jsonl_load_matches_the_per_line_parse(tmp_path, pool, picks):
+    # Repeats, blanks, equal transitions written as different raw lines, and
+    # lines that differ only in the sign of the reward (0.0 == -0.0).
+    lines = []
+    for i, variant in picks:
+        t = pool[i % len(pool)]
+        if variant == "blank":
+            lines.append("\n")
+            continue
+        if variant == "negated":
+            t = t._replace(r=-t.r)
+        indent = " " if variant == "indented" else ""
+        lines.append(indent + json.dumps(transition_to_dict(t)) + "\n")
+    path = tmp_path / "memory.jsonl"
+    path.write_text("".join(lines))
+    expected = [transition_from_dict(json.loads(line)) for line in lines if line.strip()]
+    loaded = load_transitions_jsonl(path)
+    assert loaded == expected
+    assert [repr(t) for t in loaded] == [repr(t) for t in expected]
+
+
+def test_jsonl_repeated_bad_line_names_its_first_line(tmp_path):
+    good = json.dumps(transition_to_dict(
+        Transition(GridState(1, 1), Action.EAST, 0.0, GridState(2, 1), False)
+    ))
+    bad = good.replace('"terminal": false', '"terminal": 0')
+    path = tmp_path / "memory.jsonl"
+    path.write_text("\n".join([good, good, bad, good, bad, bad]) + "\n")
+    with pytest.raises(ValueError, match=r"^bad transition on line 3: need true/false"):
+        load_transitions_jsonl(path)

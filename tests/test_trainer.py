@@ -7,8 +7,8 @@ import pytest
 
 from conftest import grid_distance
 from subgoal_hrl.agent import ControllerTable, MetaTable, intrinsic_critic
-from subgoal_hrl.discovery import AnomalySubgoal, Centroid, SubgoalSet, merge
-from subgoal_hrl.memory import accumulate_return
+from subgoal_hrl.discovery import AnomalySubgoal, Centroid, SubgoalSet, discover, merge
+from subgoal_hrl.memory import Transition, accumulate_return
 from subgoal_hrl.rooms_env import Action, GridState
 from subgoal_hrl.trainer import (
     ConfigError,
@@ -196,6 +196,37 @@ def test_unified_invariants_small_run(layout):
         assert ct.r_intrinsic in (0.0, 1.0)
     # Returns never exceed the key+box total.
     assert all(m.ep_return <= 50.0 for m in result.metrics)
+
+
+@pytest.mark.parametrize("slip_prob", [0.0, 0.3])
+def test_decoded_memory_equals_a_per_item_decode(monkeypatch, slip_prob):
+    # A small ring wraps, and slip adds transitions whose action is not the
+    # move taken.
+    runner = Runner(small_config(memory_capacity=700, slip_prob=slip_prob))
+    given = []
+
+    def recording_discover(transitions, *args, **kwargs):
+        given.append((transitions, runner.memory.snapshot()))
+        return discover(transitions, *args, **kwargs)
+
+    monkeypatch.setattr("subgoal_hrl.trainer.discover", recording_discover)
+    result = runner.run()
+    given.append((result.memory, runner.memory.snapshot()))
+    assert len(given) == 1 + len(range(300, 3000, 600))
+
+    states = runner.index.states
+    shared: dict[Transition, Transition] = {}
+    for decoded, raw in given:
+        expected = tuple(
+            Transition(states[s], Action(a), r, states[s2], term)
+            for s, a, r, s2, term in raw
+        )
+        assert decoded == expected
+        assert [repr(t) for t in decoded] == [repr(t) for t in expected]
+        # Equal transitions are one object, within and across snapshots.
+        for t in decoded:
+            assert shared.setdefault(t, t) is t
+    assert len(set(result.memory)) < len(result.memory)  # repeats exist
 
 
 def test_random_meta_never_trains_meta_table():
