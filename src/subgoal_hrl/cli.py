@@ -219,6 +219,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_discover(args) -> int:
+    _require_at_least(0, args, "seed")
     path = Path(args.memory)
     if not path.exists():
         raise CliError(f"memory file not found: {path}")
@@ -245,8 +246,7 @@ def cmd_discover(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(subgoals.to_json_dict(), indent=2, sort_keys=True))
+    _write_files({out: json.dumps(subgoals.to_json_dict(), indent=2, sort_keys=True)})
     print(
         f"discovered {subgoals.size} subgoals "
         f"({subgoals.k} centroids, {len(subgoals.anomalies)} anomalies) -> {out}"
@@ -254,11 +254,23 @@ def cmd_discover(args) -> int:
     return 0
 
 
-def _require_positive(args, *names: str) -> None:
+def _require_at_least(minimum: int, args, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
-        if value < 1:
-            raise CliError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+        if value < minimum:
+            raise CliError(
+                f"--{name.replace('_', '-')} must be >= {minimum}, got {value}"
+            )
+
+
+def _write_files(files: dict[Path, str]) -> None:
+    """Write each text file, creating its directory first."""
+    try:
+        for path, text in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_run_dirs(args) -> list[Path]:
@@ -289,7 +301,7 @@ def _sample_at(steps: list[int], values: list[float], grid: list[int]) -> list[f
 
 
 def cmd_compare(args) -> int:
-    _require_positive(args, "grid_step", "window")
+    _require_at_least(1, args, "grid_step", "window")
     run_dirs = _load_run_dirs(args)
     by_mode: dict[str, list[list[MetricsRecord]]] = {}
     first_of_mode: dict[str, tuple[Path, dict]] = {}
@@ -341,7 +353,7 @@ def cmd_compare(args) -> int:
             ret_series[mode].append(_sample_at(steps, smoothed, grid))
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    files: dict[Path, str] = {}
     for name, series in (("coverage.csv", cov_series), ("return.csv", ret_series)):
         header = ["step"]
         for mode in modes:
@@ -355,13 +367,15 @@ def cmd_compare(args) -> int:
                 std = statistics.pstdev(column) if len(column) > 1 else 0.0
                 row += [repr(mean), repr(std)]
             lines.append(",".join(row))
-        (out_dir / name).write_text("\n".join(lines) + "\n")
+        files[out_dir / name] = "\n".join(lines) + "\n"
+    _write_files(files)
     print(f"wrote {out_dir / 'coverage.csv'} and {out_dir / 'return.csv'}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    _require_positive(args, "episodes")
+    _require_at_least(1, args, "episodes")
+    _require_at_least(0, args, "seed")
     run_dir = Path(args.run)
     manifest_path = run_dir / MANIFEST_NAME
     if not manifest_path.exists():

@@ -43,6 +43,9 @@ from .rooms_env import Action, FourRoomsEnv, LayoutError, N_ACTIONS, RoomsLayout
 
 MODES = ("random_walk", "flat_q", "random_meta_hrl", "unified_hrl")
 ACTIONS = list(Action)  # action id -> Action, without an enum call
+# Most warm-up actions drawn in one call. Any chunking gives the same
+# stream; the cap bounds the drawn list on long walks.
+WARMUP_CHUNK = 4096
 
 METRICS_HEADER = "episode,steps,return,coverage,success_rate,num_subgoals"
 
@@ -471,11 +474,25 @@ class Runner:
             if self._episode_over(terminal):
                 self._end_episode()
 
-    def _warmup_step(self) -> None:
-        _, terminal = self._env_step(int(self.rng.integers(N_ACTIONS)))
-        self.warmup_steps_used += 1
-        if self._episode_over(terminal):
-            self._end_episode()
+    def _warmup(self) -> None:
+        """Uniform random actions up to the next scheduled discovery, or to
+        the end of the run when none is scheduled.
+
+        The discovery fires on the stretch's last step, so no drawn action
+        is left over. numpy's block draw gives the same values and
+        generator state as one scalar draw per step; with slip, the env's
+        draws follow the block's.
+        """
+        end = self.cfg.total_steps
+        if self._next_discovery is not None:
+            end = min(end, self._next_discovery)
+        while self.steps < end:
+            n = min(end - self.steps, WARMUP_CHUNK)
+            for action in self.rng.integers(N_ACTIONS, size=n).tolist():
+                _, terminal = self._env_step(action)
+                if self._episode_over(terminal):
+                    self._end_episode()
+            self.warmup_steps_used += n
 
     def _choose_subgoal(self, unified: bool) -> int:
         if unified:
@@ -547,7 +564,7 @@ class Runner:
         cfg = self.cfg
         while self.steps < cfg.total_steps:
             if self.subgoals is None:
-                self._warmup_step()
+                self._warmup()
                 continue
             goal_id = self._choose_subgoal(unified)
             _, terminal, _ = self._attempt(goal_id)

@@ -401,6 +401,35 @@ def test_compare_rejects_grid_step_and_window_below_one(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["discover --memory", "eval --run"])
+def test_negative_seed_rejected_before_any_file_is_read(tmp_path, capsys, command):
+    # The named file does not exist: the seed check must come first.
+    argv = command.split() + [str(tmp_path / "nope"), "--seed", "-1"]
+    assert main(argv) == 1
+    _assert_cli_error(capsys, "--seed must be >= 0, got -1")
+
+
+def test_discover_out_under_a_regular_file_is_an_error(tmp_path, env, capsys):
+    memory_path = tmp_path / "memory.jsonl"
+    save_transitions_jsonl(memory_path, build_full_coverage_memory(env))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main([
+        "discover", "--memory", str(memory_path), "--out", str(blocker / "s.json"),
+    ]) == 1
+    _assert_cli_error(capsys, "cannot write", "s.json")
+
+
+def test_compare_out_dir_under_a_regular_file_is_an_error(trained_runs, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main([
+        "compare", "--root", str(trained_runs), "--out-dir", str(blocker / "cmp"),
+    ]) == 1
+    _assert_cli_error(capsys, "cannot write", "cmp")
+    assert blocker.read_text() == ""
+
+
 def _corrupt_run(trained_runs, tmp_path, run_name, artifact, text):
     run_dir = tmp_path / run_name
     shutil.copytree(trained_runs / run_name, run_dir)

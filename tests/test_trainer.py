@@ -4,12 +4,13 @@ import math
 from pathlib import Path
 
 import pytest
+from numpy.random import default_rng
 
 from conftest import grid_distance
 from subgoal_hrl.agent import ControllerTable, MetaTable, intrinsic_critic
 from subgoal_hrl.discovery import AnomalySubgoal, Centroid, SubgoalSet, discover, merge
 from subgoal_hrl.memory import Transition, accumulate_return
-from subgoal_hrl.rooms_env import Action, GridState
+from subgoal_hrl.rooms_env import Action, FourRoomsEnv, GridState, RoomsLayout
 from subgoal_hrl.trainer import (
     ConfigError,
     RunConfig,
@@ -142,6 +143,54 @@ def test_discovery_failure_retries_next_period():
     result = run(cfg)
     assert result.discovery_steps[0] == 450  # 300 failed, 450 succeeded
     assert result.subgoals is not None
+
+
+# -- warm-up action draws ------------------------------------------------------
+
+
+def _actions(transitions):
+    return [int(t.a) for t in transitions]
+
+
+def test_random_walk_draws_the_per_step_stream_across_chunks():
+    # 9000 steps are drawn in three blocks (4096, 4096, 808). Without slip
+    # nothing else draws, so the actions and the generator state after the
+    # walk equal those of one scalar draw per step.
+    runner = Runner(RunConfig(mode="random_walk", seed=4, total_steps=9000,
+                              memory_capacity=9000))
+    result = runner.run()
+    ref = default_rng(4)
+    assert _actions(result.memory) == [int(ref.integers(4)) for _ in range(9000)]
+    assert runner.rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_warmup_stretches_restart_after_failed_discoveries():
+    # min_samples above the memory size: the discoveries at 300, 450 and
+    # 600 fail, each starting a new stretch; the one at 750 succeeds.
+    result = run(RunConfig(
+        mode="unified_hrl", seed=6, total_steps=1500, warmup_steps=300,
+        discovery_period=150, discovery_min_samples=700,
+    ))
+    assert result.discovery_steps[0] == result.warmup_steps_used == 750
+    ref = default_rng(6)
+    assert _actions(result.memory[:750]) == [int(ref.integers(4)) for _ in range(750)]
+
+
+def test_slip_draws_follow_the_block_of_warmup_actions():
+    # With slip the env draws too; its draws come after the block's.
+    n, slip = 3000, 0.3
+    runner = Runner(RunConfig(mode="random_walk", seed=8, total_steps=n,
+                              warmup_steps=100, slip_prob=slip))
+    result = runner.run()
+    ref = default_rng(8)
+    assert _actions(result.memory) == ref.integers(4, size=n).tolist()
+    # Replaying each recorded step on an env that shares the reference
+    # generator makes the same slip draws and lands in the same states.
+    env = FourRoomsEnv(RoomsLayout.default(), slip_prob=slip, rng=ref)
+    encode, states = env.index.encode, env.index.states
+    for t in result.memory:
+        assert states[env.step_id(encode(t.s), int(t.a))[0]] == t.s_next
+    assert runner.rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_warmup_random_walk_escapes_first_room(layout):
