@@ -220,6 +220,7 @@ def cmd_train(args) -> int:
 
 def cmd_discover(args) -> int:
     _require_at_least(0, args, "seed")
+    _require_at_least(2, args, "min_samples")
     path = Path(args.memory)
     if not path.exists():
         raise CliError(f"memory file not found: {path}")
@@ -385,7 +386,8 @@ def cmd_eval(args) -> int:
         config = _make_config(manifest["config"])
         if config.mode == "random_walk":
             raise CliError("random_walk runs have no tables to evaluate")
-        index = StateIndex(config.layout())
+        layout = config.layout()
+        index = StateIndex(layout)
         artifacts = manifest["artifacts"]
         kwargs: dict = {}
         if config.mode == "flat_q":
@@ -404,6 +406,12 @@ def cmd_eval(args) -> int:
             kwargs["subgoals"] = SubgoalSet.from_json_dict(
                 json.loads((run_dir / artifacts["subgoals"]).read_text())
             )
+            # K-means places centroids among playable cells, inside the grid.
+            for c in kwargs["subgoals"].centroids:
+                if not (0 <= c.x < layout.width and 0 <= c.y < layout.height):
+                    raise ValueError(
+                        f"centroid {c.id} at ({c.x}, {c.y}) is off the grid"
+                    )
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load run artifacts from {run_dir}: {exc}") from exc
     for name in ("flat", "controller"):

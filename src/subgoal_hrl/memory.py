@@ -21,6 +21,9 @@ from .rooms_env import Action, GridState, StateIndex
 T = TypeVar("T")
 
 _RETURN_CHECK_TOL = 1e-9
+# Largest memory capacity. `sample` reads index floor(u * size), which stays
+# below size for every double u < 1 while size < 2**52.
+MAX_CAPACITY = 2**32
 
 
 def accumulate_return(rewards: Sequence[float], gamma: float) -> float:
@@ -126,8 +129,8 @@ class BoundedMemory(Generic[T]):
     """Ring buffer with strictly oldest-first eviction."""
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        if not 1 <= capacity <= MAX_CAPACITY:
+            raise ValueError(f"capacity must be in [1, {MAX_CAPACITY}]")
         self.capacity = capacity
         self._items: list[T] = []
         self._head = 0
@@ -156,13 +159,13 @@ class BoundedMemory(Generic[T]):
         return tuple(self)
 
     def sample(self, n: int, rng: np.random.Generator) -> list[T]:
-        """Draw n items uniformly with replacement."""
-        size = len(self._items)
-        if size == 0:
-            raise ValueError("cannot sample from an empty memory")
-        idx = (rng.integers(0, size, size=n) + self._head) % self.capacity
+        """Draw n items uniformly with replacement, i = floor(u * size) per u of
+        one rng.random(n); head is 0 until full, so i + head - size is i's slot."""
         items = self._items
-        return [items[i] for i in idx.tolist()]
+        if not (size := len(items)):
+            raise ValueError("cannot sample from an empty memory")
+        idx = ((rng.random(n) * size).astype(np.intp) + (self._head - size)).tolist()
+        return [items[i] for i in idx]
 
 
 def transition_to_dict(t: Transition) -> dict:

@@ -34,6 +34,7 @@ from .agent import (
 )
 from .discovery import InsufficientMemoryError, SubgoalSet, _finite, discover, merge
 from .memory import (
+    MAX_CAPACITY,
     BoundedMemory,
     ControllerTransition,
     MetaTransition,
@@ -46,6 +47,8 @@ ACTIONS = list(Action)  # action id -> Action, without an enum call
 # Most warm-up actions drawn in one call. Any chunking gives the same
 # stream; the cap bounds the drawn list on long walks.
 WARMUP_CHUNK = 4096
+# Largest replay minibatch; each is drawn as one float array.
+MAX_BATCH_SIZE = 2**16
 
 METRICS_HEADER = "episode,steps,return,coverage,success_rate,num_subgoals"
 
@@ -148,20 +151,18 @@ class RunConfig:
             raise ConfigError("alpha must be in (0, 1]")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must be in (0, 1]")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
+            raise ConfigError(f"batch_size must be in [1, {MAX_BATCH_SIZE}]")
         for name in ("memory_capacity", "controller_memory_capacity",
-                     "meta_memory_capacity"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                     "meta_memory_capacity", "success_window"):
+            if not 1 <= getattr(self, name) <= MAX_CAPACITY:
+                raise ConfigError(f"{name} must be in [1, {MAX_CAPACITY}]")
         if not 0.0 <= self.controller_eps_end <= self.controller_eps_start <= 1.0:
             raise ConfigError("controller epsilon range out of order")
         if not 0.0 <= self.meta_eps_end <= self.meta_eps_start <= 1.0:
             raise ConfigError("meta epsilon range out of order")
         if not 0.0 <= self.flat_eps <= 1.0:
             raise ConfigError("flat_eps must be in [0, 1]")
-        if self.success_window < 1:
-            raise ConfigError("success_window must be >= 1")
         if not 0.0 <= self.slip_prob < 1.0:
             raise ConfigError("slip_prob must be in [0, 1)")
 

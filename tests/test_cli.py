@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from conftest import build_full_coverage_memory
 from subgoal_hrl.cli import _build_configs, build_parser, main
-from subgoal_hrl.memory import save_transitions_jsonl
-from subgoal_hrl.trainer import MODES, RunConfig, metrics_from_csv
+from subgoal_hrl.memory import MAX_CAPACITY, save_transitions_jsonl
+from subgoal_hrl.trainer import MAX_BATCH_SIZE, MODES, RunConfig, metrics_from_csv
 
 
 def train_args(tmp_path, mode="unified_hrl", seed=3, **extra):
@@ -407,6 +407,19 @@ def test_negative_seed_rejected_before_any_file_is_read(tmp_path, capsys, comman
     argv = command.split() + [str(tmp_path / "nope"), "--seed", "-1"]
     assert main(argv) == 1
     _assert_cli_error(capsys, "--seed must be >= 0, got -1")
+
+
+@pytest.mark.parametrize("min_samples", ["-5", "0", "1"])
+def test_discover_rejects_min_samples_below_two(tmp_path, env, capsys, min_samples):
+    memory_path = tmp_path / "memory.jsonl"
+    save_transitions_jsonl(memory_path, build_full_coverage_memory(env))
+    out_path = tmp_path / "subgoals.json"
+    assert main([
+        "discover", "--memory", str(memory_path), "--min-samples", min_samples,
+        "--out", str(out_path),
+    ]) == 1
+    _assert_cli_error(capsys, f"--min-samples must be >= 2, got {min_samples}")
+    assert not out_path.exists()
 
 
 def test_discover_out_under_a_regular_file_is_an_error(tmp_path, env, capsys):
@@ -813,9 +826,28 @@ def test_eval_rejects_mistyped_subgoals(
     _assert_cli_error(capsys, "cannot load run artifacts", needle)
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("value", [1e308, -1e308, -0.5, 13.0])
+def test_eval_rejects_centroids_off_the_grid(
+    trained_runs, tmp_path, capsys, axis, value
+):
+    # The default layout is 13 cells wide and 13 high.
+    path = trained_runs / "unified_hrl_seed1" / "subgoals.json"
+    blob = json.loads(path.read_text())
+    blob["centroids"][-1][axis] = value
+    run_dir = _corrupt_run(
+        trained_runs, tmp_path, "unified_hrl_seed1", "subgoals.json",
+        json.dumps(blob),
+    )
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "cannot load run artifacts", "off the grid")
+
+
 # A tiny valid flat_q run; each property example replaces one of its fields.
 BASE_CONFIG = {"mode": "flat_q", "total_steps": 600, "warmup_steps": 50}
 _BELOW_ONE = st.integers(max_value=0)
+_BEYOND_CAPACITY = _BELOW_ONE | st.integers(min_value=MAX_CAPACITY + 1)
 _ABOVE_ONE = st.floats(min_value=1.0, exclude_min=True)
 _OUTSIDE_UNIT = st.floats(max_value=0.0, exclude_max=True) | _ABOVE_ONE
 _NOT_A_RATE = st.floats(max_value=0.0) | _ABOVE_ONE  # alpha, gamma: (0, 1]
@@ -832,16 +864,16 @@ OUT_OF_RANGE = {
     "subgoal_timeout": _BELOW_ONE,
     "episode_cap": _BELOW_ONE,
     "slip_prob": st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.0),
-    "memory_capacity": _BELOW_ONE,
-    "controller_memory_capacity": _BELOW_ONE,
-    "meta_memory_capacity": _BELOW_ONE,
+    "memory_capacity": _BEYOND_CAPACITY,
+    "controller_memory_capacity": _BEYOND_CAPACITY,
+    "meta_memory_capacity": _BEYOND_CAPACITY,
     "alpha": _NOT_A_RATE,
     "gamma": _NOT_A_RATE,
-    "batch_size": _BELOW_ONE,
+    "batch_size": _BELOW_ONE | st.integers(min_value=MAX_BATCH_SIZE + 1),
     "table_init": st.nothing(),
     "controller_eps_start": _NOT_AN_EPS_START,
     "controller_eps_end": _OUTSIDE_UNIT,
-    "success_window": _BELOW_ONE,
+    "success_window": _BEYOND_CAPACITY,
     "meta_eps_start": _NOT_AN_EPS_START,
     "meta_eps_end": _OUTSIDE_UNIT,
     "flat_eps": _OUTSIDE_UNIT,
@@ -888,3 +920,27 @@ def test_train_refuses_any_bad_config_value_before_any_step(case):
         assert err.getvalue().startswith("error:")
         assert "Traceback" not in err.getvalue()
         assert not out.exists()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("batch_size", 2**70),
+    ("batch_size", 10**9),  # a replay draw would ask numpy for 8 GB
+    ("batch_size", MAX_BATCH_SIZE + 1),
+    ("memory_capacity", 2**70),
+    ("controller_memory_capacity", 2**70),
+    ("meta_memory_capacity", MAX_CAPACITY + 1),
+    ("success_window", 2**70),
+])
+def test_train_refuses_oversized_ints_before_training(
+    tmp_path, capsys, monkeypatch, name, value
+):
+    def fail(config):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("subgoal_hrl.cli.run", fail)
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump({**BASE_CONFIG, name: value}))
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    _assert_cli_error(capsys, f"{name} must be in [1, ")
+    assert not out.exists()

@@ -5,6 +5,14 @@ the code before K-means moved its distance work to distinct cells. A
 change meant to preserve training semantics must keep them; a change that
 alters rng consumption or arithmetic order must say so and re-record them.
 Another numpy version may round some sums differently and so change them.
+
+Every flat_q, random_meta_hrl and unified_hrl entry, here and in the eval,
+wrapped and slip tables, was recorded again when replay minibatches came to
+be drawn as floor(u * size) from one rng.random(n) call instead of
+rng.integers(0, size, size=n): the replay draws are a new stream, and every
+later draw and update follows them. Entries that no replay draw reaches kept
+their old values: all random_walk files, which draw no replay sample, the
+random_meta_hrl meta tables, which never learn, and one eval stdout.
 """
 
 import hashlib
@@ -31,41 +39,41 @@ WRAPPED_CAPACITIES = {
 
 GOLDEN_SHA256 = {
     "flat_q_seed0/flat_q.csv":
-        "d7635045775cd911afa13b28cb527ff931de9b4aff60662203da0e996e43eb2f",
+        "1770783ce6965a1fec1012a2cf02cf2081383260028ae20274a7394b0d5311b3",
     "flat_q_seed0/metrics.csv":
-        "878efdd430851abc2dda0037040c1151e5a3ff42fd2636290b91462823ae5af3",
+        "87adf971ff705aa96dc72e3d499c9401cc06f8cda1c6bd0f20a86ec8b2135756",
     "flat_q_seed1/flat_q.csv":
-        "2ac522e0050bbdcc387428eca3a8d64f91a5be48f6658b34deac653eb1e65d85",
+        "ed4d6d0ba4a7ca259a4444f5bd64805a252c2c7d39dcc84c1d671b52ea097f1c",
     "flat_q_seed1/metrics.csv":
-        "aae0efba9234817b28e27ed55324e56d45d846178a2201cd3ddf5cfba4a07ebb",
+        "62d1f8590f553c48c5b43d8a9bb20218a672a4e88b775cfd43e938a63f5637be",
     "flat_q_seed2/flat_q.csv":
-        "4e88bf19eea7038266e2c76dd28d2f63f16950d667f3adf64a7d4d9090da84ef",
+        "c9abc729547c892d6327d5eb4b3dd66cf99c5bc7a1e554818c9f97d3fb8ffe9b",
     "flat_q_seed2/metrics.csv":
-        "6b788fd402e1e79a758cd7db013a30625b8578c893459c8533c8a55d7bd3be9d",
+        "e8c579ec69d9886e4daab01753dd4ac85c032ca49b5416366843eed22637b024",
     "random_meta_hrl_seed0/controller_q.csv":
-        "432e6759410a63d11c5b088ec580e7d2ea41ad0409da3e7c3251412c8dbd30a6",
+        "dd00d067fe3f965b3f6f8423b32f2f1a0d0dfc55f6d2cfe8e74474319bf83566",
     "random_meta_hrl_seed0/meta_q.csv":
         "fb4fecc06903a3f1cdc3db8bed5f68b3af2f13d3d35bc776f0daa5f5963897c6",
     "random_meta_hrl_seed0/metrics.csv":
-        "08b707cb6e6f6c4d0af33a9a6f5d1df3b17832d0314fca7c723de8772998b161",
+        "80db38ebe8193d6c8dc9feac8100e7a21cba6d9357ac7b7302474ccb841148c7",
     "random_meta_hrl_seed0/subgoals.json":
-        "34eb9fc7410e91e39f3d46c3889096ca3c735f8d8d675fde8313877a9ef1b098",
+        "f6517cbb3ddc7102297033d38f2922ee65f93a8092851ffc9ceeac1df86cc7da",
     "random_meta_hrl_seed1/controller_q.csv":
-        "81c4b774b222be70f8fba64a91aef5cd629bed81fae4706d159c7a1474379021",
+        "e0595233d9aa7bb01a6b7fdc0ce23ea0b85ce3131909e7d966a02be40f8366b4",
     "random_meta_hrl_seed1/meta_q.csv":
         "fb4fecc06903a3f1cdc3db8bed5f68b3af2f13d3d35bc776f0daa5f5963897c6",
     "random_meta_hrl_seed1/metrics.csv":
-        "f91a7f0d2d04a192ab5de623c7b4e5dfa8a5133de19ead6c17ee6d57bacc005f",
+        "ffbc2363a3c0cb43ab869c7f4ecde0372662b4d0be46c74f997155665716e187",
     "random_meta_hrl_seed1/subgoals.json":
-        "c9672e2a23112db4abd40bb3223cfa3b30c367a9d28ccd94315e5d94944711b5",
+        "343e8f9104b5b00489893cb0facf76ddd7e88b0e1239eb7aeb9946803893e956",
     "random_meta_hrl_seed2/controller_q.csv":
-        "b84127b28b065fc4621daa3e2cf40f4720b4701fee1491ed2d767554c89a722b",
+        "11669535e4e98a4c187962ba6bbfd048da5423591acd7d68aa4a2bcb6b05e34b",
     "random_meta_hrl_seed2/meta_q.csv":
         "fb4fecc06903a3f1cdc3db8bed5f68b3af2f13d3d35bc776f0daa5f5963897c6",
     "random_meta_hrl_seed2/metrics.csv":
-        "6f40645819e7ba3cf33ae2f6822c51833aff6331de3b7af94d10453cf79c9e7d",
+        "fb08062451768ae2dfd5bac4e49546110415949179ab61b3298d5fc9bc2bb529",
     "random_meta_hrl_seed2/subgoals.json":
-        "011db38216a088d9bb3fb737682fb9118ca3fbc6c6e61f70a1e497be03d0e61b",
+        "bfb378dfd3c7468310d8572a714555a366f78b06d9a041584f6b23ff302cc2a9",
     "random_walk_seed0/metrics.csv":
         "71b9d229bf3a70686bf4d8e851133586c73310bb7d24d1b0bf668c3c5f92d997",
     "random_walk_seed1/metrics.csv":
@@ -73,47 +81,48 @@ GOLDEN_SHA256 = {
     "random_walk_seed2/metrics.csv":
         "24c571d4ac88ee8ef40f93a51335bdc6c57737e16a90373b7e224c134bffeda0",
     "unified_hrl_seed0/controller_q.csv":
-        "1064e36b3a8ef5ba66058d95dccc5f9ae99e765d0ab946d184b9439f06fed89d",
+        "4aa1ea71b453febdb748f80f842a8ae0718b823d1a0dc2c0cd79b38b0444cf72",
     "unified_hrl_seed0/meta_q.csv":
-        "13ff2e29724425101f7f94bb1f30dab4a53784dd18e64ad2d81cd471d974b67b",
+        "74653c8b64935d532216f174e166a752c0f520b56368ed0125de18d5e24b8a92",
     "unified_hrl_seed0/metrics.csv":
-        "e45d8b6c0de3a214df477498c74f85462d75fe63febdf089a25d86af1029fe88",
+        "476bbe7c9e322da062e679f9888824587d827331864087db3be28049e0519d28",
     "unified_hrl_seed0/subgoals.json":
-        "820da399701a3dc68e58b793f08b819f825febd4c96a65a8e1cf65269d965096",
+        "cd0ef3b97426c6c21e430e8437026ed2263b34a5384fe17fedcf3845661e0d7a",
     "unified_hrl_seed1/controller_q.csv":
-        "b1ff3d40bad99eadd41f3bcf9b377a0e3cd2c7c45b58594b18878564fe46e7e3",
+        "819399e3b748fa940c9185367d6a291136bf61552ad55ca20253ce9045e1abe8",
     "unified_hrl_seed1/meta_q.csv":
-        "344920487fa51f87228ac7afc98619041ad9388675497bab6261e843c7f143fc",
+        "e9c537e2691ae4147dbece0a30d46db1a7ce52a68387cf9026e4daeb47b14e50",
     "unified_hrl_seed1/metrics.csv":
-        "ec399ae9a8c577f95a10a85f4db86ae9098740852511c111c3b183b2f393f6bf",
+        "484efa1a968b0831be7b9f74f8e2ac6c6f2de2a2b205d8e78f7c1d0e8a444650",
     "unified_hrl_seed1/subgoals.json":
-        "2eac932d95bb4e66268e6324d9446c0d4e5683c05026747a26f0d8e43f0293b8",
+        "eade6fead031e2a356f952e8395c56a064122a99b2166868d0b32f4d8a58a8da",
     "unified_hrl_seed2/controller_q.csv":
-        "cd7220d189c6694bbfd60d031e9e840adb3db4132f2e7af56698e3d2fe883353",
+        "a580090b43894e2a0e22770abe38ea647c448b04e90b942a4c72b22846af6066",
     "unified_hrl_seed2/meta_q.csv":
-        "9f630d733af173e596b4fea724355242a64c02d538392a07938fb4c24f744bfd",
+        "10fd93abe8a97bba509b96ae45a739e02ffaca4ceba96e13a140ec43752d13d6",
     "unified_hrl_seed2/metrics.csv":
-        "356f1368f56f53b4fc3dc86f6c66186170e2f3f774d421c4710afbc37a1e6a02",
+        "b221c41bb7efec691271718cfd59be16e04cb96865808f9a5f19d0b207023e88",
     "unified_hrl_seed2/subgoals.json":
-        "f0ce9144dae2732222059e9cdcdf357ab903f1d90dc69f3e20606bc6ab05e527",
+        "e2f6aa07316d898562ca8143edc074d0bf66f418ecdcbb863de2a7a287966822",
 }
 
 
 # stdout of `eval --episodes 3` on the runs above, recorded from the code
-# before the three table classes shared one implementation.
+# before the three table classes shared one implementation; re-recorded,
+# except flat_q_seed1, with the float replay draw (see the module docstring).
 EVAL_STDOUT_SHA256 = {
     "flat_q_seed0":
-        "79097979b3a7a75db86ff4ac30f89d285b09127801505254115c4f62cf13be60",
+        "e50c7fd08736cc594e4f331833b591cdd1f65f55e16e2a7f1be4548bd227c354",
     "flat_q_seed1":
         "a3ecb88b84ba095cce0c92d8e3f1f7f2a675bed946391cc4693b6203c28ca6f8",
     "flat_q_seed2":
-        "42a7c2ea237f94ddfeeb21e3c0617369a84f3fe3eed7c34d09d6d02f527620e7",
+        "5778a1f973c0dd833d5b38b3db08fff0bf743a7f8b35202aac4d602e95815c32",
     "unified_hrl_seed0":
-        "e0e7a16276ecf38069b665657d622fea9203d6e1cdf3b5ddd0e770c2d6816aca",
+        "03ba14b05a8f29a1c72f93833762e2913e14c6a631610578481940a2f389852d",
     "unified_hrl_seed1":
-        "806edbd0d87ad5540d6e416b1f5986319e0b28000c842013a3b8a1efccc45e00",
+        "40af96ae2a5b9fc7e1a212ab27532d57e8d89b26a4c15592e12be4929be88e59",
     "unified_hrl_seed2":
-        "dfa6d7b7bfc9dde348dc03f719e88e0a0d5da435c3c856cce025b752f42fb747",
+        "932d401bde4c8dce25ba1a4839d5051c9d8a1256fe816ab7ad1491407cf274e8",
 }
 
 
@@ -148,40 +157,41 @@ def test_artifacts_match_golden_hashes(tmp_path, capsys, mode):
 
 
 # Recorded from the code before states and transitions became tuples and
-# before sampling indexed the ring with one vectorised modulo.
+# before sampling indexed the ring with one vectorised modulo; all
+# re-recorded with the float replay draw (see the module docstring).
 WRAPPED_GOLDEN_SHA256 = {
     "flat_q_seed0/flat_q.csv":
-        "a0cdcde917231a5929e88f89f5d21fdcbc9fdd0cd9a7b1ca1576f3eb66222db0",
+        "ec9a0935150bc2b715acffd06ce24945b476c552a5dad6fc9f8c497abc99c688",
     "flat_q_seed0/memory.jsonl":
-        "a4dd77b5891376e45e1654adcc158fc8bd0592d6ba1fa9bc8020d139429bcec4",
+        "ccff3d93a1f50756756b7fe303abb57343f74e0edee09c522e7a2d7f1f5b4949",
     "flat_q_seed0/metrics.csv":
-        "878efdd430851abc2dda0037040c1151e5a3ff42fd2636290b91462823ae5af3",
+        "102ae5766f0bb340ea81c3b9927252c20592aad51cf9247a1ac23e362637037c",
     "flat_q_seed1/flat_q.csv":
-        "d797d9e97a6124d878a225bd82aadf78406500e89eb1f2edfc29f25145d6b679",
+        "47669d21a77487cd423d07ef752a23befce1b6f46ae6eace20337cbcd7df6d63",
     "flat_q_seed1/memory.jsonl":
-        "d90d6d7c674f5b69deaea00fd242de394bec5ace731924eedddaf34de3bc21d2",
+        "170406adac29e46f2364311a8903967f93359315d055804b1b4e9dbb94b1e11b",
     "flat_q_seed1/metrics.csv":
-        "93e8226f710f1a0bbe967def7d75d5f61d17844454867bcbf5041c61be19ba56",
+        "62d1f8590f553c48c5b43d8a9bb20218a672a4e88b775cfd43e938a63f5637be",
     "unified_hrl_seed0/controller_q.csv":
-        "5497b3aef8318111b688354c456480e720274ed8dea19236ff05dc4909c87ca1",
+        "420857c7ec8d48e5e438de70c83b9d21d3d5e115c5e91bebbae61f3dd338843f",
     "unified_hrl_seed0/memory.jsonl":
-        "1ee0722d47a4646e593c0e6bd1f73d52ddad7f2958f3ecc0773eea8e587e64e5",
+        "6acff994d7de99cc2d20439381bf170051d487a8058125a7c2109bb4453c2b44",
     "unified_hrl_seed0/meta_q.csv":
-        "59ed6a774468a08550755b09e5bafade1a2390f48ab77933a67ad06aadb9eda6",
+        "0b73cafa944a12f4aaff4485e022e3ce26a8a9e8ee48201eb38d0b8e7a0d0986",
     "unified_hrl_seed0/metrics.csv":
-        "43db14dece71d655314f4188b5bd4afae5d046b1da41da7f4fa8505d79875505",
+        "50c21eb09403b1f1a31788fbf0e45d9635d156336e1c0c963d69691b34e49502",
     "unified_hrl_seed0/subgoals.json":
-        "de05c22d056905fa678a6970749473cf8fbcf8096221a0ae1955d002f41e0f8b",
+        "20c146b4eeae22f449ac592a7ef769f50e47756df717ae5a06dd8c46545eb925",
     "unified_hrl_seed1/controller_q.csv":
-        "305dbdb0c73371ec9838cf3cf966f048c82220bdb0479ffacf21a7e00d65bb7e",
+        "adcf7a8517cee36061868054a5aa7312edce343a7c5f07a1b43535d7f39af4af",
     "unified_hrl_seed1/memory.jsonl":
-        "e2d261139534227a7f70ec66d97f9090c45aeb73169e1c5714e51f13a3d34f5c",
+        "438f01cca90947b9703536725d9f642edd8dca06afed0a5c4cdf6e4994484cc7",
     "unified_hrl_seed1/meta_q.csv":
-        "79583676307ab4dbc4962c11940f68a29bbe667c4519e5734259abfc06b57a53",
+        "c226e1c6704ff1475bc1b1190116a51083cca20062dc2b09524e9761623a2246",
     "unified_hrl_seed1/metrics.csv":
-        "344f4480f653c8d46024f7de3f8f2bdd5d12f8a3de883f838edd85a252177ff0",
+        "4cbf97183582d7527b5e3c3c6e12e5d9160600dc4c45097d261e2780c415e603",
     "unified_hrl_seed1/subgoals.json":
-        "f998c6ec9dd5c7ea39e529592dd27e9b7e7e6e3bd6e46d56616a502a0a95f70e",
+        "2d1d3190a4eaea46bccc9792898035542a7b41ad252db6c513abb7e58bb860c8",
 }
 
 
@@ -215,24 +225,25 @@ def test_wrapped_memory_artifacts_match_golden_hashes(tmp_path, mode):
 # only on a slip) into the id step. The unified_hrl entries were recorded
 # again when warm-up actions came to be drawn in one block per stretch:
 # with slip the env's draws now follow the block's instead of falling
-# between the actions. flat_q has no warm-up, so its entries are the old ones.
+# between the actions. All entries were recorded again with the float replay
+# draw (see the module docstring).
 SLIP_GOLDEN_SHA256 = {
     "flat_q_seed0/flat_q.csv":
-        "b6683ca3c2197e0b86e38af0e2bbc683c01bb119c2afb891951cefd3ebba6097",
+        "d6f710c8a4e1474be54fc5fec2f32fb5ad61fcaee075627222e16bda7c11f9e5",
     "flat_q_seed0/memory.jsonl":
-        "00046d2e38add955c64d7441cb406c67079f1bbd959a6fb5ab7cad1d16cc9294",
+        "2200a2edc325a40589e2c0d4884a13bba85a36e9a3e423f62ca1bf80a282d2a6",
     "flat_q_seed0/metrics.csv":
-        "888f7002898fc064527b7740134bd3c2858e47ccc13dcf713b7ee882c4539d4f",
+        "e5714606406f731070acf914d9ef1274f9881fc71fd7b957bb012993cc61d247",
     "unified_hrl_seed0/controller_q.csv":
-        "c3700cbe235a33dbe982bb9b8c07c3eafe51020b86cbb6ec9908cd4da9c8327d",
+        "e31342c820bfc6efa8e89e6f02ff3307da2292d9c46bf18cec050cfef821d2d4",
     "unified_hrl_seed0/memory.jsonl":
-        "cce454ea96a9e637daecd4c9e3235857d588a709194de8aa55fad88eedefd883",
+        "883de3881fb18254398e8cbd67f3e9ee28297a776c5600bca71bc38bcefe1449",
     "unified_hrl_seed0/meta_q.csv":
-        "811ff09e91f22865bcf21818d714109a5c6d4d757488d52d68fd5f4c9bf5bc37",
+        "9c3228f9b1ba33179c392674a1304f6acdd749c55ec671e40c3ae116f0177168",
     "unified_hrl_seed0/metrics.csv":
-        "dca8a66b185aeb2864b14f39b58afa87b32a7a1580889b0a1d0d4dab12f38e3e",
+        "a1eeff9d7af5c870ea9a678d80473284acee2c1484d07a21ef964f4bf9f0975e",
     "unified_hrl_seed0/subgoals.json":
-        "497c8b5145add64ab58070b559e9f65fba16357bcedc015c7388be50093fbfa6",
+        "42eebaa3effc5f248571096690f8c7f69a5f6605bf0a6e67551168d765f844fe",
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from subgoal_hrl.memory import (
+    MAX_CAPACITY,
     BoundedMemory,
     MetaTransition,
     Transition,
@@ -76,7 +77,71 @@ def test_sample_matches_indexing_oracle(cap, pushes):
         m.push(i)
     got = m.sample(200, np.random.default_rng(3))
     oracle_rng = np.random.default_rng(3)
-    assert got == [m[i] for i in oracle_rng.integers(0, len(m), size=200)]
+    assert got == [m[i] for i in (oracle_rng.random(200) * len(m)).astype(int)]
+
+
+class _ConstantDraw:
+    """Generator stub whose `random(n)` returns n copies of one u."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self, n: int) -> np.ndarray:
+        return np.full(n, self.u)
+
+
+class _IndexItems:
+    """Stands in for a ring's item list of `size` slots without holding them:
+    slot j (list indexing, so negative j counts from the end) holds j."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, j: int) -> int:
+        if not -self.size <= j < self.size:
+            raise IndexError(j)
+        return j % self.size
+
+
+def _filled(cap: int, pushes: int):
+    """Ring of capacity cap after pushes pushes; its newest and oldest items."""
+    m = BoundedMemory(cap)
+    for i in range(pushes):
+        m.push(i)
+    return m, pushes - 1, max(0, pushes - cap)
+
+
+def _at_bound(size: int, head: int):
+    """Ring of the largest capacity holding size slots, head at head."""
+    m = BoundedMemory(MAX_CAPACITY)
+    m._items, m._head = _IndexItems(size), head
+    return m, (head - 1) % size, head
+
+
+# Filling, full and wrapped rings (the head stays 0 until a ring is full),
+# small and at the capacity bound, where floor(u * size) must stay < size.
+EDGE_RINGS = [
+    (_filled, 7, 3), (_filled, 7, 7), (_filled, 7, 10), (_filled, 7, 13),
+    (_filled, 7, 20), (_at_bound, MAX_CAPACITY - 1, 0),
+    (_at_bound, MAX_CAPACITY, 0), (_at_bound, MAX_CAPACITY, 1),
+    (_at_bound, MAX_CAPACITY, MAX_CAPACITY // 3),
+    (_at_bound, MAX_CAPACITY, MAX_CAPACITY - 1),
+]
+
+
+@pytest.mark.parametrize("build,a,b", EDGE_RINGS)
+def test_sample_last_double_below_one_reads_newest(build, a, b):
+    m, newest, _ = build(a, b)
+    assert m.sample(3, _ConstantDraw(np.nextafter(1.0, 0.0))) == [newest] * 3
+
+
+@pytest.mark.parametrize("build,a,b", EDGE_RINGS)
+def test_sample_zero_reads_oldest(build, a, b):
+    m, _, oldest = build(a, b)
+    assert m.sample(3, _ConstantDraw(0.0)) == [oldest] * 3
 
 
 def test_sample_uniform_frequencies():

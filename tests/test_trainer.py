@@ -213,8 +213,9 @@ def test_discovery_before_rewards_has_no_anomalies():
                        discovery_period=600)
     result = run(cfg)
     # A 350-step random walk from the start almost never trips a reward;
-    # verified for this seed: the discovered set is centroids only.
-    assert all(r == 0.0 for r in (t.r for t in result.memory))
+    # verified for this seed: the discovered set is centroids only. The
+    # discovery at step 350 saw only the warm-up part of the memory.
+    assert all(t.r == 0.0 for t in result.memory[:cfg.warmup_steps])
     assert result.subgoals is not None
     assert result.subgoals.k == 4
     assert result.subgoals.anomalies == ()
