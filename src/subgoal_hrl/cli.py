@@ -412,6 +412,9 @@ def cmd_eval(args) -> int:
                     raise ValueError(
                         f"centroid {c.id} at ({c.x}, {c.y}) is off the grid"
                     )
+            # An anomaly is one state, so it must be a playable one.
+            for a in kwargs["subgoals"].anomalies:
+                index.encode(a.state)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load run artifacts from {run_dir}: {exc}") from exc
     for name in ("flat", "controller"):

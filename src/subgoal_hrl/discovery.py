@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .memory import Transition
-from .rooms_env import GridState
+from .rooms_env import GridState, StateIndex
 
 _EPS = 1e-12
 
@@ -356,15 +356,18 @@ def discover(
     rng: np.random.Generator,
     *,
     min_samples: int = 2,
+    index: StateIndex | None = None,
 ) -> SubgoalSet:
     """Build a subgoal set from an experience-memory snapshot.
 
     Clusters arrival coordinates into `k` centroids and flags reward
     outliers above `theta_anom` as exact-state subgoals, deduplicated by
-    (x, y, has_key).
+    (x, y, has_key). States are `GridState`s, or ids of `index` when it is
+    given; both forms of one memory give the same set and rng draws.
 
     Raises:
-        ValueError: when `theta_anom` is not a finite number > 0.
+        ValueError: when `theta_anom` is not a finite number > 0, or an
+            arrival id is not an id of `index`.
         InsufficientMemoryError: too few transitions, or too few distinct
             arrival cells to place `k` distinct centroids.
     """
@@ -375,10 +378,17 @@ def discover(
         raise InsufficientMemoryError(
             f"need at least {required} transitions, got {len(transitions)}"
         )
-    points = np.array(
-        [(t.s_next.x, t.s_next.y) for t in transitions], dtype=float
-    )
-    fit = kmeans_fit(points, k, rng)
+    # Distinct arrivals in first-seen order; inverse[i] is transition i's.
+    codes: dict = {}
+    inverse = [codes.setdefault(t.s_next, len(codes)) for t in transitions]
+    states = list(codes)
+    if index is not None:
+        for sid in states:
+            if not 0 <= sid < index.size:
+                raise ValueError(f"arrival id {sid} is not in the state index")
+        states = [index.states[sid] for sid in states]
+    coords = np.array([(s.x, s.y) for s in states], dtype=float)
+    fit = kmeans_fit(coords[inverse], k, rng)
     positions = [tuple(c) for c in fit.centroids]
     if len(set(positions)) != k:
         raise InsufficientMemoryError(
@@ -388,20 +398,15 @@ def discover(
         Centroid(i, float(x), float(y)) for i, (x, y) in enumerate(positions)
     )
 
+    # Each flagged state keeps its highest score, in first-flagged order.
     scores = anomaly_scores(transitions)
     flagged: dict[GridState, float] = {}
-    order: list[GridState] = []
-    for t, score in zip(transitions, scores):
-        if score > theta_anom:
-            state = t.s_next
-            if state not in flagged:
-                order.append(state)
-                flagged[state] = float(score)
-            else:
-                flagged[state] = max(flagged[state], float(score))
+    for i in np.flatnonzero(scores > theta_anom).tolist():
+        state = states[inverse[i]]
+        flagged[state] = max(flagged.get(state, 0.0), float(scores[i]))
     anomalies = tuple(
-        AnomalySubgoal(k + j, state, flagged[state])
-        for j, state in enumerate(order)
+        AnomalySubgoal(k + j, state, score)
+        for j, (state, score) in enumerate(flagged.items())
     )
     return SubgoalSet(
         centroids=centroids,

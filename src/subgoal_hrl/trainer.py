@@ -260,8 +260,8 @@ class RunResult:
 class Runner:
     """Executes one run. Internal machinery behind :func:`run`.
 
-    The state `sid` and the replays' states are ids of `env.index`; states
-    are decoded only for `discover` and the `RunResult`.
+    The state `sid` and every memory hold ids of `env.index`. `discover`
+    reads the ids as they are; states are decoded only for the `RunResult`.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -287,7 +287,6 @@ class Runner:
         self.meta: MetaTable | None = None
         self.flat: FlatTable | None = None
 
-        self._decode_memo: dict[Transition, Transition] = {}
         # One byte per cell (state id // 2), plus the count of ones.
         self._visits = bytearray(len(self.index.cells))
         self._n_visited = 0
@@ -333,19 +332,15 @@ class Runner:
             self._n_visited += 1
 
     def _decoded(self, transitions: Sequence[Transition]) -> tuple[Transition, ...]:
-        # Memoised on the int tuple, so equal transitions share one decoded
-        # object across snapshots. Rewards and flags come from the compiled
-        # move tables, so equal keys decode to values of identical repr.
-        memo = self._decode_memo
+        # One decoded object per distinct int tuple. Rewards and flags come
+        # from the compiled move tables, so equal keys decode to values of
+        # identical repr.
         states = self.index.states
-        out = []
-        for t in transitions:
-            d = memo.get(t)
-            if d is None:
-                s, a, r, s2, term = t
-                d = memo[t] = Transition(states[s], ACTIONS[a], r, states[s2], term)
-            out.append(d)
-        return tuple(out)
+        memo = {
+            t: Transition(states[t.s], ACTIONS[t.a], t.r, states[t.s_next], t.terminal)
+            for t in set(transitions)
+        }
+        return tuple(map(memo.__getitem__, transitions))
 
     def _env_step(self, action: int) -> tuple[float, bool]:
         s = self.sid
@@ -365,11 +360,12 @@ class Runner:
         self._next_discovery += self.cfg.discovery_period
         try:
             fresh = discover(
-                self._decoded(self.memory.snapshot()),
+                self.memory.snapshot(),
                 self.cfg.k,
                 self.cfg.theta_anom,
                 self.rng,
                 min_samples=self.cfg.discovery_min_samples,
+                index=self.index,
             )
         except InsufficientMemoryError:
             return

@@ -844,6 +844,26 @@ def test_eval_rejects_centroids_off_the_grid(
     _assert_cli_error(capsys, "cannot load run artifacts", "off the grid")
 
 
+@pytest.mark.parametrize(
+    "cell", [{"x": 10**6}, {"x": 0, "y": 0}, {"x": 6, "y": 0}],
+    ids=["off-the-grid", "corner-wall", "top-wall"],
+)
+def test_eval_rejects_anomalies_off_the_playable_cells(
+    trained_runs, tmp_path, capsys, cell
+):
+    path = trained_runs / "unified_hrl_seed1" / "subgoals.json"
+    blob = json.loads(path.read_text())
+    assert blob["anomalies"]  # the run found reward outliers
+    blob["anomalies"][-1].update(cell)
+    run_dir = _corrupt_run(
+        trained_runs, tmp_path, "unified_hrl_seed1", "subgoals.json",
+        json.dumps(blob),
+    )
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "cannot load run artifacts", "not indexable")
+
+
 # A tiny valid flat_q run; each property example replaces one of its fields.
 BASE_CONFIG = {"mode": "flat_q", "total_steps": 600, "warmup_steps": 50}
 _BELOW_ONE = st.integers(max_value=0)

@@ -18,7 +18,7 @@ from subgoal_hrl.discovery import (
     merge,
 )
 from subgoal_hrl.memory import Transition
-from subgoal_hrl.rooms_env import Action, GridState
+from subgoal_hrl.rooms_env import Action, GridState, RoomsLayout, StateIndex
 
 
 def _arrivals(cells, reward=0.0, key=False, terminal=False):
@@ -221,6 +221,22 @@ def test_discover_deterministic_under_seed(full_coverage_memory):
     a = discover(full_coverage_memory, 4, 3.0, np.random.default_rng(2))
     b = discover(full_coverage_memory, 4, 3.0, np.random.default_rng(2))
     assert a == b
+
+
+_INDEX = StateIndex(RoomsLayout.default())
+
+
+@pytest.mark.parametrize("bad", [-1, -_INDEX.size, _INDEX.size, 10**6])
+def test_discover_rejects_arrival_ids_off_the_index(bad):
+    # A negative id would wrap through list indexing, a past-the-end one
+    # would end in a bare IndexError.
+    memory = [Transition(0, 0, 0.0, sid, False) for sid in range(_INDEX.size)]
+    memory[5] = memory[5]._replace(s_next=bad)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"arrival id {bad} "):
+        discover(memory, 4, 3.0, rng, index=_INDEX)
+    assert rng.bit_generator.state == before  # checked before any draw
 
 
 # -- merge -----------------------------------------------------------------

@@ -248,35 +248,77 @@ def test_unified_invariants_small_run(layout):
     assert all(m.ep_return <= 50.0 for m in result.metrics)
 
 
+def _record_discover_inputs(monkeypatch, runner):
+    """List of (transitions, index, memory snapshot) per `discover` call."""
+    given = []
+
+    def recording_discover(transitions, *args, **kwargs):
+        given.append((transitions, kwargs.get("index"), runner.memory.snapshot()))
+        return discover(transitions, *args, **kwargs)
+
+    monkeypatch.setattr("subgoal_hrl.trainer.discover", recording_discover)
+    return given
+
+
+def _per_item_decode(raw, index):
+    states = index.states
+    return tuple(
+        Transition(states[s], Action(a), r, states[s2], term)
+        for s, a, r, s2, term in raw
+    )
+
+
 @pytest.mark.parametrize("slip_prob", [0.0, 0.3])
 def test_decoded_memory_equals_a_per_item_decode(monkeypatch, slip_prob):
     # A small ring wraps, and slip adds transitions whose action is not the
     # move taken.
     runner = Runner(small_config(memory_capacity=700, slip_prob=slip_prob))
-    given = []
+    given = _record_discover_inputs(monkeypatch, runner)
+    decoded_calls = []
+    decode = runner._decoded
 
-    def recording_discover(transitions, *args, **kwargs):
-        given.append((transitions, runner.memory.snapshot()))
-        return discover(transitions, *args, **kwargs)
+    def counting_decode(transitions):
+        decoded_calls.append(transitions)
+        return decode(transitions)
 
-    monkeypatch.setattr("subgoal_hrl.trainer.discover", recording_discover)
+    monkeypatch.setattr(runner, "_decoded", counting_decode)
     result = runner.run()
-    given.append((result.memory, runner.memory.snapshot()))
-    assert len(given) == 1 + len(range(300, 3000, 600))
+    assert len(given) == len(range(300, 3000, 600))
+    # Discovery reads the raw id snapshot; nothing is decoded for it.
+    for transitions, index, snapshot in given:
+        assert index is runner.index
+        assert transitions == snapshot
+        assert all(type(t.s_next) is int for t in transitions)
+    assert len(decoded_calls) == 1  # for the RunResult only
 
-    states = runner.index.states
+    expected = _per_item_decode(runner.memory.snapshot(), runner.index)
+    assert result.memory == expected
+    assert [repr(t) for t in result.memory] == [repr(t) for t in expected]
     shared: dict[Transition, Transition] = {}
-    for decoded, raw in given:
-        expected = tuple(
-            Transition(states[s], Action(a), r, states[s2], term)
-            for s, a, r, s2, term in raw
-        )
-        assert decoded == expected
-        assert [repr(t) for t in decoded] == [repr(t) for t in expected]
-        # Equal transitions are one object, within and across snapshots.
-        for t in decoded:
-            assert shared.setdefault(t, t) is t
+    for t in result.memory:
+        assert shared.setdefault(t, t) is t  # equal transitions are one object
     assert len(set(result.memory)) < len(result.memory)  # repeats exist
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"slip_prob": 0.3}, {"memory_capacity": 700}],
+    ids=["plain", "slip", "wrapped"],
+)
+def test_discover_on_ids_equals_discover_on_decoded_states(monkeypatch, overrides):
+    runner = Runner(small_config(**overrides))
+    given = _record_discover_inputs(monkeypatch, runner)
+    runner.run()
+    with_anomalies = 0
+    for raw, index, _ in given:
+        rng_ids, rng_states = default_rng(7), default_rng(7)
+        from_ids = discover(raw, 4, 3.0, rng_ids, index=index)
+        from_states = discover(_per_item_decode(raw, index), 4, 3.0, rng_states)
+        assert from_ids == from_states
+        assert repr(from_ids) == repr(from_states)
+        assert rng_ids.bit_generator.state == rng_states.bit_generator.state
+        with_anomalies += bool(from_ids.anomalies)
+    assert with_anomalies >= 1
 
 
 def test_random_meta_never_trains_meta_table():
