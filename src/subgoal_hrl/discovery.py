@@ -125,7 +125,9 @@ class SubgoalSet:
     def from_json_dict(cls, d: dict) -> "SubgoalSet":
         """Inverse of `to_json_dict`; ValueError unless every id is a JSON
         integer, centroid x/y and anomaly scores are finite numbers,
-        anomaly x/y are JSON integers >= 0 and has_key a JSON boolean."""
+        anomaly x/y are JSON integers >= 0 and has_key a JSON boolean, k and
+        size count the subgoals, theta_anom is null or a finite number > 0
+        and source_memory_size null or an integer >= 0."""
         centroids = []
         for c in d["centroids"]:
             i, x, y = c["id"], c["x"], c["y"]
@@ -149,11 +151,24 @@ class SubgoalSet:
             anomalies.append(
                 AnomalySubgoal(i, GridState(x, y, has_key), float(score))
             )
+        k, size = d["k"], d["size"]
+        theta, source = d.get("theta_anom"), d.get("source_memory_size")
+        if not (
+            type(k) is type(size) is int and k == len(centroids)
+            and size == k + len(anomalies)
+            and (theta is None or (_finite(theta) and theta > 0))
+            and (source is None or (type(source) is int and source >= 0))
+        ):
+            raise ValueError(
+                f"need k ({k!r}) and size ({size!r}) to count the subgoals, "
+                f"theta_anom ({theta!r}) null or finite and > 0, and "
+                f"source_memory_size ({source!r}) null or an integer >= 0"
+            )
         return cls(
             centroids=tuple(centroids),
             anomalies=tuple(anomalies),
-            theta_anom=d.get("theta_anom"),
-            source_size=d.get("source_memory_size"),
+            theta_anom=theta,
+            source_size=source,
         )
 
 
@@ -173,80 +188,57 @@ class KMeansResult:
     distortion_history: tuple[float, ...] = field(default=())
 
 
-def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows `cells` and `inverse` with `points == cells[inverse]`.
-
-    A lexsort over the columns: several times faster than
-    `np.unique(..., axis=0)`, which sorts a structured view of the rows.
-    """
-    order = np.lexsort(points.T[::-1])
-    ordered = points[order]
-    starts = np.empty(len(points), dtype=bool)
-    starts[0] = True
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(points), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return ordered[starts], inverse
-
-
 def _seed_centroids(
-    points: np.ndarray,
-    cells: np.ndarray,
-    inverse: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
+    points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """K-means++ seeding: spread initial centroids by squared distance.
-
-    Distances are computed per distinct cell; the draw reads them back per
-    point, so it sees the same probability vector as a per-point seeding.
-    """
+    """K-means++ seeding: spread initial centroids by weighted squared
+    distance, drawing row i with probability w_i * d_i^2 / total."""
     n = points.shape[0]
+    # Unit j of the rows laid end to end (row i repeated w_i times) is in
+    # row ends.searchsorted(j, side="right").
+    ends = np.cumsum(weights)
     centroids = np.empty((k, points.shape[1]), dtype=float)
-    centroids[0] = points[int(rng.integers(n))]
-    closest_sq = ((cells - centroids[0]) ** 2).sum(axis=1)
+    centroids[0] = points[ends.searchsorted(rng.integers(ends[-1]), side="right")]
+    closest_sq = ((points - centroids[0]) ** 2).sum(axis=1)
     for i in range(1, k):
-        per_point = closest_sq[inverse]
-        total = per_point.sum()
+        mass = weights * closest_sq
+        total = mass.sum()
         if total <= 0.0:
-            idx = int(rng.integers(n))
+            idx = ends.searchsorted(rng.integers(ends[-1]), side="right")
         else:
-            idx = int(rng.choice(n, p=per_point / total))
+            idx = int(rng.choice(n, p=mass / total))
         centroids[i] = points[idx]
         closest_sq = np.minimum(
-            closest_sq, ((cells - centroids[i]) ** 2).sum(axis=1)
+            closest_sq, ((points - centroids[i]) ** 2).sum(axis=1)
         )
     return centroids
 
 
-def _assign(
-    cells: np.ndarray, inverse: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point nearest-centroid ids and squared distances, computed once
-    per distinct cell."""
-    d2 = ((cells[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row nearest-centroid ids and squared distances."""
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     assign = d2.argmin(axis=1)
-    nearest = d2[np.arange(cells.shape[0]), assign]
-    return assign[inverse], nearest[inverse]
+    return assign, d2[np.arange(points.shape[0]), assign]
 
 
 def _lloyd(
     points: np.ndarray,
-    cells: np.ndarray,
-    inverse: np.ndarray,
+    weights: np.ndarray,
     centroids: np.ndarray,
     max_iter: int,
     tol: float,
 ) -> KMeansResult:
-    """Lloyd iterations over `points`, whose distinct rows are `cells`
-    (`points == cells[inverse]`)."""
+    """Lloyd iterations over `points`, row i standing for `weights[i]`
+    copies of itself."""
     k = centroids.shape[0]
     history: list[float] = []
     prev = float("inf")
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        assign, assigned_d2 = _assign(cells, inverse, centroids)
-        distortion = float(assigned_d2.sum())
+        assign, nearest = _assign(points, centroids)
+        # `(w * d).sum()`, not `w @ d`: with unit weights it is numpy's
+        # pairwise sum of the per-point distances.
+        distortion = float((weights * nearest).sum())
         # Lloyd's guarantee: alternating assignment/update never increases
         # the distortion (empty-cluster repair moves a centroid no point
         # was assigned to, so it cannot increase any point's minimum).
@@ -256,29 +248,32 @@ def _lloyd(
         history.append(distortion)
         prev = distortion
 
-        # bincount adds the points in order, so the sums are bit-equal to
-        # a sequential per-point accumulation.
-        sums = np.column_stack(
-            [np.bincount(assign, weights=col, minlength=k) for col in points.T]
-        )
-        counts = np.bincount(assign, minlength=k)
+        sums = np.column_stack([
+            np.bincount(assign, weights=weights * col, minlength=k)
+            for col in points.T
+        ])
+        counts = np.bincount(assign, weights=weights, minlength=k)
         new_centroids = centroids.copy()
         nonempty = counts > 0
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         if not nonempty.all():
             # Repair: the point farthest from its centroid becomes the
             # new centroid; take the next-farthest for further repairs.
-            farthest = assigned_d2.copy()
+            # A row leaves the search once each of its copies is taken.
+            farthest = nearest.copy()
+            left = weights.copy()
             for cid in np.flatnonzero(~nonempty):
                 j = int(farthest.argmax())
                 new_centroids[cid] = points[j]
-                farthest[j] = -1.0
+                left[j] -= 1
+                if left[j] == 0:
+                    farthest[j] = -1.0
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         if shift < tol:
             break
-    assign, assigned_d2 = _assign(cells, inverse, centroids)
-    distortion = float(assigned_d2.sum())
+    assign, nearest = _assign(points, centroids)
+    distortion = float((weights * nearest).sum())
     assert distortion <= prev + 1e-9 + 1e-12 * abs(prev)
     history.append(distortion)
     return KMeansResult(
@@ -297,38 +292,50 @@ def kmeans_fit(
     max_iter: int = 100,
     tol: float = 1e-6,
     n_init: int = 10,
+    *,
+    weights: Sequence[int] | np.ndarray | None = None,
 ) -> KMeansResult:
     """Lloyd's algorithm with K-means++ seeding and restarts.
 
     Runs `n_init` independent seedings and keeps the fit with the lowest
     distortion. Deterministic given the rng state.
 
-    Distances and nearest-centroid searches run once per distinct point
-    (arrival coordinates take at most one value per playable cell), while
-    every order-sensitive step (the seeding draw, coordinate sums,
-    distortion sums, empty-cluster repair) still reads per-point arrays.
-    Results and rng consumption are therefore bit-identical to running
-    every step per point.
+    `weights` gives each row of `points` a positive integer count (one
+    each when None), so a memory that repeats a few states is clustered
+    over its histogram of distinct states. A weighted fit is the fit on
+    `np.repeat(points, weights, axis=0)` up to the rounding of sums taken
+    per row: on integer coordinates it makes the same rng draws and
+    returns the same centroids and iteration count, with one assignment
+    per row. Unit weights give exactly the unweighted fit.
 
     Raises:
-        ValueError: on k < 1 or fewer points than clusters.
+        ValueError: on k < 1, weights that are not one integer >= 1 per
+            row, or a total weight below k; before any rng draw.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if pts.shape[0] < k:
-        raise ValueError(f"need at least {k} points, got {pts.shape[0]}")
+    if weights is None:
+        w = np.ones(pts.shape[0], dtype=np.int64)
+    else:
+        w = np.asarray(weights)
+        if w.shape != pts.shape[:1] or not np.issubdtype(w.dtype, np.integer):
+            raise ValueError("weights must be one integer per row of points")
+        if (w < 1).any():
+            raise ValueError("weights must be >= 1")
+    total = int(w.sum())
+    if total < k:
+        raise ValueError(f"need at least {k} points, got {total}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
-    cells, inverse = _distinct_rows(pts)
     best: KMeansResult | None = None
     for _ in range(n_init):
-        seeds = _seed_centroids(pts, cells, inverse, k, rng)
-        result = _lloyd(pts, cells, inverse, seeds, max_iter, tol)
+        seeds = _seed_centroids(pts, w, k, rng)
+        result = _lloyd(pts, w, seeds, max_iter, tol)
         if best is None or result.distortion < best.distortion:
             best = result
     return best
@@ -362,8 +369,11 @@ def discover(
 
     Clusters arrival coordinates into `k` centroids and flags reward
     outliers above `theta_anom` as exact-state subgoals, deduplicated by
-    (x, y, has_key). States are `GridState`s, or ids of `index` when it is
-    given; both forms of one memory give the same set and rng draws.
+    (x, y, has_key). K-means runs on the histogram of distinct arrival
+    states in first-seen order, each weighted by its arrival count: up to
+    rounding, the fit on the arrivals grouped by state in that order.
+    States are `GridState`s, or ids of `index` when it is given; both forms
+    of one memory give the same set and rng draws.
 
     Raises:
         ValueError: when `theta_anom` is not a finite number > 0, or an
@@ -388,7 +398,7 @@ def discover(
                 raise ValueError(f"arrival id {sid} is not in the state index")
         states = [index.states[sid] for sid in states]
     coords = np.array([(s.x, s.y) for s in states], dtype=float)
-    fit = kmeans_fit(coords[inverse], k, rng)
+    fit = kmeans_fit(coords, k, rng, weights=np.bincount(inverse))
     positions = [tuple(c) for c in fit.centroids]
     if len(set(positions)) != k:
         raise InsufficientMemoryError(

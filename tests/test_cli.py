@@ -964,3 +964,73 @@ def test_train_refuses_oversized_ints_before_training(
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
     _assert_cli_error(capsys, f"{name} must be in [1, ")
     assert not out.exists()
+
+
+def _json_paths(value, path=()):
+    """The key path of every value inside a parsed JSON document, depth first."""
+    children = (
+        value.items() if isinstance(value, dict)
+        else enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+# Replacements for one JSON value; a "delete" edit removes it instead.
+_VALUE_EDITS = {
+    "swap-null": lambda v: None,
+    "swap-bool": lambda v: True,
+    "swap-text": lambda v: "1",
+    "swap-list": lambda v: [v],
+    "swap-object": lambda v: {"x": v},
+    "swap-int": lambda v: 1,
+    "swap-float": lambda v: 2.5,
+    "huge-int": lambda v: 2**70,
+    "huge-float": lambda v: 1e308,
+    "nan": lambda v: math.nan,
+    "negative": lambda v: -v if type(v) in (int, float) and v else -1,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzzed_run(trained_runs, tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("fuzz") / "unified_hrl_seed1"
+    shutil.copytree(trained_runs / "unified_hrl_seed1", run_dir)
+    text = (run_dir / "subgoals.json").read_text()
+    assert json.loads(text)["anomalies"]  # so edits reach anomaly entries too
+    return run_dir, text
+
+
+@st.composite
+def _mutated_subgoals(draw, text):
+    blob = json.loads(text)
+    if draw(st.booleans()):
+        *path, key = draw(st.sampled_from(list(_json_paths(blob))))
+        parent = blob
+        for step in path:
+            parent = parent[step]
+        edit = draw(st.sampled_from(["delete", *_VALUE_EDITS]))
+        if edit == "delete":
+            del parent[key]
+        else:
+            parent[key] = _VALUE_EDITS[edit](parent[key])
+        return json.dumps(blob, indent=2, sort_keys=True)
+    if draw(st.booleans()):
+        return text[: draw(st.integers(0, len(text) - 1))]
+    lines = text.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    return "".join(lines[: i + 1] + lines[i:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_eval_on_any_mutated_subgoals_exits_cleanly(fuzzed_run, data):
+    run_dir, text = fuzzed_run
+    (run_dir / "subgoals.json").write_text(data.draw(_mutated_subgoals(text)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--run", str(run_dir), "--episodes", "1"])
+    assert code == 0 or (code == 1 and err.getvalue().startswith("error:")), (
+        code, err.getvalue()
+    )

@@ -52,6 +52,33 @@ def test_kmeans_rejects_bad_inputs(rng):
         kmeans_fit([(1.0, 1.0)], 0, rng)
 
 
+_ROWS = [(1.0, 1.0), (4.0, 2.0), (0.0, 5.0)]
+
+
+@pytest.mark.parametrize(
+    "weights,k,message",
+    [
+        ([[1, 2, 3]], 2, "one integer per row"),
+        ([1, 2], 2, "one integer per row"),
+        ([1, 2, 3, 4], 2, "one integer per row"),
+        ([1.0, 2.0, 3.0], 2, "one integer per row"),
+        ([True, True, True], 2, "one integer per row"),
+        (["1", "2", "3"], 2, "one integer per row"),
+        ([1, 0, 3], 2, "weights must be >= 1"),
+        ([1, -2, 3], 2, "weights must be >= 1"),
+        ([1, 1, 1], 4, "need at least 4 points, got 3"),
+    ],
+    ids=["2-d", "short", "long", "float", "bool", "text", "zero", "negative",
+         "total-below-k"],
+)
+def test_kmeans_rejects_bad_weights_before_any_draw(weights, k, message):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        kmeans_fit(_ROWS, k, rng, weights=np.array(weights))
+    assert rng.bit_generator.state == before
+
+
 def test_kmeans_deterministic_under_seed():
     pts = np.random.default_rng(5).uniform(0, 12, size=(200, 2))
     a = kmeans_fit(pts, 4, np.random.default_rng(11))
@@ -393,3 +420,21 @@ def test_subgoal_set_from_json_dict_rejects_mistyped_fields(part, edit):
     blob = {**_SUBGOALS_JSON, part: [{**_SUBGOALS_JSON[part][0], **edit}]}
     with pytest.raises(ValueError):
         SubgoalSet.from_json_dict(blob)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"k": 2}, {"k": "1"}, {"k": True}, {"size": 1}, {"size": 2.0},
+        {"theta_anom": math.nan}, {"theta_anom": -3.0}, {"theta_anom": "3"},
+        {"source_memory_size": -1}, {"source_memory_size": 10.5},
+    ],
+    ids=[
+        "k-too-large", "string-k", "boolean-k", "size-too-small", "float-size",
+        "nan-theta", "negative-theta", "string-theta", "negative-source",
+        "float-source",
+    ],
+)
+def test_subgoal_set_from_json_dict_rejects_bad_header_fields(edit):
+    with pytest.raises(ValueError, match="to count the subgoals"):
+        SubgoalSet.from_json_dict({**_SUBGOALS_JSON, **edit})

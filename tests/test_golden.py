@@ -13,6 +13,17 @@ rng.integers(0, size, size=n): the replay draws are a new stream, and every
 later draw and update follows them. Entries that no replay draw reaches kept
 their old values: all random_walk files, which draw no replay sample, the
 random_meta_hrl meta tables, which never learn, and one eval stdout.
+
+Every random_meta_hrl and unified_hrl entry, here and in the eval, wrapped
+and slip tables, was recorded once more when K-means came to run on the
+histogram of distinct arrival states (weighted Lloyd with k-means++ drawing
+rows with probability w * d^2) instead of on every memory entry: the fit
+now equals the per-entry fit on the arrivals grouped by state in first-seen
+order, not in time order, so the seeding draws pick other points and every
+later draw follows. Entries whose content does not depend on the fit kept
+their values: every flat_q and random_walk file, and the random_meta_hrl
+seed-1 and seed-2 meta tables, which hold only initial values and so depend
+on the subgoal count alone, and it did not change for those seeds.
 """
 
 import hashlib
@@ -51,29 +62,29 @@ GOLDEN_SHA256 = {
     "flat_q_seed2/metrics.csv":
         "e8c579ec69d9886e4daab01753dd4ac85c032ca49b5416366843eed22637b024",
     "random_meta_hrl_seed0/controller_q.csv":
-        "dd00d067fe3f965b3f6f8423b32f2f1a0d0dfc55f6d2cfe8e74474319bf83566",
+        "f0e6096720441ab24d4efb865661aa7493703d632a7d445defded3a4af3633e3",
     "random_meta_hrl_seed0/meta_q.csv":
-        "fb4fecc06903a3f1cdc3db8bed5f68b3af2f13d3d35bc776f0daa5f5963897c6",
+        "232feabe11ec51dd4f8ece768a5b265f513c961a5632b5b31fb88b85e739d495",
     "random_meta_hrl_seed0/metrics.csv":
-        "80db38ebe8193d6c8dc9feac8100e7a21cba6d9357ac7b7302474ccb841148c7",
+        "413215111ffc8c68109cf1e82e41180444bc171209b07e39d82a28872b3d319d",
     "random_meta_hrl_seed0/subgoals.json":
-        "f6517cbb3ddc7102297033d38f2922ee65f93a8092851ffc9ceeac1df86cc7da",
+        "421668b86e09da3f5acebef2ff5ee61f7f832093fc50f5493dcd494625d6d8a4",
     "random_meta_hrl_seed1/controller_q.csv":
-        "e0595233d9aa7bb01a6b7fdc0ce23ea0b85ce3131909e7d966a02be40f8366b4",
+        "c23d7d6fb1c7d20a05c9dd28496463a80543699a6cc4c080b9996ccfb013896b",
     "random_meta_hrl_seed1/meta_q.csv":
         "fb4fecc06903a3f1cdc3db8bed5f68b3af2f13d3d35bc776f0daa5f5963897c6",
     "random_meta_hrl_seed1/metrics.csv":
-        "ffbc2363a3c0cb43ab869c7f4ecde0372662b4d0be46c74f997155665716e187",
+        "e39dc0db16572792bf784c52123d61faa3bbe5baaeec47221ae3a4ebb7178ed4",
     "random_meta_hrl_seed1/subgoals.json":
-        "343e8f9104b5b00489893cb0facf76ddd7e88b0e1239eb7aeb9946803893e956",
+        "3aee4d88ce5ed6e85f8f638dd5729e61cebc0197b380e12cc229670f1b1aaec9",
     "random_meta_hrl_seed2/controller_q.csv":
-        "11669535e4e98a4c187962ba6bbfd048da5423591acd7d68aa4a2bcb6b05e34b",
+        "d0bf2beffe275172857acf3fdabb7943fd719df634e9bb77bc74cfc2cfe7e15c",
     "random_meta_hrl_seed2/meta_q.csv":
         "fb4fecc06903a3f1cdc3db8bed5f68b3af2f13d3d35bc776f0daa5f5963897c6",
     "random_meta_hrl_seed2/metrics.csv":
-        "fb08062451768ae2dfd5bac4e49546110415949179ab61b3298d5fc9bc2bb529",
+        "ae3640f438674698d8c20c577ec5591c69abc7560bf22357769e667fb46bd05b",
     "random_meta_hrl_seed2/subgoals.json":
-        "bfb378dfd3c7468310d8572a714555a366f78b06d9a041584f6b23ff302cc2a9",
+        "a317b9fbabae8a6b07d5501aaf35fb2e98adba53675046f477353864fb63321f",
     "random_walk_seed0/metrics.csv":
         "71b9d229bf3a70686bf4d8e851133586c73310bb7d24d1b0bf668c3c5f92d997",
     "random_walk_seed1/metrics.csv":
@@ -81,35 +92,36 @@ GOLDEN_SHA256 = {
     "random_walk_seed2/metrics.csv":
         "24c571d4ac88ee8ef40f93a51335bdc6c57737e16a90373b7e224c134bffeda0",
     "unified_hrl_seed0/controller_q.csv":
-        "4aa1ea71b453febdb748f80f842a8ae0718b823d1a0dc2c0cd79b38b0444cf72",
+        "2ddf800f81102b0fceaf5d04de50f082233e4f5d0fa786c202ac57fb8d9934a9",
     "unified_hrl_seed0/meta_q.csv":
-        "74653c8b64935d532216f174e166a752c0f520b56368ed0125de18d5e24b8a92",
+        "9deca5d2d44d5ebe76df131043f3f189a0187f7e3534dbcf97bd0fe56a7927e3",
     "unified_hrl_seed0/metrics.csv":
-        "476bbe7c9e322da062e679f9888824587d827331864087db3be28049e0519d28",
+        "3ca142f700d980c4395937a27df4af8693f44e30ab98f8c3b368eebeedc02306",
     "unified_hrl_seed0/subgoals.json":
-        "cd0ef3b97426c6c21e430e8437026ed2263b34a5384fe17fedcf3845661e0d7a",
+        "d516bc30cc5d882b5785d12692f2c6a1db40239e0e720cd44e36ba9a9d563ad1",
     "unified_hrl_seed1/controller_q.csv":
-        "819399e3b748fa940c9185367d6a291136bf61552ad55ca20253ce9045e1abe8",
+        "31c7e1606df24aea8cb562af8f8a73b46ae11cc2ec80a7aafb4383e61dfee42e",
     "unified_hrl_seed1/meta_q.csv":
-        "e9c537e2691ae4147dbece0a30d46db1a7ce52a68387cf9026e4daeb47b14e50",
+        "a3e69f43d3d46b52e802b8e49710f43e2aa1b1bb742fe43698b8a84008fd18b3",
     "unified_hrl_seed1/metrics.csv":
-        "484efa1a968b0831be7b9f74f8e2ac6c6f2de2a2b205d8e78f7c1d0e8a444650",
+        "b1acd1b558e600ef44e7a453a5992ee7f76ff61d701004e2593771f9acc1db39",
     "unified_hrl_seed1/subgoals.json":
-        "eade6fead031e2a356f952e8395c56a064122a99b2166868d0b32f4d8a58a8da",
+        "e2156f7f6c6ae4e71b7c4b880bc9cb37d9132689622699a7b7f14d79e5700732",
     "unified_hrl_seed2/controller_q.csv":
-        "a580090b43894e2a0e22770abe38ea647c448b04e90b942a4c72b22846af6066",
+        "759aaa36dd05a77ceef3c6568ca79c8ee5b7332cade046e20a5756b1c7736a6f",
     "unified_hrl_seed2/meta_q.csv":
-        "10fd93abe8a97bba509b96ae45a739e02ffaca4ceba96e13a140ec43752d13d6",
+        "413645bcff28032577c0f36a3a5e06823a08c142daef817d0470d4b266e147ad",
     "unified_hrl_seed2/metrics.csv":
-        "b221c41bb7efec691271718cfd59be16e04cb96865808f9a5f19d0b207023e88",
+        "cd7a77bf148318e1768893f5da11b6ef9bf27d282f93886a697f6f490d323936",
     "unified_hrl_seed2/subgoals.json":
-        "e2f6aa07316d898562ca8143edc074d0bf66f418ecdcbb863de2a7a287966822",
+        "e30fb772cb0252b60cfb44bd28c94b97fc1f537128720a384a3e621bfaf9266a",
 }
 
 
 # stdout of `eval --episodes 3` on the runs above, recorded from the code
 # before the three table classes shared one implementation; re-recorded,
-# except flat_q_seed1, with the float replay draw (see the module docstring).
+# except flat_q_seed1, with the float replay draw; the unified_hrl entries
+# again with the weighted K-means (see the module docstring).
 EVAL_STDOUT_SHA256 = {
     "flat_q_seed0":
         "e50c7fd08736cc594e4f331833b591cdd1f65f55e16e2a7f1be4548bd227c354",
@@ -118,11 +130,11 @@ EVAL_STDOUT_SHA256 = {
     "flat_q_seed2":
         "5778a1f973c0dd833d5b38b3db08fff0bf743a7f8b35202aac4d602e95815c32",
     "unified_hrl_seed0":
-        "03ba14b05a8f29a1c72f93833762e2913e14c6a631610578481940a2f389852d",
+        "46e2c11114beb3959e141ce07c322adc75d0da9acda5f94dcd7d0bbef13f3e22",
     "unified_hrl_seed1":
-        "40af96ae2a5b9fc7e1a212ab27532d57e8d89b26a4c15592e12be4929be88e59",
+        "315bab990a0587af23c2018c2c00b9c4a958c12d5f88f256fe3903f2b0aa008e",
     "unified_hrl_seed2":
-        "932d401bde4c8dce25ba1a4839d5051c9d8a1256fe816ab7ad1491407cf274e8",
+        "45206a8cdafde5d11e20d80c298d8f62259b140d27743077a42c35cea101c876",
 }
 
 
@@ -158,7 +170,8 @@ def test_artifacts_match_golden_hashes(tmp_path, capsys, mode):
 
 # Recorded from the code before states and transitions became tuples and
 # before sampling indexed the ring with one vectorised modulo; all
-# re-recorded with the float replay draw (see the module docstring).
+# re-recorded with the float replay draw, and the unified_hrl entries again
+# with the weighted K-means (see the module docstring).
 WRAPPED_GOLDEN_SHA256 = {
     "flat_q_seed0/flat_q.csv":
         "ec9a0935150bc2b715acffd06ce24945b476c552a5dad6fc9f8c497abc99c688",
@@ -173,25 +186,25 @@ WRAPPED_GOLDEN_SHA256 = {
     "flat_q_seed1/metrics.csv":
         "62d1f8590f553c48c5b43d8a9bb20218a672a4e88b775cfd43e938a63f5637be",
     "unified_hrl_seed0/controller_q.csv":
-        "420857c7ec8d48e5e438de70c83b9d21d3d5e115c5e91bebbae61f3dd338843f",
+        "91e2f260978efae16a9eebedce0dd41c2cced2f8eb56727bd55c4c6187b1d2e9",
     "unified_hrl_seed0/memory.jsonl":
-        "6acff994d7de99cc2d20439381bf170051d487a8058125a7c2109bb4453c2b44",
+        "cb3ef235eae6938e5db7683ea85f89c126da764986a42efdd70441cccbb682bf",
     "unified_hrl_seed0/meta_q.csv":
-        "0b73cafa944a12f4aaff4485e022e3ce26a8a9e8ee48201eb38d0b8e7a0d0986",
+        "d915e5271a90d366d6f798c9fe971180e21ea43a0e5d61698e58b3f39583fbf1",
     "unified_hrl_seed0/metrics.csv":
-        "50c21eb09403b1f1a31788fbf0e45d9635d156336e1c0c963d69691b34e49502",
+        "a876e07a64764b21fb24321588106ec0f94d0551a1eac9929ece6cee45291376",
     "unified_hrl_seed0/subgoals.json":
-        "20c146b4eeae22f449ac592a7ef769f50e47756df717ae5a06dd8c46545eb925",
+        "1821c122455a5dab0ff140f2f1bb9dde2274d7348e41b628b630e9a3e1557784",
     "unified_hrl_seed1/controller_q.csv":
-        "adcf7a8517cee36061868054a5aa7312edce343a7c5f07a1b43535d7f39af4af",
+        "51d9a0c6a6aa4a903932e5449c0261b39ca8a3485b588a49f6a30ae7570cbdc9",
     "unified_hrl_seed1/memory.jsonl":
-        "438f01cca90947b9703536725d9f642edd8dca06afed0a5c4cdf6e4994484cc7",
+        "13fc8b3964dfebe690ac9fcc869dee176bf88b2d62db3b1b7c85a29eab4ee3c1",
     "unified_hrl_seed1/meta_q.csv":
-        "c226e1c6704ff1475bc1b1190116a51083cca20062dc2b09524e9761623a2246",
+        "fb11c3b342b19db0a0aff61745df0a8b393f7ff0ef1c52f74eba7cc0193f6377",
     "unified_hrl_seed1/metrics.csv":
-        "4cbf97183582d7527b5e3c3c6e12e5d9160600dc4c45097d261e2780c415e603",
+        "87cb9a6137b6c603a72a965cbae22a831c721aaa765102c7c361e75b40f3bc51",
     "unified_hrl_seed1/subgoals.json":
-        "2d1d3190a4eaea46bccc9792898035542a7b41ad252db6c513abb7e58bb860c8",
+        "7c1e525e1ad6ad37dc86675c993bbd5cc675f9ce71a51b8511a5cd7f77780a7c",
 }
 
 
@@ -226,7 +239,8 @@ def test_wrapped_memory_artifacts_match_golden_hashes(tmp_path, mode):
 # again when warm-up actions came to be drawn in one block per stretch:
 # with slip the env's draws now follow the block's instead of falling
 # between the actions. All entries were recorded again with the float replay
-# draw (see the module docstring).
+# draw, and the unified_hrl entries with the weighted K-means (see the module
+# docstring).
 SLIP_GOLDEN_SHA256 = {
     "flat_q_seed0/flat_q.csv":
         "d6f710c8a4e1474be54fc5fec2f32fb5ad61fcaee075627222e16bda7c11f9e5",
@@ -235,15 +249,15 @@ SLIP_GOLDEN_SHA256 = {
     "flat_q_seed0/metrics.csv":
         "e5714606406f731070acf914d9ef1274f9881fc71fd7b957bb012993cc61d247",
     "unified_hrl_seed0/controller_q.csv":
-        "e31342c820bfc6efa8e89e6f02ff3307da2292d9c46bf18cec050cfef821d2d4",
+        "1de8755389e7490516b95ba97d48fa299b5aa49b36fae991217c01d66c29bcb3",
     "unified_hrl_seed0/memory.jsonl":
-        "883de3881fb18254398e8cbd67f3e9ee28297a776c5600bca71bc38bcefe1449",
+        "1e83b5dd446cc10a617d77d13fcef42f6538a758fae0874006c8c1c54d0528c1",
     "unified_hrl_seed0/meta_q.csv":
-        "9c3228f9b1ba33179c392674a1304f6acdd749c55ec671e40c3ae116f0177168",
+        "8cbbd7f6bcdba641b1d711b59206c752bb07a54d7be20769d296c33a679b5562",
     "unified_hrl_seed0/metrics.csv":
-        "a1eeff9d7af5c870ea9a678d80473284acee2c1484d07a21ef964f4bf9f0975e",
+        "9894bbb718fbfee615584db952ef92e87ff775f4508c40d6d7adbc7e27993ea1",
     "unified_hrl_seed0/subgoals.json":
-        "42eebaa3effc5f248571096690f8c7f69a5f6605bf0a6e67551168d765f844fe",
+        "e54a384bdc8074215f39fa0f32e0dd28f6a02f91acbdd8a64038938cfe0d840a",
 }
 
 

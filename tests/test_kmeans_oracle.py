@@ -1,16 +1,19 @@
-"""Oracle equivalence: K-means over distinct cells matches per-point Lloyd.
+"""Oracle equivalence: weighted K-means matches per-point Lloyd.
 
 `_reference_seed_centroids` and `_reference_lloyd` are the per-point
 K-means++ seeding and Lloyd iterations that `kmeans_fit` used before it
-moved its distance work to distinct points. The current fit must return
-bit-identical results and consume the rng identically.
+took one weight per row. Without weights the fit must return bit-identical
+results and consume the rng identically. With weights it must match the
+reference on `np.repeat(rows, w, axis=0)`: the same centroids, iteration
+count, rng draws and expanded assignments, and a distortion equal up to
+the rounding of a per-row sum.
 """
 
 import numpy as np
 import pytest
 
 from conftest import build_full_coverage_memory
-from subgoal_hrl.discovery import KMeansResult, _distinct_rows, _lloyd, kmeans_fit
+from subgoal_hrl.discovery import KMeansResult, _lloyd, kmeans_fit
 
 
 def _reference_seed_centroids(
@@ -161,23 +164,47 @@ def test_matches_reference_with_few_distinct_cells():
         _assert_fits_match(points, 4, seed, max_iter=5)
 
 
+def _assert_matches_expanded(got, want, w) -> None:
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert np.array_equal(np.repeat(got.assignments, w), want.assignments)
+    assert got.n_iter == want.n_iter
+    assert got.distortion == pytest.approx(want.distortion, rel=1e-12, abs=0)
+    assert got.distortion_history == pytest.approx(
+        want.distortion_history, rel=1e-12, abs=0
+    )
+
+
 def test_empty_cluster_repair_matches_reference():
+    # Weights >= 2 and three identical starting centroids: the second and
+    # third are left empty on the first assignment, and the farthest row
+    # repairs both before it leaves the search.
     rng = np.random.default_rng(7)
-    points = rng.integers(0, 10, size=(400, 2)).astype(float)
-    cells, inverse = _distinct_rows(points)
-    # Two identical starting centroids: the second one is left empty on
-    # the first assignment and must be repaired.
-    init = np.array([[4.0, 4.0], [4.0, 4.0], [0.0, 9.0]])
-    got = _lloyd(points, cells, inverse, init.copy(), 100, 1e-6)
-    want = _reference_lloyd(points, init.copy(), 100, 1e-6)
-    _assert_identical(got, want)
+    rows = np.unique(rng.integers(0, 10, size=(60, 2)), axis=0).astype(float)
+    rng.shuffle(rows)
+    w = rng.integers(2, 6, size=len(rows))
+    init = np.array([[4.0, 4.0], [4.0, 4.0], [4.0, 4.0], [0.0, 9.0]])
+    got = _lloyd(rows, w, init.copy(), 100, 1e-6)
+    want = _reference_lloyd(np.repeat(rows, w, axis=0), init.copy(), 100, 1e-6)
+    _assert_matches_expanded(got, want, w)
     assert got.n_iter > 1
+    # After the first update one row holds both repaired centroids.
+    first = _lloyd(rows, w, init.copy(), 1, 1e-6).centroids
+    assert first[1].tobytes() == first[2].tobytes()
+    assert (first[1] != init[1]).any()
 
 
-def test_distinct_rows_matches_numpy_unique():
-    points = np.random.default_rng(3).integers(0, 4, size=(300, 3)).astype(float)
-    cells, inverse = _distinct_rows(points)
-    want_cells, want_inverse = np.unique(points, axis=0, return_inverse=True)
-    assert np.array_equal(cells, want_cells)
-    assert np.array_equal(inverse, want_inverse.reshape(-1))
-    assert np.array_equal(cells[inverse], points)
+@pytest.mark.parametrize("side,k", [(3, 2), (6, 4), (12, 7)])
+def test_weighted_fit_matches_fit_on_expanded_points(side, k):
+    for seed in range(20):
+        grid = np.random.default_rng(seed)
+        rows = np.unique(
+            grid.integers(0, side, size=(3 * side, 2)), axis=0
+        ).astype(float)
+        grid.shuffle(rows)
+        w = grid.integers(1, 40, size=len(rows))
+        rng_new = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        got = kmeans_fit(rows, k, rng_new, weights=w)
+        want = _reference_kmeans_fit(np.repeat(rows, w, axis=0), k, rng_ref)
+        _assert_matches_expanded(got, want, w)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state

@@ -1,14 +1,24 @@
 """Training-loop contracts: scheduling, accounting, determinism, metrics."""
 
 import math
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.random import default_rng
 
 from conftest import grid_distance
+from test_acceptance import run_pooled
 from subgoal_hrl.agent import ControllerTable, MetaTable, intrinsic_critic
-from subgoal_hrl.discovery import AnomalySubgoal, Centroid, SubgoalSet, discover, merge
+from subgoal_hrl.discovery import (
+    AnomalySubgoal,
+    Centroid,
+    SubgoalSet,
+    discover,
+    kmeans_fit,
+    merge,
+)
 from subgoal_hrl.memory import Transition, accumulate_return
 from subgoal_hrl.rooms_env import Action, FourRoomsEnv, GridState, RoomsLayout
 from subgoal_hrl.trainer import (
@@ -321,6 +331,27 @@ def test_discover_on_ids_equals_discover_on_decoded_states(monkeypatch, override
     assert with_anomalies >= 1
 
 
+def test_discover_fits_the_arrivals_grouped_by_state(monkeypatch):
+    # discover clusters the arrival histogram; its centroids and rng draws
+    # equal an unweighted fit on the arrivals repeated per state, in
+    # first-seen order.
+    runner = Runner(small_config(memory_capacity=700))
+    given = _record_discover_inputs(monkeypatch, runner)
+    runner.run()
+    assert given
+    for raw, index, _ in given:
+        counts = Counter(t.s_next for t in raw)
+        states = [index.states[sid] for sid in counts]
+        coords = np.array([(s.x, s.y) for s in states], dtype=float)
+        rng_found, rng_fit = default_rng(7), default_rng(7)
+        found = discover(raw, 4, 3.0, rng_found, index=index)
+        fit = kmeans_fit(
+            np.repeat(coords, list(counts.values()), axis=0), 4, rng_fit
+        )
+        assert [[c.x, c.y] for c in found.centroids] == fit.centroids.tolist()
+        assert rng_found.bit_generator.state == rng_fit.bit_generator.state
+
+
 def test_random_meta_never_trains_meta_table():
     cfg = small_config(mode="random_meta_hrl", seed=17)
     result = run(cfg)
@@ -465,17 +496,27 @@ def test_flat_mode_trains_flat_table_only():
 
 @pytest.mark.slow
 def test_unified_learns_at_desk_scale():
-    # 20k steps is enough for full coverage on this seed.
-    cfg = RunConfig(
-        mode="unified_hrl", seed=1, total_steps=20_000,
-        warmup_steps=2000, discovery_period=5000,
+    # 20k steps is enough for full coverage on every seed here. Whether the
+    # box is flagged within the budget depends on the trajectory, so it is
+    # counted over eight seeds; 4 is what seeds 0-7 reached before K-means
+    # ran on the arrival histogram.
+    results = run_pooled([
+        RunConfig(
+            mode="unified_hrl", seed=seed, total_steps=20_000,
+            warmup_steps=2000, discovery_period=5000,
+        )
+        for seed in range(8)
+    ])
+    for result in results:
+        assert result.final_coverage == 1.0
+        assert result.subgoals is not None and result.subgoals.size >= 5
+    # The box state was found and flagged as an anomaly subgoal in at
+    # least half of the runs.
+    box = GridState(2, 10, True)
+    flagged = sum(
+        box in {a.state for a in result.subgoals.anomalies} for result in results
     )
-    result = run(cfg)
-    assert result.final_coverage == 1.0
-    assert result.subgoals is not None and result.subgoals.size >= 5
-    # The box state was found and flagged as an anomaly subgoal.
-    anomaly_states = {a.state for a in result.subgoals.anomalies}
-    assert GridState(2, 10, True) in anomaly_states
+    assert flagged >= 4
 
 
 def test_readme_configuration_table_lists_every_field():
