@@ -407,11 +407,9 @@ def cmd_eval(args) -> int:
                 json.loads((run_dir / artifacts["subgoals"]).read_text())
             )
             # K-means places centroids among playable cells, inside the grid.
-            for c in kwargs["subgoals"].centroids:
+            for i, c in enumerate(kwargs["subgoals"].centroids):
                 if not (0 <= c.x < layout.width and 0 <= c.y < layout.height):
-                    raise ValueError(
-                        f"centroid {c.id} at ({c.x}, {c.y}) is off the grid"
-                    )
+                    raise ValueError(f"centroid {i} at ({c.x}, {c.y}) is off the grid")
             # An anomaly is one state, so it must be a playable one.
             for a in kwargs["subgoals"].anomalies:
                 index.encode(a.state)

@@ -28,7 +28,6 @@ class InsufficientMemoryError(ValueError):
 class Centroid:
     """A cluster-centroid subgoal; attained by nearest-centroid membership."""
 
-    id: int
     x: float
     y: float
 
@@ -37,7 +36,6 @@ class Centroid:
 class AnomalySubgoal:
     """An outlier-state subgoal; attained by exact state match."""
 
-    id: int
     state: GridState
     score: float
 
@@ -46,7 +44,8 @@ class AnomalySubgoal:
 class SubgoalSet:
     """Current subgoal inventory: K centroids followed by anomaly states.
 
-    Ids are dense integers 0..size-1 with anomalies after centroids.
+    A subgoal's id is its position: centroids 0..k-1, then anomalies
+    k..size-1.
     """
 
     centroids: tuple[Centroid, ...]
@@ -55,18 +54,9 @@ class SubgoalSet:
     source_size: int | None = None
 
     def __post_init__(self) -> None:
-        for i, c in enumerate(self.centroids):
-            if c.id != i:
-                raise ValueError("centroid ids must be dense from 0")
-        k = len(self.centroids)
-        for j, a in enumerate(self.anomalies):
-            if a.id != k + j:
-                raise ValueError("anomaly ids must follow centroid ids densely")
-        positions = {(c.x, c.y) for c in self.centroids}
-        if len(positions) != k:
+        if len(set(self.centroids)) != len(self.centroids):
             raise ValueError("centroids must be pairwise distinct")
-        states = {a.state for a in self.anomalies}
-        if len(states) != len(self.anomalies):
+        if len({a.state for a in self.anomalies}) != len(self.anomalies):
             raise ValueError("anomaly states must be unique")
 
     @property
@@ -93,11 +83,11 @@ class SubgoalSet:
             raise ValueError("subgoal set has no centroids")
         best_id = 0
         best_d = float("inf")
-        for c in self.centroids:
+        for i, c in enumerate(self.centroids):
             d = (c.x - x) ** 2 + (c.y - y) ** 2
             if d < best_d:
                 best_d = d
-                best_id = c.id
+                best_id = i
         return best_id
 
     def to_json_dict(self) -> dict:
@@ -107,50 +97,51 @@ class SubgoalSet:
             "theta_anom": self.theta_anom,
             "source_memory_size": self.source_size,
             "centroids": [
-                {"id": c.id, "x": c.x, "y": c.y} for c in self.centroids
+                {"id": i, "x": c.x, "y": c.y} for i, c in enumerate(self.centroids)
             ],
             "anomalies": [
                 {
-                    "id": a.id,
+                    "id": i,
                     "x": a.state.x,
                     "y": a.state.y,
                     "has_key": a.state.has_key,
                     "score": a.score,
                 }
-                for a in self.anomalies
+                for i, a in enumerate(self.anomalies, start=self.k)
             ],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SubgoalSet":
-        """Inverse of `to_json_dict`; ValueError unless every id is a JSON
-        integer, centroid x/y and anomaly scores are finite numbers,
-        anomaly x/y are JSON integers >= 0 and has_key a JSON boolean, k and
-        size count the subgoals, theta_anom is null or a finite number > 0
-        and source_memory_size null or an integer >= 0."""
+        """Inverse of `to_json_dict`; ValueError unless every id is its
+        position, centroid x/y are finite numbers, anomaly x/y are JSON
+        integers >= 0, has_key a JSON boolean and scores finite numbers, k
+        and size count the subgoals, theta_anom is null or a finite number
+        > 0 and source_memory_size null or an integer >= 0."""
         centroids = []
         for c in d["centroids"]:
             i, x, y = c["id"], c["x"], c["y"]
-            if not (type(i) is int and _finite(x) and _finite(y)):
+            if not (type(i) is int and i == len(centroids)
+                    and _finite(x) and _finite(y)):
                 raise ValueError(
-                    f"need an integer id and finite x and y for centroid {c}"
+                    f"need id {len(centroids)} and finite x and y for centroid {c}"
                 )
-            centroids.append(Centroid(i, float(x), float(y)))
+            centroids.append(Centroid(float(x), float(y)))
         anomalies = []
         for a in d["anomalies"]:
             i, x, y, has_key = a["id"], a["x"], a["y"], a["has_key"]
             score = a["score"]
             if not (
                 type(i) is type(x) is type(y) is int and x >= 0 and y >= 0
+                and i == len(centroids) + len(anomalies)
                 and type(has_key) is bool and _finite(score)
             ):
                 raise ValueError(
-                    "need an integer id, integers >= 0 for x and y, true/false "
-                    f"for has_key and a finite score for anomaly {a}"
+                    f"need id {len(centroids) + len(anomalies)}, integers >= 0 "
+                    "for x and y, true/false for has_key and a finite score "
+                    f"for anomaly {a}"
                 )
-            anomalies.append(
-                AnomalySubgoal(i, GridState(x, y, has_key), float(score))
-            )
+            anomalies.append(AnomalySubgoal(GridState(x, y, has_key), float(score)))
         k, size = d["k"], d["size"]
         theta, source = d.get("theta_anom"), d.get("source_memory_size")
         if not (
@@ -404,9 +395,7 @@ def discover(
         raise InsufficientMemoryError(
             "memory spans too few distinct states for k distinct centroids"
         )
-    centroids = tuple(
-        Centroid(i, float(x), float(y)) for i, (x, y) in enumerate(positions)
-    )
+    centroids = tuple(Centroid(float(x), float(y)) for x, y in positions)
 
     # Each flagged state keeps its highest score, in first-flagged order.
     scores = anomaly_scores(transitions)
@@ -414,13 +403,9 @@ def discover(
     for i in np.flatnonzero(scores > theta_anom).tolist():
         state = states[inverse[i]]
         flagged[state] = max(flagged.get(state, 0.0), float(scores[i]))
-    anomalies = tuple(
-        AnomalySubgoal(k + j, state, score)
-        for j, (state, score) in enumerate(flagged.items())
-    )
     return SubgoalSet(
         centroids=centroids,
-        anomalies=anomalies,
+        anomalies=tuple(AnomalySubgoal(*item) for item in flagged.items()),
         theta_anom=theta_anom,
         source_size=len(transitions),
     )
@@ -432,7 +417,7 @@ def merge(old: SubgoalSet, new: SubgoalSet) -> SubgoalSet:
     Ids are append-only: each existing centroid id takes the position of
     its nearest new centroid (greedy one-to-one by ascending distance),
     existing anomalies keep theirs, and new anomaly states are appended
-    with the next ids. Value tables carry over by growing new columns.
+    after them. Value tables carry over by growing new columns.
 
     Raises:
         ValueError: when both sets are non-empty with different K.
@@ -443,38 +428,23 @@ def merge(old: SubgoalSet, new: SubgoalSet) -> SubgoalSet:
         raise ValueError(f"cluster count mismatch: {old.k} != {new.k}")
 
     pairs = sorted(
-        (
-            (oc.x - nc.x) ** 2 + (oc.y - nc.y) ** 2,
-            oc.id,
-            nc.id,
-        )
-        for oc in old.centroids
-        for nc in new.centroids
+        ((oc.x - nc.x) ** 2 + (oc.y - nc.y) ** 2, i, j)
+        for i, oc in enumerate(old.centroids)
+        for j, nc in enumerate(new.centroids)
     )
-    position_of: dict[int, Centroid] = {}
-    taken_new: set[int] = set()
-    for _, old_id, new_id in pairs:
-        if old_id in position_of or new_id in taken_new:
-            continue
-        position_of[old_id] = new.centroids[new_id]
-        taken_new.add(new_id)
-    centroids = tuple(
-        Centroid(i, position_of[i].x, position_of[i].y) for i in range(old.k)
-    )
+    matched: dict[int, Centroid] = {}
+    taken: set[int] = set()
+    for _, i, j in pairs:
+        if i not in matched and j not in taken:
+            matched[i] = new.centroids[j]
+            taken.add(j)
 
-    anomalies = list(old.anomalies)
+    # The new set's states are unique, so only the old ones can repeat.
     known = {a.state for a in old.anomalies}
-    next_id = old.size
-    for a in new.anomalies:
-        if a.state in known:
-            continue
-        anomalies.append(AnomalySubgoal(next_id, a.state, a.score))
-        known.add(a.state)
-        next_id += 1
-
     return SubgoalSet(
-        centroids=centroids,
-        anomalies=tuple(anomalies),
+        centroids=tuple(matched[i] for i in range(old.k)),
+        anomalies=old.anomalies
+        + tuple(a for a in new.anomalies if a.state not in known),
         theta_anom=new.theta_anom,
         source_size=new.source_size,
     )

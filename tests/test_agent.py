@@ -33,12 +33,11 @@ from subgoal_hrl.rooms_env import Action, GridState, RoomsLayout
 
 def rooms_subgoals():
     centroids = tuple(
-        Centroid(i, x, y)
-        for i, (x, y) in enumerate([(3.0, 3.0), (9.0, 3.0), (3.0, 9.0), (9.0, 9.0)])
+        Centroid(x, y) for x, y in [(3.0, 3.0), (9.0, 3.0), (3.0, 9.0), (9.0, 9.0)]
     )
     anomalies = (
-        AnomalySubgoal(4, GridState(10, 2, True), 5.0),
-        AnomalySubgoal(5, GridState(2, 10, True), 20.0),
+        AnomalySubgoal(GridState(10, 2, True), 5.0),
+        AnomalySubgoal(GridState(2, 10, True), 20.0),
     )
     return SubgoalSet(centroids=centroids, anomalies=anomalies)
 

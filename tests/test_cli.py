@@ -826,6 +826,39 @@ def test_eval_rejects_mistyped_subgoals(
     _assert_cli_error(capsys, "cannot load run artifacts", needle)
 
 
+def _swap_centroid_ids(blob):
+    first, second = blob["centroids"][:2]
+    first["id"], second["id"] = second["id"], first["id"]
+
+
+def _skip_an_id(blob):
+    blob["centroids"][-1]["id"] += 1
+
+
+def _reuse_a_centroid_id(blob):
+    blob["anomalies"][0]["id"] = 0
+
+
+@pytest.mark.parametrize(
+    "edit", [_swap_centroid_ids, _skip_an_id, _reuse_a_centroid_id],
+    ids=["swapped-centroid-ids", "skipped-id", "anomaly-reuses-centroid-id"],
+)
+def test_eval_rejects_subgoal_ids_off_their_positions(
+    trained_runs, tmp_path, capsys, edit
+):
+    # A subgoal id is its position in the set, and the tables are indexed by it.
+    path = trained_runs / "unified_hrl_seed1" / "subgoals.json"
+    blob = json.loads(path.read_text())
+    edit(blob)
+    run_dir = _corrupt_run(
+        trained_runs, tmp_path, "unified_hrl_seed1", "subgoals.json",
+        json.dumps(blob),
+    )
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "cannot load run artifacts", "need id ")
+
+
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("value", [1e308, -1e308, -0.5, 13.0])
 def test_eval_rejects_centroids_off_the_grid(

@@ -238,8 +238,9 @@ def test_discover_degenerate_memory_rejected(rng):
 
 def test_discover_ids_dense_and_anomalies_from_memory(full_coverage_memory, rng):
     subgoals = discover(full_coverage_memory, 5, 3.0, rng)
-    assert [c.id for c in subgoals.centroids] == [0, 1, 2, 3, 4]
-    assert [a.id for a in subgoals.anomalies] == [5, 6]
+    blob = subgoals.to_json_dict()
+    assert [c["id"] for c in blob["centroids"]] == [0, 1, 2, 3, 4]
+    assert [a["id"] for a in blob["anomalies"]] == [5, 6]
     arrivals = {t.s_next for t in full_coverage_memory}
     assert all(a.state in arrivals for a in subgoals.anomalies)
 
@@ -272,12 +273,12 @@ def test_discover_rejects_arrival_ids_off_the_index(bad):
 def _rooms_subgoal_set(offsets=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)):
     centers = [(3.0, 3.0), (9.0, 3.0), (3.0, 9.0), (9.0, 9.0)]
     centroids = tuple(
-        Centroid(i, x + offsets[2 * i], y + offsets[2 * i + 1])
+        Centroid(x + offsets[2 * i], y + offsets[2 * i + 1])
         for i, (x, y) in enumerate(centers)
     )
     anomalies = (
-        AnomalySubgoal(4, GridState(10, 2, True), 5.0),
-        AnomalySubgoal(5, GridState(2, 10, True), 20.0),
+        AnomalySubgoal(GridState(10, 2, True), 5.0),
+        AnomalySubgoal(GridState(2, 10, True), 20.0),
     )
     return SubgoalSet(centroids=centroids, anomalies=anomalies)
 
@@ -294,14 +295,14 @@ def test_merge_empty_old_gives_fresh_ids():
 
 def test_merge_k_mismatch_rejected(rng):
     old = _rooms_subgoal_set()
-    new = SubgoalSet((Centroid(0, 3.0, 3.0),), ())
+    new = SubgoalSet((Centroid(3.0, 3.0),), ())
     with pytest.raises(ValueError):
         merge(old, new)
 
 
 def test_merge_appends_new_anomalies_with_fresh_ids():
     old = _rooms_subgoal_set()
-    extra = AnomalySubgoal(6, GridState(6, 3, False), 4.0)
+    extra = AnomalySubgoal(GridState(6, 3, False), 4.0)
     new = SubgoalSet(
         centroids=old.centroids,
         anomalies=(old.anomalies[0], old.anomalies[1], extra),
@@ -309,7 +310,7 @@ def test_merge_appends_new_anomalies_with_fresh_ids():
     merged = merge(old, new)
     assert merged.size == 7
     assert merged.anomalies[-1].state == GridState(6, 3, False)
-    assert merged.anomalies[-1].id == 6
+    assert merged.subgoal(6) == extra
 
 
 def test_merge_keeps_old_anomalies_missing_from_new():
@@ -339,17 +340,10 @@ def test_merge_perturbed_centroids_preserve_room_identity(layout):
 
 
 def test_subgoal_set_validation():
-    with pytest.raises(ValueError):
-        SubgoalSet((Centroid(1, 3.0, 3.0),), ())
-    with pytest.raises(ValueError):
-        SubgoalSet(
-            (Centroid(0, 3.0, 3.0), Centroid(1, 3.0, 3.0)), ()
-        )
-    with pytest.raises(ValueError):
-        SubgoalSet(
-            (Centroid(0, 3.0, 3.0),),
-            (AnomalySubgoal(0, GridState(1, 1), 4.0),),
-        )
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        SubgoalSet((Centroid(3.0, 3.0), Centroid(3.0, 3.0)), ())
+    with pytest.raises(ValueError, match="unique"):
+        SubgoalSet((), (AnomalySubgoal(GridState(1, 1), 4.0),) * 2)
 
 
 def test_subgoal_set_nearest_centroid_ties_to_lowest_id():
@@ -384,8 +378,8 @@ _SUBGOALS_JSON = {
 
 def test_subgoal_set_from_json_dict_accepts_integer_numbers():
     subgoals = SubgoalSet.from_json_dict(_SUBGOALS_JSON)
-    assert subgoals.centroids == (Centroid(0, 2.5, 3.0),)
-    assert subgoals.anomalies == (AnomalySubgoal(1, GridState(10, 2, True), 7.5),)
+    assert subgoals.centroids == (Centroid(2.5, 3.0),)
+    assert subgoals.anomalies == (AnomalySubgoal(GridState(10, 2, True), 7.5),)
     assert type(subgoals.centroids[0].y) is float
 
 
@@ -407,6 +401,9 @@ def test_subgoal_set_from_json_dict_accepts_integer_numbers():
         ("anomalies", {"score": "7.5"}),
         ("anomalies", {"score": -math.inf}),
         ("anomalies", {"id": "1"}),
+        ("centroids", {"id": 1}),
+        ("anomalies", {"id": 0}),
+        ("anomalies", {"id": 2}),
     ],
     ids=[
         "string-centroid-id", "float-centroid-id", "boolean-centroid-id",
@@ -414,6 +411,7 @@ def test_subgoal_set_from_json_dict_accepts_integer_numbers():
         "boolean-centroid-y", "string-has-key", "integer-has-key",
         "float-anomaly-x", "negative-anomaly-y", "boolean-anomaly-x",
         "string-score", "infinite-score", "string-anomaly-id",
+        "centroid-id-skips-0", "anomaly-id-repeats-centroid-id", "anomaly-id-skips",
     ],
 )
 def test_subgoal_set_from_json_dict_rejects_mistyped_fields(part, edit):

@@ -404,8 +404,8 @@ def test_attain_rows_match_the_critic_after_discovery_and_merge():
 
     # (4, 3) is equidistant from both centroids: the tie goes to id 0.
     tie = SubgoalSet(
-        centroids=(Centroid(0, 3.0, 3.0), Centroid(1, 5.0, 3.0)),
-        anomalies=(AnomalySubgoal(2, GridState(4, 3, True), 5.0),),
+        centroids=(Centroid(3.0, 3.0), Centroid(5.0, 3.0)),
+        anomalies=(AnomalySubgoal(GridState(4, 3, True), 5.0),),
     )
     runner.subgoals = tie
     _assert_attain_rows_match_the_critic(runner)
@@ -414,8 +414,8 @@ def test_attain_rows_match_the_critic_after_discovery_and_merge():
 
     # After a merge the centroids move and (4, 3) is on a tie again.
     fresh = SubgoalSet(
-        centroids=(Centroid(0, 4.0, 4.0), Centroid(1, 4.0, 2.0)),
-        anomalies=(AnomalySubgoal(2, GridState(9, 9), 4.0),),
+        centroids=(Centroid(4.0, 4.0), Centroid(4.0, 2.0)),
+        anomalies=(AnomalySubgoal(GridState(9, 9), 4.0),),
     )
     runner.subgoals = merge(tie, fresh)
     assert runner.subgoals.size == 4
@@ -428,7 +428,7 @@ def test_unattainable_subgoal_times_out(layout):
     # must run exactly subgoal_timeout steps and count as a failure.
     cfg = small_config(seed=23, subgoal_timeout=50)
     subgoals = SubgoalSet(
-        centroids=(), anomalies=(AnomalySubgoal(0, GridState(2, 10, True), 9.0),)
+        centroids=(), anomalies=(AnomalySubgoal(GridState(2, 10, True), 9.0),)
     )
     runner = _manual_runner(cfg, subgoals)
     attained, terminal, duration = runner._attempt(0)
@@ -445,7 +445,7 @@ def test_trained_controller_attains_key_from_adjacent_cell(layout):
     cfg = small_config(seed=29, controller_eps_start=0.0, controller_eps_end=0.0)
     key_state = GridState(*layout.key_cell, True)
     subgoals = SubgoalSet(
-        centroids=(), anomalies=(AnomalySubgoal(0, key_state, 9.0),)
+        centroids=(), anomalies=(AnomalySubgoal(key_state, 9.0),)
     )
     runner = _manual_runner(cfg, subgoals)
     runner.sid = runner.index.encode(GridState(9, 2, False))
@@ -461,7 +461,7 @@ def test_own_region_subgoal_attains_on_first_step(layout):
     # already in succeeds after one step that stays inside it.
     cfg = small_config(seed=31)
     subgoals = SubgoalSet(
-        centroids=(Centroid(0, 3.0, 3.0), Centroid(1, 9.0, 9.0)), anomalies=()
+        centroids=(Centroid(3.0, 3.0), Centroid(9.0, 9.0)), anomalies=()
     )
     runner = _manual_runner(cfg, subgoals)
     runner.sid = runner.index.encode(GridState(2, 2, False))
@@ -473,7 +473,7 @@ def test_own_region_subgoal_attains_on_first_step(layout):
 def test_subgoal_attempt_interrupted_by_episode_cap_is_failure(layout):
     cfg = small_config(seed=37, episode_cap=5, subgoal_timeout=50)
     subgoals = SubgoalSet(
-        centroids=(), anomalies=(AnomalySubgoal(0, GridState(2, 10, True), 9.0),)
+        centroids=(), anomalies=(AnomalySubgoal(GridState(2, 10, True), 9.0),)
     )
     runner = _manual_runner(cfg, subgoals)
     attained, terminal, duration = runner._attempt(0)
