@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .memory import Transition
+from .memory import Transition, is_finite_number
 from .rooms_env import GridState, StateIndex
 
 _EPS = 1e-12
@@ -117,12 +117,17 @@ class SubgoalSet:
         position, centroid x/y are finite numbers, anomaly x/y are JSON
         integers >= 0, has_key a JSON boolean and scores finite numbers, k
         and size count the subgoals, theta_anom is null or a finite number
-        > 0 and source_memory_size null or an integer >= 0."""
+        > 0 and source_memory_size null or an integer >= 0.
+
+        Discovery writes only z-scores above theta_anom, and a z-score over
+        n values is at most sqrt(n - 1) (Samuelson 1968). So a score must
+        be above theta_anom (above 0 when it is null) and, when
+        source_memory_size is given, at most its square root."""
         centroids = []
         for c in d["centroids"]:
             i, x, y = c["id"], c["x"], c["y"]
             if not (type(i) is int and i == len(centroids)
-                    and _finite(x) and _finite(y)):
+                    and is_finite_number(x) and is_finite_number(y)):
                 raise ValueError(
                     f"need id {len(centroids)} and finite x and y for centroid {c}"
                 )
@@ -134,7 +139,7 @@ class SubgoalSet:
             if not (
                 type(i) is type(x) is type(y) is int and x >= 0 and y >= 0
                 and i == len(centroids) + len(anomalies)
-                and type(has_key) is bool and _finite(score)
+                and type(has_key) is bool and is_finite_number(score)
             ):
                 raise ValueError(
                     f"need id {len(centroids) + len(anomalies)}, integers >= 0 "
@@ -147,7 +152,7 @@ class SubgoalSet:
         if not (
             type(k) is type(size) is int and k == len(centroids)
             and size == k + len(anomalies)
-            and (theta is None or (_finite(theta) and theta > 0))
+            and (theta is None or (is_finite_number(theta) and theta > 0))
             and (source is None or (type(source) is int and source >= 0))
         ):
             raise ValueError(
@@ -155,17 +160,22 @@ class SubgoalSet:
                 f"theta_anom ({theta!r}) null or finite and > 0, and "
                 f"source_memory_size ({source!r}) null or an integer >= 0"
             )
+        for a in anomalies:
+            # score * score <= source is score <= sqrt(source) for a score
+            # > 0, and it never turns a huge source into a float.
+            if not (a.score > (theta or 0.0)
+                    and (source is None or a.score * a.score <= source)):
+                raise ValueError(
+                    f"anomaly score {a.score!r} must be above theta_anom "
+                    f"({theta!r}; 0 when null) and at most the square root "
+                    f"of source_memory_size ({source!r})"
+                )
         return cls(
             centroids=tuple(centroids),
             anomalies=tuple(anomalies),
             theta_anom=theta,
             source_size=source,
         )
-
-
-def _finite(v) -> bool:
-    """Whether `v` is a finite JSON number (an int or a float, not a bool)."""
-    return (type(v) is float or type(v) is int) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -336,15 +346,21 @@ def anomaly_scores(transitions: Sequence[Transition]) -> np.ndarray:
     """Reward z-score per transition.
 
     All-equal rewards (zero spread) score 0 everywhere, so a rewardless
-    memory produces no anomalies.
+    memory produces no anomalies. Raises ValueError when the rewards' mean
+    or standard deviation overflows a float.
     """
     if len(transitions) < 2:
         raise ValueError("need at least 2 transitions to score anomalies")
     rewards = np.array([t.r for t in transitions], dtype=float)
-    std = float(rewards.std())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = rewards.mean(), float(rewards.std())
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(
+            f"rewards spread too far to score anomalies: mean {mean}, std {std}"
+        )
     if std == 0.0:
         return np.zeros(len(transitions))
-    return np.abs(rewards - rewards.mean()) / (std + _EPS)
+    return np.abs(rewards - mean) / (std + _EPS)
 
 
 def discover(

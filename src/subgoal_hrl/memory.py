@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Generic, Iterator, NamedTuple, Sequence, TypeVar
@@ -24,6 +25,12 @@ _RETURN_CHECK_TOL = 1e-9
 # Largest memory capacity. `sample` reads index floor(u * size), which stays
 # below size for every double u < 1 while size < 2**52.
 MAX_CAPACITY = 2**32
+
+
+def is_finite_number(v) -> bool:
+    """Whether `v` is an int or a float, not a bool, inside the finite float
+    range; NaN, an infinity and an int too large for a float are not."""
+    return (type(v) is float or type(v) is int) and abs(v) <= sys.float_info.max
 
 
 def accumulate_return(rewards: Sequence[float], gamma: float) -> float:
@@ -193,7 +200,7 @@ def transition_from_dict(d: dict) -> Transition:
         type(x) is type(y) is type(x_next) is type(y_next) is int
         and x >= 0 and y >= 0 and x_next >= 0 and y_next >= 0
         and type(has_key) is type(has_key_next) is type(terminal) is bool
-        and (type(r) is float or type(r) is int) and math.isfinite(r)
+        and is_finite_number(r)
     ):
         raise ValueError(
             "need true/false for has_key, has_key_next and terminal, integers "

@@ -32,13 +32,14 @@ from .agent import (
     update_controller,
     update_meta,
 )
-from .discovery import InsufficientMemoryError, SubgoalSet, _finite, discover, merge
+from .discovery import InsufficientMemoryError, SubgoalSet, discover, merge
 from .memory import (
     MAX_CAPACITY,
     BoundedMemory,
     ControllerTransition,
     MetaTransition,
     Transition,
+    is_finite_number,
 )
 from .rooms_env import Action, FourRoomsEnv, LayoutError, N_ACTIONS, RoomsLayout
 
@@ -120,7 +121,7 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type == "int" and type(value) is not int:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not _finite(value):
+            if f.type == "float" and not is_finite_number(value):
                 raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -292,7 +293,6 @@ class Runner:
         self._n_visited = 0
         self.metrics: list[MetricsRecord] = []
         self.steps = 0
-        self.episode_index = 0
         self.ep_steps = 0
         self.ep_return = 0.0
         self.sid = self._start = self.index.encode(self.env.reset())
@@ -387,7 +387,7 @@ class Runner:
     def _end_episode(self) -> None:
         self.metrics.append(
             MetricsRecord(
-                episode=self.episode_index,
+                episode=len(self.metrics),
                 steps=self.steps,
                 ep_return=self.ep_return,
                 coverage=self._n_visited / len(self._visits),
@@ -395,7 +395,6 @@ class Runner:
                 num_subgoals=self.subgoals.size if self.subgoals else 0,
             )
         )
-        self.episode_index += 1
         self.sid = self._start
         self._mark_visit(self.sid)
         self.ep_steps = 0
@@ -510,16 +509,12 @@ class Runner:
         # Outcomes change only when an attempt ends, so epsilon holds within it.
         epsilon = self._goal_epsilon(goal_id)
         rewards: list[float] = []
-        attained = False
-        terminal = False
-        t_in = 0
         while True:
             s_prev = self.sid
             action = epsilon_greedy_index(
                 self.controller._values[s_prev][goal_id], epsilon, self.rng
             )
             reward, terminal = self._env_step(action)
-            t_in += 1
             # A rediscovery inside the step may have replaced the rows.
             attained = self._attains[goal_id][self.sid]
             self.ctrl_memory.push(
@@ -543,7 +538,7 @@ class Runner:
                 attained
                 or terminal
                 or self.ep_steps >= cfg.episode_cap
-                or t_in >= cfg.subgoal_timeout
+                or len(rewards) >= cfg.subgoal_timeout
                 or self.steps >= cfg.total_steps
             ):
                 break
@@ -616,7 +611,6 @@ def greedy_rollout(
             raise ValueError("hierarchical rollout needs controller, meta and subgoals")
         while not terminal and steps < config.episode_cap:
             goal_id = select_subgoal(meta, state, 0.0, rng)
-            attained = False
             t_in = 0
             while True:
                 action = select_action(controller, state, goal_id, 0.0, rng)

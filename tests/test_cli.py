@@ -711,6 +711,52 @@ def test_discover_rejects_a_memory_line_that_is_not_an_object(tmp_path, capsys):
     _assert_cli_error(capsys, "bad transition on line 2")
 
 
+# Too large for a float: math.isfinite and float() raise OverflowError on it.
+_HUGE_INT = int("9" * 400)
+
+
+def test_discover_rejects_a_reward_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "memory.jsonl"
+    lines = [{**_GOOD_LINE, "reward": _HUGE_INT}] + [_GOOD_LINE] * 3
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert main(["discover", "--memory", str(path), "--k", "1",
+                 "--out", str(tmp_path / "s.json")]) == 1
+    _assert_cli_error(capsys, "bad transition on line 1", "finite reward")
+
+
+def test_train_rejects_a_float_field_too_large_for_a_float(tmp_path, capsys):
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump({**BASE_CONFIG, "alpha": _HUGE_INT}))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    _assert_cli_error(capsys, "alpha must be a finite number")
+    assert not list(tmp_path.glob("*/manifest.json"))
+
+
+@pytest.mark.parametrize("reward,code", [(1e154, 0), (1e200, 1)])
+def test_discover_refuses_rewards_whose_spread_overflows(
+    tmp_path, capsys, reward, code
+):
+    # Past ~1.34e154 from the mean a squared deviation overflows, and every
+    # z-score would come out 0: the outlier would be dropped without a word.
+    assert main(["train", "--mode", "random_walk", "--steps", "3000",
+                 "--warmup-steps", "100", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "random_walk_seed0" / "memory.jsonl"
+    lines = path.read_text().splitlines()
+    outlier = json.loads(lines[1000])
+    lines[1000] = json.dumps({**outlier, "reward": reward})
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "s.json"
+    capsys.readouterr()
+    assert main(["discover", "--memory", str(path), "--out", str(out)]) == code
+    if code:
+        _assert_cli_error(capsys, "rewards spread too far")
+        assert not out.exists()
+    else:
+        (anomaly,) = json.loads(out.read_text())["anomalies"]
+        assert (anomaly["x"], anomaly["y"]) == (outlier["x_next"], outlier["y_next"])
+        assert anomaly["score"] == pytest.approx(math.sqrt(2999))
+
+
 def test_failed_retrain_leaves_no_manifest(tmp_path, capsys, monkeypatch):
     assert main(train_args(tmp_path, mode="flat_q", seed=0)) == 0
     run_dir = tmp_path / "flat_q_seed0"
@@ -857,6 +903,19 @@ def test_eval_rejects_subgoal_ids_off_their_positions(
     capsys.readouterr()
     assert main(["eval", "--run", str(run_dir)]) == 1
     _assert_cli_error(capsys, "cannot load run artifacts", "need id ")
+
+
+def test_eval_rejects_a_centroid_too_large_for_a_float(trained_runs, tmp_path, capsys):
+    path = trained_runs / "unified_hrl_seed1" / "subgoals.json"
+    blob = json.loads(path.read_text())
+    blob["centroids"][0]["x"] = _HUGE_INT
+    run_dir = _corrupt_run(
+        trained_runs, tmp_path, "unified_hrl_seed1", "subgoals.json",
+        json.dumps(blob),
+    )
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "cannot load run artifacts", "finite x and y")
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])

@@ -368,7 +368,7 @@ _SUBGOALS_JSON = {
     "k": 1,
     "size": 2,
     "theta_anom": 3.0,
-    "source_memory_size": 10,
+    "source_memory_size": 100,
     "centroids": [{"id": 0, "x": 2.5, "y": 3}],
     "anomalies": [
         {"id": 1, "x": 10, "y": 2, "has_key": True, "score": 7.5},
@@ -400,6 +400,10 @@ def test_subgoal_set_from_json_dict_accepts_integer_numbers():
         ("anomalies", {"x": True}),
         ("anomalies", {"score": "7.5"}),
         ("anomalies", {"score": -math.inf}),
+        ("anomalies", {"score": -7.5}),
+        ("anomalies", {"score": 0.0}),
+        ("anomalies", {"score": 3.0}),
+        ("anomalies", {"score": 1e308}),
         ("anomalies", {"id": "1"}),
         ("centroids", {"id": 1}),
         ("anomalies", {"id": 0}),
@@ -410,7 +414,8 @@ def test_subgoal_set_from_json_dict_accepts_integer_numbers():
         "string-centroid-x", "nan-centroid-y", "inf-centroid-x",
         "boolean-centroid-y", "string-has-key", "integer-has-key",
         "float-anomaly-x", "negative-anomaly-y", "boolean-anomaly-x",
-        "string-score", "infinite-score", "string-anomaly-id",
+        "string-score", "infinite-score", "negative-score", "zero-score",
+        "score-at-theta", "score-above-sqrt-source", "string-anomaly-id",
         "centroid-id-skips-0", "anomaly-id-repeats-centroid-id", "anomaly-id-skips",
     ],
 )
@@ -436,3 +441,28 @@ def test_subgoal_set_from_json_dict_rejects_mistyped_fields(part, edit):
 def test_subgoal_set_from_json_dict_rejects_bad_header_fields(edit):
     with pytest.raises(ValueError, match="to count the subgoals"):
         SubgoalSet.from_json_dict({**_SUBGOALS_JSON, **edit})
+
+
+@pytest.mark.parametrize(
+    "edit,ok",
+    [
+        ({"score": 10.0}, True),
+        ({"score": 10.000001}, False),
+        ({"score": 1e150, "source_memory_size": 10**400}, True),
+        ({"score": 1e308, "source_memory_size": None}, True),
+        ({"score": 1e-300, "theta_anom": None}, True),
+        ({"score": 0.0, "theta_anom": None}, False),
+    ],
+    ids=["sqrt-source", "above-sqrt-source", "huge-source", "null-source",
+         "null-theta", "zero-with-null-theta"],
+)
+def test_subgoal_set_from_json_dict_bounds_anomaly_scores(edit, ok):
+    # A score lies in (theta_anom or 0, sqrt(source_memory_size)].
+    header = {k: edit.pop(k) for k in ("theta_anom", "source_memory_size") if k in edit}
+    anomaly = {**_SUBGOALS_JSON["anomalies"][0], **edit}
+    blob = {**_SUBGOALS_JSON, **header, "anomalies": [anomaly]}
+    if ok:
+        assert SubgoalSet.from_json_dict(blob).anomalies[0].score == edit["score"]
+    else:
+        with pytest.raises(ValueError, match="anomaly score"):
+            SubgoalSet.from_json_dict(blob)
