@@ -1080,6 +1080,7 @@ _VALUE_EDITS = {
     "swap-float": lambda v: 2.5,
     "huge-int": lambda v: 2**70,
     "huge-float": lambda v: 1e308,
+    "400-digit-int": lambda v: _HUGE_INT,
     "nan": lambda v: math.nan,
     "negative": lambda v: -v if type(v) in (int, float) and v else -1,
 }
@@ -1095,19 +1096,34 @@ def fuzzed_run(trained_runs, tmp_path_factory):
 
 
 @st.composite
-def _mutated_subgoals(draw, text):
-    blob = json.loads(text)
+def _mutated(draw, text, is_json=True):
+    """`text` with one value edited or deleted, cut short, or with one line
+    repeated. A JSON document is edited as JSON, a CSV file cell by cell."""
     if draw(st.booleans()):
-        *path, key = draw(st.sampled_from(list(_json_paths(blob))))
-        parent = blob
-        for step in path:
-            parent = parent[step]
+        if is_json:
+            blob = json.loads(text)
+            *path, key = draw(st.sampled_from(list(_json_paths(blob))))
+            parent = blob
+            for step in path:
+                parent = parent[step]
+        else:
+            rows = [line.split(",") for line in text.splitlines()]
+            parent = draw(st.sampled_from(rows))
+            key = draw(st.integers(0, len(parent) - 1))
         edit = draw(st.sampled_from(["delete", *_VALUE_EDITS]))
         if edit == "delete":
             del parent[key]
-        else:
+        elif is_json:
             parent[key] = _VALUE_EDITS[edit](parent[key])
-        return json.dumps(blob, indent=2, sort_keys=True)
+        else:
+            try:
+                value = _VALUE_EDITS[edit](json.loads(parent[key]))
+            except ValueError:  # a header cell
+                value = _VALUE_EDITS[edit](parent[key])
+            parent[key] = value if type(value) is str else json.dumps(value)
+        if is_json:
+            return json.dumps(blob, indent=2, sort_keys=True)
+        return "".join(",".join(row) + "\n" for row in rows)
     if draw(st.booleans()):
         return text[: draw(st.integers(0, len(text) - 1))]
     lines = text.splitlines(keepends=True)
@@ -1115,14 +1131,50 @@ def _mutated_subgoals(draw, text):
     return "".join(lines[: i + 1] + lines[i:])
 
 
+def _assert_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0 or (code == 1 and err.getvalue().startswith("error:")), (
+        code, err.getvalue()
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_eval_on_any_mutated_subgoals_exits_cleanly(fuzzed_run, data):
     run_dir, text = fuzzed_run
-    (run_dir / "subgoals.json").write_text(data.draw(_mutated_subgoals(text)))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval", "--run", str(run_dir), "--episodes", "1"])
-    assert code == 0 or (code == 1 and err.getvalue().startswith("error:")), (
-        code, err.getvalue()
-    )
+    (run_dir / "subgoals.json").write_text(data.draw(_mutated(text)))
+    _assert_exits_cleanly(["eval", "--run", str(run_dir), "--episodes", "1"])
+
+
+@pytest.fixture(scope="module")
+def fuzzed_root(trained_runs, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-root")
+    for name in ("unified_hrl_seed1", "flat_q_seed1"):
+        shutil.copytree(trained_runs / name, root / name)
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(["controller_q.csv", "meta_q.csv", "metrics.csv",
+                          "manifest.json"]),
+    data=st.data(),
+)
+def test_eval_and_compare_on_any_mutated_run_file_exit_cleanly(fuzzed_root, name, data):
+    # One file per example, so compare's step grid stays bounded by the
+    # unmutated flat_q run.
+    path = fuzzed_root / "unified_hrl_seed1" / name
+    text = path.read_text()
+    path.write_text(data.draw(_mutated(text, is_json=name.endswith(".json"))))
+    try:
+        if name.endswith("_q.csv"):
+            _assert_exits_cleanly(["eval", "--run", str(path.parent)])
+        else:
+            _assert_exits_cleanly([
+                "compare", "--root", str(fuzzed_root),
+                "--out-dir", str(fuzzed_root / "cmp"),
+            ])
+    finally:
+        path.write_text(text)
