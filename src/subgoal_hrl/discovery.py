@@ -421,7 +421,7 @@ def discover(
         flagged[state] = max(flagged.get(state, 0.0), float(scores[i]))
     return SubgoalSet(
         centroids=centroids,
-        anomalies=tuple(AnomalySubgoal(*item) for item in flagged.items()),
+        anomalies=tuple(AnomalySubgoal(s, score) for s, score in flagged.items()),
         theta_anom=theta_anom,
         source_size=len(transitions),
     )
@@ -430,10 +430,11 @@ def discover(
 def merge(old: SubgoalSet, new: SubgoalSet) -> SubgoalSet:
     """Fold a fresh discovery into the existing subgoal set.
 
-    Ids are append-only: each existing centroid id takes the position of
-    its nearest new centroid (greedy one-to-one by ascending distance),
-    existing anomalies keep theirs, and new anomaly states are appended
-    after them. Value tables carry over by growing new columns.
+    Ids, the subgoals' positions, are append-only: existing centroid i
+    becomes the new centroid matched to it (greedy one-to-one by ascending
+    distance), existing anomalies keep their places, and new anomaly
+    states are appended after them. Value tables carry over by growing new
+    columns.
 
     Raises:
         ValueError: when both sets are non-empty with different K.
