@@ -37,16 +37,15 @@ def _check_rates(alpha: float, gamma: float) -> None:
 
 
 def _read_table_csv(
-    path: str | Path, header: Sequence[str], index: StateIndex
+    path: str | Path, header: Sequence[str], shape: tuple[int, ...]
 ) -> np.ndarray:
-    """Values of a table CSV from `to_csv`, shaped (states, *counts).
+    """Values of a table CSV from `to_csv`, shaped `shape`.
 
-    The ids are the integer columns (state first) and must be in range
-    for `index`; the rows may come in any order. The counts are those of
-    the columns after the state (subgoals, actions), each one past its
-    largest id. Raises ValueError naming `path` on a wrong header, no
-    rows, a malformed row, a non-finite value, or a table that does not
-    hold exactly one row per id combination.
+    The ids are the integer columns (state first), each in range for its
+    dimension of `shape`; the rows may come in any order. Raises
+    ValueError naming `path` on a wrong header, no rows, a malformed row,
+    an id out of range, a non-finite value, or a table that does not hold
+    exactly one row per id combination.
     """
     with open(path, encoding="utf-8") as fh:
         found = fh.readline().rstrip("\n")
@@ -67,15 +66,13 @@ def _read_table_csv(
         raise ValueError(f"{path}: malformed row: {exc}") from exc
     ids = [rows[name] for name, _ in dtype]
     values = rows[header[-1]]
-    out_of_range = ids[0] >= index.size
-    for col in ids:
-        out_of_range |= col < 0
+    out_of_range = np.zeros(len(rows), dtype=bool)
+    for col, n in zip(ids, shape, strict=True):
+        out_of_range |= (col < 0) | (col >= n)
     for bad, what in ((out_of_range, "id out of range"),
                       (~np.isfinite(values), "non-finite value")):
         if bad.any():
             raise ValueError(f"{path}: {what} in row {rows[bad.argmax()]}")
-    counts = tuple(int(col.max()) + 1 for col in ids[1:])
-    shape = (index.size, *counts)
     expected = math.prod(shape)
     if len(rows) == expected:
         flat = np.ravel_multi_index(ids, shape)
@@ -83,9 +80,9 @@ def _read_table_csv(
             table = np.empty(expected)
             table[flat] = values
             return table.reshape(shape)
+    combos = " x ".join(f"{n} {name}s" for n, (name, _) in zip(shape, dtype))
     raise ValueError(
-        f"{path}: expected one row per id combination of "
-        f"{index.size} states x {' x '.join(map(str, counts))}, "
+        f"{path}: expected one row per id combination of {combos}, "
         f"got {len(rows)} rows"
     )
 
@@ -104,18 +101,20 @@ def _filled(shape: tuple[int, ...], init: float) -> list:
 class _ValueTable:
     """Exact values in nested lists indexed (state id, *column ids).
 
-    `shape` is (states, *column counts) and the only record of the
-    table's dimensions. The subclasses name the columns in `header` and
-    bind `to_csv`/`from_csv` in their own class bodies, because
-    `perfbench/tracer.py` wraps each class's own codec methods.
+    `shape` is (states, *counts, *actions) and the only record of the
+    table's dimensions; `actions` is the class's fixed action column. The
+    subclasses name the columns in `header` and bind `to_csv`/`from_csv`
+    in their own class bodies, because `perfbench/tracer.py` wraps each
+    class's own codec methods.
     """
 
     header: tuple[str, ...]
+    actions: tuple[int, ...] = ()
 
     def __init__(self, index: StateIndex, *counts: int, init: float) -> None:
         self.index = index
         self.init = init
-        self.shape = (index.size, *counts)
+        self.shape = (index.size, *counts, *self.actions)
         self._values = _filled(self.shape, init)
 
     def grow(self, n_subgoals: int) -> None:
@@ -141,8 +140,10 @@ class _ValueTable:
             writer.writerows(self.rows())  # csv writes a float as its repr
 
     @classmethod
-    def from_csv(cls, path: str | Path, index: StateIndex) -> _ValueTable:
-        values = _read_table_csv(path, cls.header, index)
+    def from_csv(cls, path: str | Path, index: StateIndex, *counts: int) -> _ValueTable:
+        """The table `to_csv` wrote; `counts` are the constructor's. Raises
+        ValueError naming `path` unless the file holds exactly that shape."""
+        values = _read_table_csv(path, cls.header, (index.size, *counts, *cls.actions))
         table = object.__new__(cls)
         table.index, table.init, table.shape = index, 0.0, values.shape
         table._values = values.tolist()
@@ -153,13 +154,13 @@ class ControllerTable(_ValueTable):
     """q(state, subgoal, action) estimates in intrinsic-reward units."""
 
     header = ("state", "subgoal", "action", "value")
+    actions = (N_ACTIONS,)
     to_csv = _ValueTable.to_csv
     from_csv = vars(_ValueTable)["from_csv"]
     n_subgoals = property(lambda self: self.shape[1])
-    n_actions = property(lambda self: self.shape[2])
 
     def __init__(self, index: StateIndex, n_subgoals: int, init: float = 0.0) -> None:
-        super().__init__(index, n_subgoals, N_ACTIONS, init=init)
+        super().__init__(index, n_subgoals, init=init)
 
     def action_values(self, state: GridState, goal_id: int) -> list[float]:
         """Live value row for (state, goal); mutations write through."""
@@ -187,12 +188,12 @@ class FlatTable(_ValueTable):
     """Plain Q(state, action) table for the non-hierarchical baseline."""
 
     header = ("state", "action", "value")
+    actions = (N_ACTIONS,)
     to_csv = _ValueTable.to_csv
     from_csv = vars(_ValueTable)["from_csv"]
-    n_actions = property(lambda self: self.shape[1])
 
     def __init__(self, index: StateIndex, init: float = 0.0) -> None:
-        super().__init__(index, N_ACTIONS, init=init)
+        super().__init__(index, init=init)
 
     def action_values(self, state: GridState) -> list[float]:
         return self._values[self.index.encode(state)]

@@ -22,7 +22,7 @@ import yaml
 from .agent import ControllerTable, FlatTable, MetaTable, StateIndex
 from .discovery import SubgoalSet, discover
 from .memory import load_transitions_jsonl, save_transitions_jsonl
-from .rooms_env import N_ACTIONS, RoomsLayout
+from .rooms_env import RoomsLayout
 from .trainer import (
     MODES,
     MetricsRecord,
@@ -78,7 +78,7 @@ def _build_configs(args) -> list[RunConfig]:
         experiments = raw.pop("experiments", []) or []
         unknown = set(raw) - fields
         if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
+            raise CliError(f"unknown config keys: {sorted(unknown, key=str)}")
         file_values = raw
 
     flag_overrides = {
@@ -319,7 +319,7 @@ def cmd_compare(args) -> int:
         if mode not in MODES:
             raise CliError(f"{d / MANIFEST_NAME}: mode {mode!r} is not one of {MODES}")
         if not records:
-            raise CliError(f"{d} has no metrics rows")
+            raise CliError(f"{path} has no metrics rows")
         # Runs of one mode are averaged, so they may differ in seed alone.
         first_dir, first = first_of_mode.setdefault(mode, (d, config))
         differ = sorted(
@@ -389,44 +389,26 @@ def cmd_eval(args) -> int:
         layout = config.layout()
         index = StateIndex(layout)
         artifacts = manifest["artifacts"]
-        kwargs: dict = {}
         if config.mode == "flat_q":
-            kwargs["flat"] = FlatTable.from_csv(
-                run_dir / artifacts["flat_table"], index
-            )
+            flat = FlatTable.from_csv(run_dir / artifacts["flat_table"], index)
+            kwargs = {"flat": flat}
         else:
             if "subgoals" not in artifacts:
                 raise CliError("run finished without a discovered subgoal set")
-            kwargs["controller"] = ControllerTable.from_csv(
-                run_dir / artifacts["controller_table"], index
+            subgoals = SubgoalSet.from_json_dict(
+                json.loads((run_dir / artifacts["subgoals"]).read_text()), layout
             )
-            kwargs["meta"] = MetaTable.from_csv(
-                run_dir / artifacts["meta_table"], index
-            )
-            kwargs["subgoals"] = SubgoalSet.from_json_dict(
-                json.loads((run_dir / artifacts["subgoals"]).read_text())
-            )
-            # K-means places centroids among playable cells, inside the grid.
-            for i, c in enumerate(kwargs["subgoals"].centroids):
-                if not (0 <= c.x < layout.width and 0 <= c.y < layout.height):
-                    raise ValueError(f"centroid {i} at ({c.x}, {c.y}) is off the grid")
-            # An anomaly is one state, so it must be a playable one.
-            for a in kwargs["subgoals"].anomalies:
-                index.encode(a.state)
+            kwargs = {
+                "subgoals": subgoals,
+                "controller": ControllerTable.from_csv(
+                    run_dir / artifacts["controller_table"], index, subgoals.size
+                ),
+                "meta": MetaTable.from_csv(
+                    run_dir / artifacts["meta_table"], index, subgoals.size
+                ),
+            }
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load run artifacts from {run_dir}: {exc}") from exc
-    for name in ("flat", "controller"):
-        if name in kwargs and kwargs[name].n_actions != N_ACTIONS:
-            raise CliError(
-                f"{name} table covers {kwargs[name].n_actions} actions but "
-                f"the environment has {N_ACTIONS}"
-            )
-    for name in ("controller", "meta"):
-        if name in kwargs and kwargs[name].n_subgoals != kwargs["subgoals"].size:
-            raise CliError(
-                f"{name} table covers {kwargs[name].n_subgoals} subgoals but "
-                f"the subgoal set has {kwargs['subgoals'].size}"
-            )
     rng = np.random.default_rng(args.seed)
 
     episodes = []

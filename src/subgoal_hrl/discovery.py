@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .memory import Transition, is_finite_number
-from .rooms_env import GridState, StateIndex
+from .rooms_env import GridState, RoomsLayout, StateIndex
 
 _EPS = 1e-12
 
@@ -112,12 +112,14 @@ class SubgoalSet:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SubgoalSet":
+    def from_json_dict(cls, d: dict, layout: RoomsLayout) -> "SubgoalSet":
         """Inverse of `to_json_dict`; ValueError unless every id is its
-        position, centroid x/y are finite numbers, anomaly x/y are JSON
-        integers >= 0, has_key a JSON boolean and scores finite numbers, k
-        and size count the subgoals, theta_anom is null or a finite number
-        > 0 and source_memory_size null or an integer >= 0.
+        position, centroid x/y are finite numbers inside `layout`'s grid
+        (K-means places them among playable cells), anomaly x/y are JSON
+        integers naming a playable cell of `layout`, has_key a JSON boolean
+        and scores finite numbers, k and size count the subgoals,
+        theta_anom is null or a finite number > 0 and source_memory_size
+        null or an integer >= 0.
 
         Discovery writes only z-scores above theta_anom, and a z-score over
         n values is at most sqrt(n - 1) (Samuelson 1968). So a score must
@@ -127,9 +129,11 @@ class SubgoalSet:
         for c in d["centroids"]:
             i, x, y = c["id"], c["x"], c["y"]
             if not (type(i) is int and i == len(centroids)
-                    and is_finite_number(x) and is_finite_number(y)):
+                    and is_finite_number(x) and is_finite_number(y)
+                    and 0 <= x < layout.width and 0 <= y < layout.height):
                 raise ValueError(
-                    f"need id {len(centroids)} and finite x and y for centroid {c}"
+                    f"need id {len(centroids)} and finite x and y on the "
+                    f"{layout.width}x{layout.height} grid for centroid {c}"
                 )
             centroids.append(Centroid(float(x), float(y)))
         anomalies = []
@@ -137,14 +141,14 @@ class SubgoalSet:
             i, x, y, has_key = a["id"], a["x"], a["y"], a["has_key"]
             score = a["score"]
             if not (
-                type(i) is type(x) is type(y) is int and x >= 0 and y >= 0
+                type(i) is type(x) is type(y) is int and (x, y) in layout.playable
                 and i == len(centroids) + len(anomalies)
                 and type(has_key) is bool and is_finite_number(score)
             ):
                 raise ValueError(
-                    f"need id {len(centroids) + len(anomalies)}, integers >= 0 "
-                    "for x and y, true/false for has_key and a finite score "
-                    f"for anomaly {a}"
+                    f"need id {len(centroids) + len(anomalies)}, integers x and y "
+                    "naming a playable cell, true/false for has_key and a "
+                    f"finite score for anomaly {a}"
                 )
             anomalies.append(AnomalySubgoal(GridState(x, y, has_key), float(score)))
         k, size = d["k"], d["size"]

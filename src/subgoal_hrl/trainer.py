@@ -50,6 +50,9 @@ ACTIONS = list(Action)  # action id -> Action, without an enum call
 WARMUP_CHUNK = 4096
 # Largest replay minibatch; each is drawn as one float array.
 MAX_BATCH_SIZE = 2**16
+# Longest episode, 315 times the default grid's 208 states; a greedy `eval`
+# episode that never reaches the box runs until this cap.
+MAX_EPISODE_CAP = 2**16
 
 METRICS_HEADER = "episode,steps,return,coverage,success_rate,num_subgoals"
 
@@ -138,8 +141,8 @@ class RunConfig:
             raise ConfigError("need total_steps > warmup_steps > 0")
         if self.subgoal_timeout < 1:
             raise ConfigError("subgoal_timeout must be >= 1")
-        if self.episode_cap < 1:
-            raise ConfigError("episode_cap must be >= 1")
+        if not 1 <= self.episode_cap <= MAX_EPISODE_CAP:
+            raise ConfigError(f"episode_cap must be in [1, {MAX_EPISODE_CAP}]")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.theta_anom <= 0:

@@ -581,8 +581,8 @@ def test_table_csv_round_trip(tmp_path, layout, rng):
     ctrl.to_csv(tmp_path / "c.csv")
     meta.to_csv(tmp_path / "m.csv")
     flat.to_csv(tmp_path / "f.csv")
-    ctrl2 = ControllerTable.from_csv(tmp_path / "c.csv", index)
-    meta2 = MetaTable.from_csv(tmp_path / "m.csv", index)
+    ctrl2 = ControllerTable.from_csv(tmp_path / "c.csv", index, 2)
+    meta2 = MetaTable.from_csv(tmp_path / "m.csv", index, 2)
     flat2 = FlatTable.from_csv(tmp_path / "f.csv", index)
     for before, after in ((ctrl, ctrl2), (meta, meta2), (flat, flat2)):
         assert _reprs(after._values) == _reprs(before._values)
@@ -625,8 +625,8 @@ def test_grown_tables_round_trip_through_csv(
     out = tmp_path_factory.mktemp("tables")
     ctrl.to_csv(out / "c.csv")
     meta.to_csv(out / "m.csv")
-    ctrl2 = ControllerTable.from_csv(out / "c.csv", index)
-    meta2 = MetaTable.from_csv(out / "m.csv", index)
+    ctrl2 = ControllerTable.from_csv(out / "c.csv", index, ctrl.n_subgoals)
+    meta2 = MetaTable.from_csv(out / "m.csv", index, meta.n_subgoals)
     assert ctrl2.n_subgoals == meta2.n_subgoals == ctrl.n_subgoals
     assert _reprs(ctrl2._values) == _reprs(ctrl._values)
     assert _reprs(meta2._values) == _reprs(meta._values)
@@ -657,7 +657,7 @@ def test_table_from_csv_rejects_malformed_files(tmp_path, layout, text):
     path = tmp_path / "t.csv"
     path.write_text(text)
     with pytest.raises(ValueError):
-        MetaTable.from_csv(path, index)
+        MetaTable.from_csv(path, index, 1)
 
 
 @pytest.mark.parametrize(
@@ -679,16 +679,16 @@ def test_table_from_csv_rejects_incomplete_tables(tmp_path, layout, edit):
     path = tmp_path / "t.csv"
     path.write_text("\n".join([header] + rows) + "\n")
     with pytest.raises(ValueError, match="one row per id combination"):
-        ControllerTable.from_csv(path, index)
+        ControllerTable.from_csv(path, index, 2)
 
 
 def test_table_from_csv_rejects_another_tables_header(tmp_path, layout):
     index = StateIndex(layout)
     FlatTable(index).to_csv(tmp_path / "f.csv")
     with pytest.raises(ValueError, match="header"):
-        ControllerTable.from_csv(tmp_path / "f.csv", index)
+        ControllerTable.from_csv(tmp_path / "f.csv", index, 1)
     with pytest.raises(ValueError, match="header"):
-        MetaTable.from_csv(tmp_path / "f.csv", index)
+        MetaTable.from_csv(tmp_path / "f.csv", index, 1)
 
 
 def test_table_from_csv_loads_rows_in_any_order(tmp_path, layout, rng):
@@ -701,13 +701,13 @@ def test_table_from_csv_loads_rows_in_any_order(tmp_path, layout, rng):
     header, *rows = (tmp_path / "c.csv").read_text().splitlines()
     rng.shuffle(rows)
     (tmp_path / "shuffled.csv").write_text("\n".join([header] + rows) + "\n")
-    loaded = ControllerTable.from_csv(tmp_path / "shuffled.csv", index)
+    loaded = ControllerTable.from_csv(tmp_path / "shuffled.csv", index, 3)
     assert loaded.n_subgoals == 3
     assert _reprs(loaded._values) == _reprs(ctrl._values)
 
 
 @pytest.mark.parametrize(
-    "column,needle", [(0, "id out of range"), (1, "one row per id combination")]
+    "column,needle", [(0, "id out of range"), (1, "id out of range")]
 )
 def test_table_from_csv_rejects_largest_int64_id(tmp_path, layout, column, needle):
     index = StateIndex(layout)
@@ -718,14 +718,14 @@ def test_table_from_csv_rejects_largest_int64_id(tmp_path, layout, column, needl
     path = tmp_path / "t.csv"
     path.write_text("\n".join([header, ",".join(ids)] + rows) + "\n")
     with pytest.raises(ValueError, match=needle):
-        MetaTable.from_csv(path, index)
+        MetaTable.from_csv(path, index, 1)
 
 
 def test_table_from_csv_reports_blank_body_as_no_rows(tmp_path, layout):
     path = tmp_path / "t.csv"
     path.write_text("state,subgoal,value\n\n  \n\n")
     with pytest.raises(ValueError, match="no rows"):
-        MetaTable.from_csv(path, StateIndex(layout))
+        MetaTable.from_csv(path, StateIndex(layout), 1)
 
 
 def test_table_from_csv_names_the_file_on_a_malformed_row(tmp_path, layout):

@@ -10,6 +10,7 @@ import string
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -19,7 +20,13 @@ from hypothesis import strategies as st
 from conftest import build_full_coverage_memory
 from subgoal_hrl.cli import _build_configs, build_parser, main
 from subgoal_hrl.memory import MAX_CAPACITY, save_transitions_jsonl
-from subgoal_hrl.trainer import MAX_BATCH_SIZE, MODES, RunConfig, metrics_from_csv
+from subgoal_hrl.trainer import (
+    MAX_BATCH_SIZE,
+    MAX_EPISODE_CAP,
+    MODES,
+    RunConfig,
+    metrics_from_csv,
+)
 
 
 def train_args(tmp_path, mode="unified_hrl", seed=3, **extra):
@@ -154,11 +161,44 @@ def test_config_experiments_matrix(tmp_path):
     assert (tmp_path / "random_walk_seed1" / "manifest.json").exists()
 
 
-def test_unknown_config_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ("mode: random_walk\nbogus: 1\n", "['bogus']"),
+        ("1: 2\nfoo: 3\nmode: flat_q\n", "[1, 'foo']"),
+    ],
+    ids=["string-key", "mixed-type-keys"],
+)
+def test_unknown_config_key_rejected(tmp_path, capsys, text, needle):
     cfg_path = tmp_path / "bad.yaml"
-    cfg_path.write_text(yaml.safe_dump({"mode": "random_walk", "bogus": 1}))
+    cfg_path.write_text(text)
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
-    assert "bogus" in capsys.readouterr().err
+    _assert_cli_error(capsys, f"unknown config keys: {needle}")
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        (None, "cannot read config file"),
+        ("mode: [flat_q\n", "cannot parse config file"),
+        ("", "no mode given"),
+        ("- mode: flat_q\n", "config file must contain a mapping"),
+        ("total_steps: 600\nexperiments: {mode: flat_q}\n",
+         "'experiments' must be a list"),
+    ],
+    ids=["unreadable", "unparsable", "empty", "not-a-mapping",
+         "experiments-not-a-list"],
+)
+def test_train_refuses_unusable_config_files(tmp_path, capsys, text, needle):
+    cfg_path = tmp_path / "c.yaml"
+    if text is None:
+        cfg_path.mkdir()  # a directory cannot be read as a file
+    else:
+        cfg_path.write_text(text)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    _assert_cli_error(capsys, needle)
+    assert not out.exists()
 
 
 def test_out_root_config_key_rejected(tmp_path, capsys):
@@ -497,7 +537,8 @@ def test_eval_rejects_table_narrower_than_subgoal_set(trained_runs, tmp_path, ca
     )
     capsys.readouterr()
     assert main(["eval", "--run", str(run_dir)]) == 1
-    _assert_cli_error(capsys, "meta table covers 1 subgoals")
+    size = json.loads((run_dir / "subgoals.json").read_text())["size"]
+    _assert_cli_error(capsys, "meta_q.csv", f"208 states x {size} subgoals, got 208 rows")
 
 
 def test_experiments_reject_repeated_mode_and_seed(tmp_path, capsys):
@@ -539,15 +580,14 @@ def _drop_action_rows(text, action_column):
 
 
 @pytest.mark.parametrize(
-    "run_name,artifact,action_column,needle",
+    "run_name,artifact,action_column",
     [
-        ("flat_q_seed1", "flat_q.csv", 1, "flat table covers 3 actions"),
-        ("unified_hrl_seed1", "controller_q.csv", 2,
-         "controller table covers 3 actions"),
+        ("flat_q_seed1", "flat_q.csv", 1),
+        ("unified_hrl_seed1", "controller_q.csv", 2),
     ],
 )
 def test_eval_rejects_table_without_an_action(
-    trained_runs, tmp_path, capsys, run_name, artifact, action_column, needle
+    trained_runs, tmp_path, capsys, run_name, artifact, action_column
 ):
     text = (trained_runs / run_name / artifact).read_text()
     run_dir = _corrupt_run(
@@ -556,7 +596,7 @@ def test_eval_rejects_table_without_an_action(
     )
     capsys.readouterr()
     assert main(["eval", "--run", str(run_dir)]) == 1
-    _assert_cli_error(capsys, needle)
+    _assert_cli_error(capsys, artifact, "one row per id combination", " x 4 actions")
 
 
 def test_eval_rejects_table_missing_states(trained_runs, tmp_path, capsys):
@@ -603,9 +643,11 @@ def _list_mode(text):
         ("manifest.json", lambda text: text[: len(text) // 2], "JSONDecodeError"),
         ("manifest.json", _drop_mode, "KeyError('mode')"),
         ("manifest.json", _list_mode, "is not one of"),
+        ("metrics.csv", lambda text: text.splitlines()[0] + "\n", "no metrics rows"),
     ],
     ids=["garbage-metrics", "short-metrics-row", "truncated-manifest",
-         "manifest-without-mode", "manifest-with-unknown-mode"],
+         "manifest-without-mode", "manifest-with-unknown-mode",
+         "header-only-metrics"],
 )
 def test_compare_rejects_malformed_runs(
     trained_runs, tmp_path, capsys, artifact, edit, needle
@@ -613,6 +655,48 @@ def test_compare_rejects_malformed_runs(
     assert _corrupt_compare(trained_runs, tmp_path, capsys, artifact, edit) == 1
     _assert_cli_error(capsys, f"flat_q_seed1/{artifact}", needle)
     assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        # The directory that holds the runs has no manifest of its own.
+        (lambda root: ["--runs", str(root / "flat_q_seed1"), str(root)],
+         "is not a completed run"),
+        (lambda root: ["--root", str(root), "--grid-step", "1501"],
+         "too short for the requested grid step"),
+    ],
+    ids=["run-without-manifest", "grid-step-beyond-the-runs"],
+)
+def test_compare_refuses_runs_it_cannot_align(trained_runs, tmp_path, capsys, argv, needle):
+    out_dir = tmp_path / "cmp"
+    assert main(["compare", *argv(trained_runs), "--out-dir", str(out_dir)]) == 1
+    _assert_cli_error(capsys, needle)
+    assert not out_dir.exists()
+
+
+def _drop_subgoals(manifest):
+    del manifest["artifacts"]["subgoals"]
+
+
+@pytest.mark.parametrize(
+    "edit,needle",
+    [
+        (lambda m: m["config"].update(episode_cap=2**70),
+         f"episode_cap must be in [1, {MAX_EPISODE_CAP}]"),
+        (_drop_subgoals, "run finished without a discovered subgoal set"),
+    ],
+    ids=["huge-episode-cap", "no-subgoal-set"],
+)
+def test_eval_rejects_malformed_manifests(trained_runs, tmp_path, capsys, edit, needle):
+    manifest = json.loads((trained_runs / "unified_hrl_seed1" / "manifest.json").read_text())
+    edit(manifest)
+    run_dir = _corrupt_run(
+        trained_runs, tmp_path, "unified_hrl_seed1", "manifest.json", json.dumps(manifest)
+    )
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, needle)
 
 
 # Too large for a float: math.isfinite and float() raise OverflowError on it.
@@ -903,7 +987,7 @@ def test_eval_rejects_centroids_off_the_grid(
     )
     capsys.readouterr()
     assert main(["eval", "--run", str(run_dir)]) == 1
-    _assert_cli_error(capsys, "cannot load run artifacts", "off the grid")
+    _assert_cli_error(capsys, "cannot load run artifacts", "on the 13x13 grid")
 
 
 @pytest.mark.parametrize(
@@ -923,7 +1007,7 @@ def test_eval_rejects_anomalies_off_the_playable_cells(
     )
     capsys.readouterr()
     assert main(["eval", "--run", str(run_dir)]) == 1
-    _assert_cli_error(capsys, "cannot load run artifacts", "not indexable")
+    _assert_cli_error(capsys, "cannot load run artifacts", "naming a playable cell")
 
 
 # A tiny valid flat_q run; each property example replaces one of its fields.
@@ -944,7 +1028,7 @@ OUT_OF_RANGE = {
     "warmup_steps": _BELOW_ONE | st.integers(min_value=BASE_CONFIG["total_steps"]),
     "discovery_period": _BELOW_ONE,
     "subgoal_timeout": _BELOW_ONE,
-    "episode_cap": _BELOW_ONE,
+    "episode_cap": _BELOW_ONE | st.integers(min_value=MAX_EPISODE_CAP + 1),
     "slip_prob": st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.0),
     "memory_capacity": _BEYOND_CAPACITY,
     "controller_memory_capacity": _BEYOND_CAPACITY,
@@ -1013,6 +1097,8 @@ def test_train_refuses_any_bad_config_value_before_any_step(case):
     ("controller_memory_capacity", 2**70),
     ("meta_memory_capacity", MAX_CAPACITY + 1),
     ("success_window", 2**70),
+    ("episode_cap", 2**70),
+    ("episode_cap", MAX_EPISODE_CAP + 1),
 ])
 def test_train_refuses_oversized_ints_before_training(
     tmp_path, capsys, monkeypatch, name, value
@@ -1067,24 +1153,26 @@ def fuzzed_run(trained_runs, tmp_path_factory):
 
 
 @st.composite
-def _mutated(draw, text, is_json=True):
+def _mutated(draw, text, suffix):
     """`text` with one value edited or deleted, cut short, or with one line
-    repeated. A JSON document is edited as JSON, a CSV file cell by cell."""
+    repeated. A ".json" document is edited as JSON, a ".jsonl" file in one
+    of its lines, and a ".csv" file cell by cell."""
     if draw(st.booleans()):
-        if is_json:
-            blob = json.loads(text)
-            *path, key = draw(st.sampled_from(list(_json_paths(blob))))
-            parent = blob
-            for step in path:
-                parent = parent[step]
-        else:
+        if suffix == ".csv":
             rows = [line.split(",") for line in text.splitlines()]
             parent = draw(st.sampled_from(rows))
             key = draw(st.integers(0, len(parent) - 1))
+        else:
+            lines = text.splitlines() if suffix == ".jsonl" else [text]
+            i = draw(st.integers(0, len(lines) - 1))
+            blob = parent = json.loads(lines[i])
+            *path, key = draw(st.sampled_from(list(_json_paths(blob))))
+            for step in path:
+                parent = parent[step]
         edit = draw(st.sampled_from(["delete", *_VALUE_EDITS]))
         if edit == "delete":
             del parent[key]
-        elif is_json:
+        elif suffix != ".csv":
             parent[key] = _VALUE_EDITS[edit](parent[key])
         else:
             try:
@@ -1092,9 +1180,12 @@ def _mutated(draw, text, is_json=True):
             except ValueError:  # a header cell
                 value = _VALUE_EDITS[edit](parent[key])
             parent[key] = value if type(value) is str else json.dumps(value)
-        if is_json:
-            return json.dumps(blob, indent=2, sort_keys=True)
-        return "".join(",".join(row) + "\n" for row in rows)
+        if suffix == ".csv":
+            return "".join(",".join(row) + "\n" for row in rows)
+        if suffix == ".jsonl":
+            lines[i] = json.dumps(blob)
+            return "".join(line + "\n" for line in lines)
+        return json.dumps(blob, indent=2, sort_keys=True)
     if draw(st.booleans()):
         return text[: draw(st.integers(0, len(text) - 1))]
     lines = text.splitlines(keepends=True)
@@ -1115,7 +1206,7 @@ def _assert_exits_cleanly(argv):
 @given(data=st.data())
 def test_eval_on_any_mutated_subgoals_exits_cleanly(fuzzed_run, data):
     run_dir, text = fuzzed_run
-    (run_dir / "subgoals.json").write_text(data.draw(_mutated(text)))
+    (run_dir / "subgoals.json").write_text(data.draw(_mutated(text, ".json")))
     _assert_exits_cleanly(["eval", "--run", str(run_dir), "--episodes", "1"])
 
 
@@ -1138,14 +1229,41 @@ def test_eval_and_compare_on_any_mutated_run_file_exit_cleanly(fuzzed_root, name
     # unmutated flat_q run.
     path = fuzzed_root / "unified_hrl_seed1" / name
     text = path.read_text()
-    path.write_text(data.draw(_mutated(text, is_json=name.endswith(".json"))))
+    path.write_text(data.draw(_mutated(text, path.suffix)))
     try:
-        if name.endswith("_q.csv"):
+        if name != "metrics.csv":
             _assert_exits_cleanly(["eval", "--run", str(path.parent)])
-        else:
+        if name in ("metrics.csv", "manifest.json"):
             _assert_exits_cleanly([
                 "compare", "--root", str(fuzzed_root),
                 "--out-dir", str(fuzzed_root / "cmp"),
             ])
+    finally:
+        path.write_text(text)
+
+
+class _TrainingStarted(Exception):
+    """Raised by the stub of `cli.run`: the config passed every check."""
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["manifest.json", "memory.jsonl"]), data=st.data())
+def test_train_and_discover_on_any_mutated_run_file_exit_cleanly(fuzzed_root, name, data):
+    path = fuzzed_root / "unified_hrl_seed1" / name
+    text = path.read_text()
+    path.write_text(data.draw(_mutated(text, path.suffix)))
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            if name == "memory.jsonl":
+                _assert_exits_cleanly([
+                    "discover", "--memory", str(path), "--out", str(Path(tmp) / "s.json"),
+                ])
+            else:
+                # A valid config, say total_steps 2**70, would train for ever:
+                # stop where training would start.
+                with mock.patch("subgoal_hrl.cli.run", side_effect=_TrainingStarted), \
+                        contextlib.suppress(_TrainingStarted):
+                    _assert_exits_cleanly(["train", "--config", str(path), "--out", tmp])
+                assert not list(Path(tmp).rglob("manifest.json"))
     finally:
         path.write_text(text)

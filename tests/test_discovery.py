@@ -353,9 +353,9 @@ def test_subgoal_set_nearest_centroid_ties_to_lowest_id():
     assert s.nearest_centroid_id(9.0, 9.0) == 3
 
 
-def test_subgoal_set_json_round_trip(full_coverage_memory, rng):
+def test_subgoal_set_json_round_trip(full_coverage_memory, rng, layout):
     subgoals = discover(full_coverage_memory, 4, 3.0, rng)
-    again = SubgoalSet.from_json_dict(subgoals.to_json_dict())
+    again = SubgoalSet.from_json_dict(subgoals.to_json_dict(), layout)
     assert again == subgoals
     blob = subgoals.to_json_dict()
     assert blob["k"] == 4
@@ -376,8 +376,8 @@ _SUBGOALS_JSON = {
 }
 
 
-def test_subgoal_set_from_json_dict_accepts_integer_numbers():
-    subgoals = SubgoalSet.from_json_dict(_SUBGOALS_JSON)
+def test_subgoal_set_from_json_dict_accepts_integer_numbers(layout):
+    subgoals = SubgoalSet.from_json_dict(_SUBGOALS_JSON, layout)
     assert subgoals.centroids == (Centroid(2.5, 3.0),)
     assert subgoals.anomalies == (AnomalySubgoal(GridState(10, 2, True), 7.5),)
     assert type(subgoals.centroids[0].y) is float
@@ -408,6 +408,10 @@ def test_subgoal_set_from_json_dict_accepts_integer_numbers():
         ("centroids", {"id": 1}),
         ("anomalies", {"id": 0}),
         ("anomalies", {"id": 2}),
+        ("centroids", {"x": 13.0}),
+        ("centroids", {"y": -0.5}),
+        ("anomalies", {"x": 0, "y": 0}),
+        ("anomalies", {"x": 10**6}),
     ],
     ids=[
         "string-centroid-id", "float-centroid-id", "boolean-centroid-id",
@@ -417,12 +421,14 @@ def test_subgoal_set_from_json_dict_accepts_integer_numbers():
         "string-score", "infinite-score", "negative-score", "zero-score",
         "score-at-theta", "score-above-sqrt-source", "string-anomaly-id",
         "centroid-id-skips-0", "anomaly-id-repeats-centroid-id", "anomaly-id-skips",
+        "centroid-x-at-width", "negative-centroid-y", "anomaly-on-a-wall",
+        "anomaly-off-the-grid",
     ],
 )
-def test_subgoal_set_from_json_dict_rejects_mistyped_fields(part, edit):
+def test_subgoal_set_from_json_dict_rejects_mistyped_fields(part, edit, layout):
     blob = {**_SUBGOALS_JSON, part: [{**_SUBGOALS_JSON[part][0], **edit}]}
     with pytest.raises(ValueError):
-        SubgoalSet.from_json_dict(blob)
+        SubgoalSet.from_json_dict(blob, layout)
 
 
 @pytest.mark.parametrize(
@@ -438,9 +444,9 @@ def test_subgoal_set_from_json_dict_rejects_mistyped_fields(part, edit):
         "float-source",
     ],
 )
-def test_subgoal_set_from_json_dict_rejects_bad_header_fields(edit):
+def test_subgoal_set_from_json_dict_rejects_bad_header_fields(edit, layout):
     with pytest.raises(ValueError, match="to count the subgoals"):
-        SubgoalSet.from_json_dict({**_SUBGOALS_JSON, **edit})
+        SubgoalSet.from_json_dict({**_SUBGOALS_JSON, **edit}, layout)
 
 
 @pytest.mark.parametrize(
@@ -456,13 +462,14 @@ def test_subgoal_set_from_json_dict_rejects_bad_header_fields(edit):
     ids=["sqrt-source", "above-sqrt-source", "huge-source", "null-source",
          "null-theta", "zero-with-null-theta"],
 )
-def test_subgoal_set_from_json_dict_bounds_anomaly_scores(edit, ok):
+def test_subgoal_set_from_json_dict_bounds_anomaly_scores(edit, ok, layout):
     # A score lies in (theta_anom or 0, sqrt(source_memory_size)].
     header = {k: edit.pop(k) for k in ("theta_anom", "source_memory_size") if k in edit}
     anomaly = {**_SUBGOALS_JSON["anomalies"][0], **edit}
     blob = {**_SUBGOALS_JSON, **header, "anomalies": [anomaly]}
     if ok:
-        assert SubgoalSet.from_json_dict(blob).anomalies[0].score == edit["score"]
+        subgoals = SubgoalSet.from_json_dict(blob, layout)
+        assert subgoals.anomalies[0].score == edit["score"]
     else:
         with pytest.raises(ValueError, match="anomaly score"):
-            SubgoalSet.from_json_dict(blob)
+            SubgoalSet.from_json_dict(blob, layout)
