@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .agent import ControllerTable, FlatTable, MetaTable, StateIndex
 from .discovery import SubgoalSet, discover
@@ -52,6 +51,8 @@ def _out_root(args) -> Path:
 
 
 def _load_config_file(path: str) -> dict:
+    import yaml  # imported here: no other command needs it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = yaml.safe_load(fh)
@@ -233,6 +234,12 @@ def cmd_discover(args) -> int:
         layout = RoomsLayout.default()
         if manifest.exists():
             layout = _make_config(json.loads(manifest.read_text())["config"]).layout()
+        # RunConfig.validate's bound, checked before the memory is read.
+        if not 1 <= args.k <= len(layout.playable):
+            raise CliError(
+                f"--k must be in [1, {len(layout.playable)}], the layout's "
+                f"playable cell count, got {args.k}"
+            )
         transitions = load_transitions_jsonl(path, StateIndex(layout))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load memory: {exc}") from exc

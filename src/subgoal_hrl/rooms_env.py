@@ -20,6 +20,9 @@ import numpy as np
 
 KEY_REWARD = 10.0
 BOX_REWARD = 40.0
+# Most rows, and most cells per row, of a layout text. Memory and set-up
+# time grow with the cell count; see README for why this value.
+MAX_LAYOUT_SIDE = 64
 
 
 class Action(IntEnum):
@@ -237,6 +240,11 @@ class RoomsLayout:
         if not lines:
             raise LayoutError("empty layout text")
         width = len(lines[0])
+        if len(lines) > MAX_LAYOUT_SIDE or width > MAX_LAYOUT_SIDE:
+            raise LayoutError(
+                f"layout is {width}x{len(lines)} cells; each side must be at "
+                f"most {MAX_LAYOUT_SIDE}"
+            )
         if any(len(line) != width for line in lines):
             raise LayoutError("layout rows must have equal length")
         walls = set()
@@ -291,7 +299,7 @@ class StateIndex:
 class FourRoomsEnv:
     """Deterministic four-rooms environment over the compiled move rule.
 
-    `step` is `step_id` between encoding and decoding the state. Steps are
+    `step` is `move` between encoding and decoding the state. Steps are
     a pure function of (state, action) when `slip_prob` is 0 (the default);
     with slip enabled the chosen action is replaced by a uniformly random
     one with probability `slip_prob`, drawn from `rng`.
@@ -323,18 +331,19 @@ class FourRoomsEnv:
         Raises:
             ValueError: when stepping from a non-playable or terminal state.
         """
-        sid = self.index.encode(state)
-        next_id, reward, terminal = self.step_id(sid, Action(action))
-        return StepOutcome(self.index.states[next_id], reward, terminal)
+        i = self.move(self.index.encode(state), Action(action))
+        next_state = self.index.states[self.next_id[i]]
+        return StepOutcome(next_state, self.reward[i], self.terminal[i])
 
-    def step_id(self, sid: int, action: int) -> tuple[int, float, bool]:
-        """(next id, reward, terminal); ValueError from the terminal state."""
+    def move(self, sid: int, action: int) -> int:
+        """Index `sid * N_ACTIONS + taken action` of the move made, into the
+        compiled lists; with slip the taken action may differ from `action`.
+        ValueError from the terminal state."""
         if sid == self.terminal_id:
             raise ValueError("cannot step from a terminal state")
         if self.slip_prob > 0.0 and self._rng.random() < self.slip_prob:
             action = int(self._rng.integers(N_ACTIONS))
-        i = sid * N_ACTIONS + action
-        return self.next_id[i], self.reward[i], self.terminal[i]
+        return sid * N_ACTIONS + action
 
 
 @lru_cache(maxsize=16)

@@ -130,21 +130,24 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.layout_text is not None:
-            if type(self.layout_text) is not str:
-                raise ConfigError("layout_text must be a string or null")
-            try:
-                self.layout()
-            except LayoutError as exc:
-                raise ConfigError(f"layout_text: {exc}") from exc
+        if self.layout_text is not None and type(self.layout_text) is not str:
+            raise ConfigError("layout_text must be a string or null")
+        try:
+            layout = self.layout()
+        except LayoutError as exc:
+            raise ConfigError(f"layout_text: {exc}") from exc
         if not self.total_steps > self.warmup_steps > 0:
             raise ConfigError("need total_steps > warmup_steps > 0")
         if self.subgoal_timeout < 1:
             raise ConfigError("subgoal_timeout must be >= 1")
         if not 1 <= self.episode_cap <= MAX_EPISODE_CAP:
             raise ConfigError(f"episode_cap must be in [1, {MAX_EPISODE_CAP}]")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        # K-means places its centroids on distinct arrival cells.
+        if not 1 <= self.k <= len(layout.playable):
+            raise ConfigError(
+                f"k must be in [1, {len(layout.playable)}], the layout's "
+                "playable cell count"
+            )
         if self.theta_anom <= 0:
             raise ConfigError("theta_anom must be > 0")
         if self.discovery_period < 1:
@@ -273,8 +276,16 @@ class Runner:
         self.cfg = config
         self.rng = np.random.default_rng(config.seed)
         layout = config.layout()
-        self.env = FourRoomsEnv(layout, slip_prob=config.slip_prob, rng=self.rng)
-        self.index = self.env.index
+        self.env = env = FourRoomsEnv(layout, slip_prob=config.slip_prob, rng=self.rng)
+        self.index = env.index
+        # Entry move * N_ACTIONS + chosen action: the raw memory holds
+        # these shared objects, and equal entries are one object.
+        shared: dict[Transition, Transition] = {}
+        self._transitions: list[Transition] = []
+        for i, nxt in enumerate(env.next_id):
+            for a in range(N_ACTIONS):
+                t = Transition(i // N_ACTIONS, a, env.reward[i], nxt, env.terminal[i])
+                self._transitions.append(shared.setdefault(t, t))
 
         self.memory: BoundedMemory[Transition] = BoundedMemory(
             config.memory_capacity
@@ -346,16 +357,15 @@ class Runner:
         return tuple(map(memo.__getitem__, transitions))
 
     def _env_step(self, action: int) -> tuple[float, bool]:
-        s = self.sid
-        nxt, reward, terminal = self.env.step_id(s, action)
+        t = self._transitions[self.env.move(self.sid, action) * N_ACTIONS + action]
         self.steps += 1
         self.ep_steps += 1
-        self.ep_return += reward
-        self.memory.push(Transition(s, action, reward, nxt, terminal))
-        self._mark_visit(nxt)
-        self.sid = nxt
+        self.ep_return += t.r
+        self.memory.push(t)
+        self._mark_visit(t.s_next)
+        self.sid = t.s_next
         self._maybe_discover()
-        return reward, terminal
+        return t.r, t.terminal
 
     def _maybe_discover(self) -> None:
         if self._next_discovery is None or self.steps < self._next_discovery:

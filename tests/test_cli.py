@@ -6,6 +6,7 @@ import io
 import json
 import math
 import shutil
+import signal
 import string
 import tempfile
 from dataclasses import fields
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import build_full_coverage_memory
 from subgoal_hrl.cli import _build_configs, build_parser, main
 from subgoal_hrl.memory import MAX_CAPACITY, save_transitions_jsonl
+from subgoal_hrl.rooms_env import MAX_LAYOUT_SIDE, RoomsLayout
 from subgoal_hrl.trainer import (
     MAX_BATCH_SIZE,
     MAX_EPISODE_CAP,
@@ -753,14 +755,16 @@ def test_discover_rejects_cells_that_are_not_playable(tmp_path, capsys, cell, wh
     assert not out.exists()
 
 
+_SMALL_GRID = "#########\n#S......#\n#...K...#\n#B......#\n#########\n"
+
+
 def test_discover_checks_cells_against_the_run_layout(tmp_path, capsys):
-    # (6, 2) is wall in the default layout and floor in this one; (10, 10)
+    # (6, 2) is wall in the default layout and floor in _SMALL_GRID; (10, 10)
     # is the other way round.
-    grid = "#########\n#S......#\n#...K...#\n#B......#\n#########\n"
     cfg = tmp_path / "config.yaml"
     cfg.write_text(yaml.safe_dump({"mode": "random_walk", "seed": 0,
                                    "total_steps": 300, "warmup_steps": 10,
-                                   "layout_text": grid}))
+                                   "layout_text": _SMALL_GRID}))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     run_dir = tmp_path / "random_walk_seed0"
     memory = (run_dir / "memory.jsonl").read_text()
@@ -789,6 +793,54 @@ def test_discover_checks_cells_against_the_run_layout(tmp_path, capsys):
         )
         assert main(argv) == code
     _assert_cli_error(capsys, "bad transition on line 2", "x=6, y=2")
+
+
+@pytest.mark.parametrize("layout_text", [None, _SMALL_GRID], ids=["default", "run"])
+def test_discover_bounds_k_by_the_layout_before_reading_memory(
+    tmp_path, capsys, layout_text
+):
+    # The memory is not even JSON: the k bound is checked before it is read.
+    path = tmp_path / "memory.jsonl"
+    path.write_text("not a transition\n")
+    if layout_text is not None:
+        config = {**BASE_CONFIG, "layout_text": layout_text}
+        (tmp_path / "manifest.json").write_text(json.dumps({"config": config}))
+    playable = len(RunConfig(mode="flat_q", layout_text=layout_text).layout().playable)
+    out = tmp_path / "subgoals.json"
+    assert main(["discover", "--memory", str(path), "--k", str(playable + 1),
+                 "--out", str(out)]) == 1
+    _assert_cli_error(capsys, f"--k must be in [1, {playable}]")
+    assert not out.exists()
+
+
+def _open_layout(width, height):
+    """An open rectangle inside a wall border, with S, K and B in corners."""
+    rows = [["#"] * width] + [
+        ["#"] + ["."] * (width - 2) + ["#"] for _ in range(height - 2)
+    ] + [["#"] * width]
+    rows[1][1], rows[1][-2], rows[-2][1] = "S", "K", "B"
+    return "".join("".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("width,height", [
+    (MAX_LAYOUT_SIDE + 1, 13), (13, MAX_LAYOUT_SIDE + 1),
+])
+def test_train_refuses_a_layout_beyond_the_side_bound(
+    tmp_path, capsys, monkeypatch, width, height
+):
+    def fail(config):
+        raise AssertionError("training started")
+
+    RunConfig(mode="flat_q", layout_text=_open_layout(MAX_LAYOUT_SIDE, 13)).validate()
+    monkeypatch.setattr("subgoal_hrl.cli.run", fail)
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(
+        yaml.safe_dump({**BASE_CONFIG, "layout_text": _open_layout(width, height)})
+    )
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    _assert_cli_error(capsys, f"each side must be at most {MAX_LAYOUT_SIDE}")
+    assert not out.exists()
 
 
 def test_discover_rejects_a_memory_line_that_is_not_an_object(tmp_path, capsys):
@@ -1023,7 +1075,7 @@ OUT_OF_RANGE = {
     "mode": st.text(string.printable).filter(lambda m: m not in MODES),
     "seed": st.integers(max_value=-1),
     "total_steps": st.integers(max_value=BASE_CONFIG["warmup_steps"]),
-    "k": _BELOW_ONE,
+    "k": _BELOW_ONE | st.integers(min_value=len(RoomsLayout.default().playable) + 1),
     "theta_anom": st.floats(max_value=0.0),
     "warmup_steps": _BELOW_ONE | st.integers(min_value=BASE_CONFIG["total_steps"]),
     "discovery_period": _BELOW_ONE,
@@ -1099,6 +1151,7 @@ def test_train_refuses_any_bad_config_value_before_any_step(case):
     ("success_window", 2**70),
     ("episode_cap", 2**70),
     ("episode_cap", MAX_EPISODE_CAP + 1),
+    ("k", len(RoomsLayout.default().playable) + 1),
 ])
 def test_train_refuses_oversized_ints_before_training(
     tmp_path, capsys, monkeypatch, name, value
@@ -1141,6 +1194,7 @@ _VALUE_EDITS = {
     "nan": lambda v: math.nan,
     "negative": lambda v: -v if type(v) in (int, float) and v else -1,
 }
+_EDITS = ["delete", *_VALUE_EDITS]
 
 
 @pytest.fixture(scope="module")
@@ -1156,7 +1210,9 @@ def fuzzed_run(trained_runs, tmp_path_factory):
 def _mutated(draw, text, suffix):
     """`text` with one value edited or deleted, cut short, or with one line
     repeated. A ".json" document is edited as JSON, a ".jsonl" file in one
-    of its lines, and a ".csv" file cell by cell."""
+    of its lines, and a ".csv" file cell by cell. Half of a manifest's
+    value edits pick a `config` field first: spread over every path, a
+    given field would get a given edit in about 1 of 4700 examples."""
     if draw(st.booleans()):
         if suffix == ".csv":
             rows = [line.split(",") for line in text.splitlines()]
@@ -1166,10 +1222,14 @@ def _mutated(draw, text, suffix):
             lines = text.splitlines() if suffix == ".jsonl" else [text]
             i = draw(st.integers(0, len(lines) - 1))
             blob = parent = json.loads(lines[i])
-            *path, key = draw(st.sampled_from(list(_json_paths(blob))))
+            if isinstance(blob.get("config"), dict) and draw(st.booleans()):
+                path = ["config"]
+                key = draw(st.sampled_from(sorted(blob["config"])))
+            else:
+                *path, key = draw(st.sampled_from(list(_json_paths(blob))))
             for step in path:
                 parent = parent[step]
-        edit = draw(st.sampled_from(["delete", *_VALUE_EDITS]))
+        edit = draw(st.sampled_from(_EDITS))
         if edit == "delete":
             del parent[key]
         elif suffix != ".csv":
@@ -1193,10 +1253,29 @@ def _mutated(draw, text, suffix):
     return "".join(lines[: i + 1] + lines[i:])
 
 
+class _NoExit(Exception):
+    """Raised by the alarm of `_assert_exits_cleanly`."""
+
+
+def _raise_no_exit(signum, frame):
+    raise _NoExit(f"no exit within {EXIT_SECONDS} s")
+
+
+# A mutated file must not make a command run for ever, as an unbounded
+# `episode_cap` makes `eval`; each command here takes milliseconds.
+EXIT_SECONDS = 10
+
+
 def _assert_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    previous = signal.signal(signal.SIGALRM, _raise_no_exit)
+    signal.setitimer(signal.ITIMER_REAL, EXIT_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code == 0 or (code == 1 and err.getvalue().startswith("error:")), (
         code, err.getvalue()
     )
@@ -1238,6 +1317,25 @@ def test_eval_and_compare_on_any_mutated_run_file_exit_cleanly(fuzzed_root, name
                 "compare", "--root", str(fuzzed_root),
                 "--out-dir", str(fuzzed_root / "cmp"),
             ])
+    finally:
+        path.write_text(text)
+
+
+# One example per (field, edit) pair, so every pair runs; Hypothesis stops
+# once it has drawn them all.
+@settings(max_examples=len(fields(RunConfig)) * len(_EDITS), deadline=None)
+@given(field=st.sampled_from(RunConfig.field_names()), edit=st.sampled_from(_EDITS))
+def test_eval_on_any_edited_manifest_config_field_exits_cleanly(fuzzed_root, field, edit):
+    path = fuzzed_root / "unified_hrl_seed1" / "manifest.json"
+    text = path.read_text()
+    blob = json.loads(text)
+    if edit == "delete":
+        del blob["config"][field]
+    else:
+        blob["config"][field] = _VALUE_EDITS[edit](blob["config"][field])
+    path.write_text(json.dumps(blob))
+    try:
+        _assert_exits_cleanly(["eval", "--run", str(path.parent)])
     finally:
         path.write_text(text)
 

@@ -266,7 +266,7 @@ def test_rejected_steps_draw_no_slip(layout):
     env = FourRoomsEnv(layout, slip_prob=0.5, rng=rng)
     before = rng.bit_generator.state
     with pytest.raises(ValueError):
-        env.step_id(env.terminal_id, Action.NORTH)
+        env.move(env.terminal_id, Action.NORTH)
     with pytest.raises(ValueError):
         env.step(GridState(2, 10, has_key=True), Action.NORTH)
     with pytest.raises(ValueError):

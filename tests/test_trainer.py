@@ -194,12 +194,21 @@ def test_slip_draws_follow_the_block_of_warmup_actions():
     result = runner.run()
     ref = default_rng(8)
     assert _actions(result.memory) == ref.integers(4, size=n).tolist()
+    # The raw memory holds entries of the runner's shared table, not one
+    # object per step.
+    raw = runner.memory.snapshot()
+    table = {id(t) for t in runner._transitions}
+    assert all(id(t) in table for t in raw)
     # Replaying each recorded step on an env that shares the reference
-    # generator makes the same slip draws and lands in the same states.
+    # generator makes the same slip draws and builds equal transitions.
     env = FourRoomsEnv(RoomsLayout.default(), slip_prob=slip, rng=ref)
-    encode, states = env.index.encode, env.index.states
-    for t in result.memory:
-        assert states[env.step_id(encode(t.s), int(t.a))[0]] == t.s_next
+    replay = []
+    for t in raw:
+        i = env.move(t.s, t.a)
+        replay.append(
+            Transition(t.s, t.a, env.reward[i], env.next_id[i], env.terminal[i])
+        )
+    assert replay == list(raw)
     assert runner.rng.bit_generator.state == ref.bit_generator.state
 
 
