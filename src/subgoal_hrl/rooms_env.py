@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -113,8 +113,10 @@ class RoomsLayout:
             raise LayoutError("not every playable cell is reachable from start")
 
     @classmethod
+    @cache
     def default(cls) -> "RoomsLayout":
-        """The canonical 13x13 four-rooms grid with 104 playable cells."""
+        """The canonical 13x13 four-rooms grid with 104 playable cells, built
+        once: `RunConfig.validate` reads it for every config."""
         width = height = 13
         doorways = {(6, 3), (6, 9), (3, 6), (9, 6)}
         walls = set()

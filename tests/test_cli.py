@@ -1064,6 +1064,7 @@ def test_eval_rejects_anomalies_off_the_playable_cells(
 
 # A tiny valid flat_q run; each property example replaces one of its fields.
 BASE_CONFIG = {"mode": "flat_q", "total_steps": 600, "warmup_steps": 50}
+_PLAYABLE = len(RoomsLayout.default().playable)  # k's bound in BASE_CONFIG
 _BELOW_ONE = st.integers(max_value=0)
 _BEYOND_CAPACITY = _BELOW_ONE | st.integers(min_value=MAX_CAPACITY + 1)
 _ABOVE_ONE = st.floats(min_value=1.0, exclude_min=True)
@@ -1075,7 +1076,7 @@ OUT_OF_RANGE = {
     "mode": st.text(string.printable).filter(lambda m: m not in MODES),
     "seed": st.integers(max_value=-1),
     "total_steps": st.integers(max_value=BASE_CONFIG["warmup_steps"]),
-    "k": _BELOW_ONE | st.integers(min_value=len(RoomsLayout.default().playable) + 1),
+    "k": _BELOW_ONE | st.integers(min_value=_PLAYABLE + 1),
     "theta_anom": st.floats(max_value=0.0),
     "warmup_steps": _BELOW_ONE | st.integers(min_value=BASE_CONFIG["total_steps"]),
     "discovery_period": _BELOW_ONE,
@@ -1151,7 +1152,7 @@ def test_train_refuses_any_bad_config_value_before_any_step(case):
     ("success_window", 2**70),
     ("episode_cap", 2**70),
     ("episode_cap", MAX_EPISODE_CAP + 1),
-    ("k", len(RoomsLayout.default().playable) + 1),
+    ("k", _PLAYABLE + 1),
 ])
 def test_train_refuses_oversized_ints_before_training(
     tmp_path, capsys, monkeypatch, name, value
