@@ -7,8 +7,7 @@ dense (x, y, has_key) state index. Loss minimization is realized as
 per-sample tabular TD updates, the exact-table special case of
 minimizing the squared TD error. The updates index rows by state id and
 columns by action id; a negative id, which list indexing would wrap, or
-an id past the end raises ValueError naming the transition. A batch of
-`GridState` transitions is encoded, and so checked, once on entry.
+an id past the end raises ValueError naming the transition.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -281,9 +279,6 @@ def update_controller(
 ) -> None:
     """One TD step per item, in order, toward the intrinsic target."""
     _check_rates(alpha, gamma)
-    if batch and type(batch[0].s) is not int:
-        ids = controller.index.ids
-        batch = [(ids[s], g, a, r, ids[s2], d) for s, g, a, r, s2, d in batch]
     values, n_subgoals = controller._values, controller.n_subgoals
     try:
         for tr in batch:
@@ -314,9 +309,6 @@ def update_meta(
     accrued over the temporally extended subgoal attempt.
     """
     _check_rates(alpha, gamma)
-    if batch and type(batch[0].s0) is not int:
-        ids = meta.index.ids
-        batch = [replace(tr, s0=ids[tr.s0], s_end=ids[tr.s_end]) for tr in batch]
     values, n_subgoals = meta._values, meta.n_subgoals
     try:
         for tr in batch:
@@ -343,9 +335,6 @@ def flat_q_update(
 ) -> None:
     """Standard one-step Q-learning update over raw transitions."""
     _check_rates(alpha, gamma)
-    if batch and type(batch[0].s) is not int:
-        ids = table.index.ids
-        batch = [(ids[s], a, r, ids[s2], t) for s, a, r, s2, t in batch]
     values = table._values
     try:
         for tr in batch:

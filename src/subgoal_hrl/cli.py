@@ -152,7 +152,8 @@ def write_run_artifacts(result: RunResult, run_dir: Path) -> dict:
     (run_dir / "metrics.csv").write_text(metrics_to_csv(result.metrics))
     artifacts["metrics"] = "metrics.csv"
 
-    save_transitions_jsonl(run_dir / "memory.jsonl", result.memory)
+    index = StateIndex(result.config.layout())  # decodes the run's ids
+    save_transitions_jsonl(run_dir / "memory.jsonl", result.memory, index)
     artifacts["memory"] = "memory.jsonl"
 
     if result.subgoals is not None:
@@ -240,7 +241,8 @@ def cmd_discover(args) -> int:
                 f"--k must be in [1, {len(layout.playable)}], the layout's "
                 f"playable cell count, got {args.k}"
             )
-        transitions = load_transitions_jsonl(path, StateIndex(layout))
+        index = StateIndex(layout)
+        transitions = load_transitions_jsonl(path, index)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load memory: {exc}") from exc
     if not transitions:
@@ -249,7 +251,7 @@ def cmd_discover(args) -> int:
     try:
         subgoals = discover(
             transitions, args.k, args.theta_anom, rng,
-            min_samples=args.min_samples,
+            min_samples=args.min_samples, index=index,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc

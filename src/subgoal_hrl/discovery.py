@@ -374,7 +374,7 @@ def discover(
     rng: np.random.Generator,
     *,
     min_samples: int = 2,
-    index: StateIndex | None = None,
+    index: StateIndex,
 ) -> SubgoalSet:
     """Build a subgoal set from an experience-memory snapshot.
 
@@ -383,8 +383,7 @@ def discover(
     (x, y, has_key). K-means runs on the histogram of distinct arrival
     states in first-seen order, each weighted by its arrival count: up to
     rounding, the fit on the arrivals grouped by state in that order.
-    States are `GridState`s, or ids of `index` when it is given; both forms
-    of one memory give the same set and rng draws.
+    States are ids of `index`.
 
     Raises:
         ValueError: when `theta_anom` is not a finite number > 0, or an
@@ -402,12 +401,10 @@ def discover(
     # Distinct arrivals in first-seen order; inverse[i] is transition i's.
     codes: dict = {}
     inverse = [codes.setdefault(t.s_next, len(codes)) for t in transitions]
-    states = list(codes)
-    if index is not None:
-        for sid in states:
-            if not 0 <= sid < index.size:
-                raise ValueError(f"arrival id {sid} is not in the state index")
-        states = [index.states[sid] for sid in states]
+    for sid in codes:
+        if not 0 <= sid < index.size:
+            raise ValueError(f"arrival id {sid} is not in the state index")
+    states = [index.states[sid] for sid in codes]
     coords = np.array([(s.x, s.y) for s in states], dtype=float)
     fit = kmeans_fit(coords, k, rng, weights=np.bincount(inverse))
     positions = [tuple(c) for c in fit.centroids]

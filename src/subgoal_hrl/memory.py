@@ -3,7 +3,8 @@
 Three memories drive training: the raw environment memory feeding
 subgoal discovery, the controller memory of intrinsic-reward
 transitions, and the meta-controller memory of completed subgoal
-attempts. The trainer fills them with state ids and int actions.
+attempts. They hold state ids and int actions; the `memory.jsonl` codec
+below is the one place that maps an id to its (x, y, has_key).
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ def accumulate_return(rewards: Sequence[float], gamma: float) -> float:
 class Transition(NamedTuple):
     """One raw environment step."""
 
-    s: GridState | int
-    a: Action | int
+    s: int
+    a: int
     r: float
-    s_next: GridState | int
+    s_next: int
     terminal: bool
 
 
@@ -70,11 +71,11 @@ class ControllerTransition(NamedTuple):
     episode ended.
     """
 
-    s: GridState | int
+    s: int
     goal_id: int
-    a: Action | int
+    a: int
     r_intrinsic: float
-    s_next: GridState | int
+    s_next: int
     attained_or_terminal: bool
 
 
@@ -87,10 +88,10 @@ class MetaTransition:
     later.
     """
 
-    s0: GridState | int
+    s0: int
     goal_id: int
     return_g: float
-    s_end: GridState | int
+    s_end: int
     duration: int
     rewards: tuple[float, ...]
     gamma: float
@@ -113,11 +114,11 @@ class MetaTransition:
     @classmethod
     def from_rewards(
         cls,
-        s0: GridState,
+        s0: int,
         goal_id: int,
         rewards: Sequence[float],
         gamma: float,
-        s_end: GridState,
+        s_end: int,
         terminal: bool,
     ) -> "MetaTransition":
         return cls(
@@ -175,45 +176,49 @@ class BoundedMemory(Generic[T]):
         return [items[i] for i in idx]
 
 
-def transition_to_dict(t: Transition) -> dict:
+def transition_to_dict(t: Transition, index: StateIndex) -> dict:
+    s, s_next = index.states[t.s], index.states[t.s_next]
     return {
-        "x": t.s.x,
-        "y": t.s.y,
-        "has_key": t.s.has_key,
-        "action": t.a.name,
+        "x": s.x,
+        "y": s.y,
+        "has_key": s.has_key,
+        "action": Action(t.a).name,
         "reward": t.r,
-        "x_next": t.s_next.x,
-        "y_next": t.s_next.y,
-        "has_key_next": t.s_next.has_key,
+        "x_next": s_next.x,
+        "y_next": s_next.y,
+        "has_key_next": s_next.has_key,
         "terminal": t.terminal,
     }
 
 
-def transition_from_dict(d: dict) -> Transition:
+def transition_from_dict(d: dict, index: StateIndex) -> Transition:
     """Inverse of `transition_to_dict`; ValueError unless the flags are JSON
-    booleans, the cell coordinates JSON integers >= 0 and the reward a
-    finite number."""
+    booleans, the cell coordinates JSON integers naming states of `index`
+    and the reward a finite number."""
     x, y, x_next, y_next = d["x"], d["y"], d["x_next"], d["y_next"]
     has_key, has_key_next, terminal = d["has_key"], d["has_key_next"], d["terminal"]
     r = d["reward"]
     if not (
         type(x) is type(y) is type(x_next) is type(y_next) is int
-        and x >= 0 and y >= 0 and x_next >= 0 and y_next >= 0
         and type(has_key) is type(has_key_next) is type(terminal) is bool
         and is_finite_number(r)
     ):
         raise ValueError(
             "need true/false for has_key, has_key_next and terminal, integers "
-            ">= 0 for x, y, x_next and y_next, and a finite reward"
+            "for x, y, x_next and y_next, and a finite reward"
         )
+    ids = index.ids
     return Transition(
-        GridState(x, y, has_key), Action[d["action"]], float(r),
-        GridState(x_next, y_next, has_key_next), terminal,
+        ids[GridState(x, y, has_key)], Action[d["action"]].value, float(r),
+        ids[GridState(x_next, y_next, has_key_next)], terminal,
     )
 
 
-def save_transitions_jsonl(path: str | Path, transitions: Sequence[Transition]) -> None:
-    """Write one JSON object per line; round-trips bit-exactly.
+def save_transitions_jsonl(
+    path: str | Path, transitions: Sequence[Transition], index: StateIndex
+) -> None:
+    """Write one JSON line per transition, states from `index`; round-trips
+    bit-exactly.
 
     Each distinct transition object is rendered once. The memo is keyed on
     identity, not value (-0.0 == 0.0 and True == 1 render differently), and
@@ -224,24 +229,22 @@ def save_transitions_jsonl(path: str | Path, transitions: Sequence[Transition]) 
     def line(t: Transition) -> str:
         hit = rendered.get(id(t))
         if hit is None:
-            hit = rendered[id(t)] = (t, json.dumps(transition_to_dict(t)) + "\n")
+            hit = rendered[id(t)] = (t, json.dumps(transition_to_dict(t, index)) + "\n")
         return hit[1]
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(map(line, transitions))
 
 
-def load_transitions_jsonl(
-    path: str | Path, index: StateIndex | None = None
-) -> list[Transition]:
-    """ValueError names the line of a bad transition or of a state off `index`.
+def load_transitions_jsonl(path: str | Path, index: StateIndex) -> list[Transition]:
+    """Transitions with states as ids of `index`; ValueError names the line
+    of a bad transition or of a state off `index`.
 
     Each distinct line is parsed and checked once; a repeat reuses its
     `Transition`, so a bad line still fails at its first occurrence.
     """
     transitions = []
     parsed: dict[str, Transition] = {}
-    ids = index.ids if index is not None else None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             t = parsed.get(line)
@@ -249,12 +252,7 @@ def load_transitions_jsonl(
                 if not line.strip():
                     continue
                 try:
-                    t = parsed[line] = transition_from_dict(json.loads(line))
-                    # One dict membership per state; `encode` runs only to
-                    # raise for a state off the index.
-                    if ids is not None and (t.s not in ids or t.s_next not in ids):
-                        index.encode(t.s)
-                        index.encode(t.s_next)
+                    t = parsed[line] = transition_from_dict(json.loads(line), index)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"bad transition on line {line_no}: {exc}") from exc
             transitions.append(t)

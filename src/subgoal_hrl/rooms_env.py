@@ -236,8 +236,10 @@ class RoomsLayout:
         return "\n".join(rows) + "\n"
 
     @classmethod
+    @lru_cache(maxsize=16)
     def from_text(cls, text: str) -> "RoomsLayout":
-        """Parse a plain-text grid produced by :meth:`to_text`."""
+        """Parse a plain-text grid produced by :meth:`to_text`; cached like
+        `default`, so every reader of one text shares one layout."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise LayoutError("empty layout text")

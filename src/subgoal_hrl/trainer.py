@@ -44,7 +44,6 @@ from .memory import (
 from .rooms_env import Action, FourRoomsEnv, LayoutError, N_ACTIONS, RoomsLayout
 
 MODES = ("random_walk", "flat_q", "random_meta_hrl", "unified_hrl")
-ACTIONS = list(Action)  # action id -> Action, without an enum call
 # Most warm-up actions drawn in one call. Any chunking gives the same
 # stream; the cap bounds the drawn list on long walks.
 WARMUP_CHUNK = 4096
@@ -267,8 +266,8 @@ class RunResult:
 class Runner:
     """Executes one run. Internal machinery behind :func:`run`.
 
-    The state `sid` and every memory hold ids of `env.index`. `discover`
-    reads the ids as they are; states are decoded only for the `RunResult`.
+    The state `sid` and every memory hold ids of `env.index`, as does the
+    `RunResult`'s memory.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -344,17 +343,6 @@ class Runner:
         if not self._visits[cell]:
             self._visits[cell] = 1
             self._n_visited += 1
-
-    def _decoded(self, transitions: Sequence[Transition]) -> tuple[Transition, ...]:
-        # One decoded object per distinct int tuple. Rewards and flags come
-        # from the compiled move tables, so equal keys decode to values of
-        # identical repr.
-        states = self.index.states
-        memo = {
-            t: Transition(states[t.s], ACTIONS[t.a], t.r, states[t.s_next], t.terminal)
-            for t in set(transitions)
-        }
-        return tuple(map(memo.__getitem__, transitions))
 
     def _env_step(self, action: int) -> tuple[float, bool]:
         t = self._transitions[self.env.move(self.sid, action) * N_ACTIONS + action]
@@ -454,7 +442,7 @@ class Runner:
             controller=self.controller,
             meta=self.meta,
             flat=self.flat,
-            memory=self._decoded(self.memory.snapshot()),
+            memory=self.memory.snapshot(),
             discovery_steps=tuple(self.discovery_steps),
             warmup_steps_used=self.warmup_steps_used,
             attempt_steps_total=self.attempt_steps_total,

@@ -1,12 +1,15 @@
 """Shared fixtures and oracles for the test suite."""
 
+import dataclasses
 from collections import deque
 
 import numpy as np
 import pytest
 
 from subgoal_hrl.memory import Transition
-from subgoal_hrl.rooms_env import ACTION_DELTAS, FourRoomsEnv, GridState, RoomsLayout
+from subgoal_hrl.rooms_env import (
+    ACTION_DELTAS, FourRoomsEnv, GridState, RoomsLayout, StateIndex,
+)
 
 
 @pytest.fixture
@@ -51,10 +54,26 @@ def arrival_source(layout: RoomsLayout, cell: tuple[int, int]):
     raise ValueError(f"no playable neighbor for {cell}")
 
 
+def id_coded(batch, index: StateIndex) -> list:
+    """Hand-built transitions with every `GridState` field replaced by its
+    id of `index`, the one state form the memories and updates take."""
+    out = []
+    for tr in batch:
+        named = isinstance(tr, tuple)
+        ids = {
+            name: index.encode(value)
+            for name, value in (tr._asdict() if named else vars(tr)).items()
+            if isinstance(value, GridState)
+        }
+        out.append(tr._replace(**ids) if named else dataclasses.replace(tr, **ids))
+    return out
+
+
 def build_full_coverage_memory(
     env: FourRoomsEnv | None = None, arrivals_per_cell: int = 5
 ) -> list[Transition]:
-    """Transitions arriving at every playable cell, built by real env steps.
+    """Id-coded transitions arriving at every playable cell, built by real
+    env moves.
 
     Visitation is near-uniform (arrivals_per_cell arrivals per cell). The
     key-cell arrivals each pay +10; exactly one box arrival carries the
@@ -62,18 +81,18 @@ def build_full_coverage_memory(
     anomalies and >= 95% zero-reward transitions.
     """
     env = env or FourRoomsEnv()
-    layout = env.layout
+    layout, index = env.layout, env.index
     transitions = []
     for cell in sorted(layout.playable):
         src, action = arrival_source(layout, cell)
         for i in range(arrivals_per_cell):
             has_key = cell == layout.box_cell and i == arrivals_per_cell - 1
-            state = GridState(src[0], src[1], has_key)
-            out = env.step(state, action)
-            assert out.next_state.cell == cell
-            transitions.append(
-                Transition(state, action, out.reward, out.next_state, out.terminal)
-            )
+            sid = index.encode(GridState(src[0], src[1], has_key))
+            move = env.move(sid, action)
+            assert index.states[env.next_id[move]].cell == cell
+            transitions.append(Transition(
+                sid, action, env.reward[move], env.next_id[move], env.terminal[move]
+            ))
     return transitions
 
 

@@ -149,7 +149,7 @@ def test_criterion_4_discovery_geometry():
     env = FourRoomsEnv()
     layout = env.layout
     memory = build_full_coverage_memory(env)
-    subgoals = discover(memory, 4, 3.0, np.random.default_rng(0))
+    subgoals = discover(memory, 4, 3.0, np.random.default_rng(0), index=env.index)
     centers = layout.room_interior_centers()
     rooms = []
     max_dist = 0.0
@@ -218,6 +218,7 @@ def test_criterion_5b_chain_mdp_oracles():
     index = StateIndex(layout)
     gamma = 0.9
     cells = [GridState(1, 1), GridState(2, 1), GridState(3, 1)]
+    ids = [index.encode(cell) for cell in cells]  # the updates' state form
     worst = 0.0
 
     # 2-state chain, controller and flat: EAST from cell 0 ends with reward 1.
@@ -227,13 +228,13 @@ def test_criterion_5b_chain_mdp_oracles():
     oracle2 = _value_iteration(1, 2, chain2, gamma)
     ctrl = ControllerTable(index, 1)
     c_batch = [
-        ControllerTransition(cells[0], 0, Action.EAST, 1.0, cells[1], True),
-        ControllerTransition(cells[0], 0, Action.WEST, 0.0, cells[0], False),
+        ControllerTransition(ids[0], 0, Action.EAST, 1.0, ids[1], True),
+        ControllerTransition(ids[0], 0, Action.WEST, 0.0, ids[0], False),
     ]
     flat = FlatTable(index)
     f_batch = [
-        Transition(cells[0], Action.EAST, 1.0, cells[1], True),
-        Transition(cells[0], Action.WEST, 0.0, cells[0], False),
+        Transition(ids[0], Action.EAST, 1.0, ids[1], True),
+        Transition(ids[0], Action.WEST, 0.0, ids[0], False),
     ]
     for _ in range(3000):
         update_controller(ctrl, c_batch, alpha=0.1, gamma=gamma)
@@ -254,17 +255,17 @@ def test_criterion_5b_chain_mdp_oracles():
     oracle3 = _value_iteration(2, 2, chain3, gamma)
     ctrl3 = ControllerTable(index, 1)
     c3 = [
-        ControllerTransition(cells[0], 0, Action.EAST, 0.0, cells[1], False),
-        ControllerTransition(cells[1], 0, Action.EAST, 1.0, cells[2], True),
-        ControllerTransition(cells[0], 0, Action.WEST, 0.0, cells[0], False),
-        ControllerTransition(cells[1], 0, Action.WEST, 0.0, cells[0], False),
+        ControllerTransition(ids[0], 0, Action.EAST, 0.0, ids[1], False),
+        ControllerTransition(ids[1], 0, Action.EAST, 1.0, ids[2], True),
+        ControllerTransition(ids[0], 0, Action.WEST, 0.0, ids[0], False),
+        ControllerTransition(ids[1], 0, Action.WEST, 0.0, ids[0], False),
     ]
     flat3 = FlatTable(index)
     f3 = [
-        Transition(cells[0], Action.EAST, 0.0, cells[1], False),
-        Transition(cells[1], Action.EAST, 1.0, cells[2], True),
-        Transition(cells[0], Action.WEST, 0.0, cells[0], False),
-        Transition(cells[1], Action.WEST, 0.0, cells[0], False),
+        Transition(ids[0], Action.EAST, 0.0, ids[1], False),
+        Transition(ids[1], Action.EAST, 1.0, ids[2], True),
+        Transition(ids[0], Action.WEST, 0.0, ids[0], False),
+        Transition(ids[1], Action.WEST, 0.0, ids[0], False),
     ]
     for _ in range(3000):
         update_controller(ctrl3, c3, alpha=0.1, gamma=gamma)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_distance
+from conftest import grid_distance, id_coded
 from subgoal_hrl.agent import (
     ControllerTable,
     FlatTable,
@@ -163,7 +163,7 @@ def test_controller_update_attained_arithmetic(layout):
     tr = ControllerTransition(
         GridState(1, 1), 0, Action.EAST, 1.0, GridState(2, 1), True
     )
-    update_controller(ctrl, [tr], alpha=0.1, gamma=0.99)
+    update_controller(ctrl, id_coded([tr], index), alpha=0.1, gamma=0.99)
     assert ctrl.action_values(GridState(1, 1), 0)[Action.EAST] == pytest.approx(0.1)
 
 
@@ -174,7 +174,7 @@ def test_controller_update_bootstrap_arithmetic(layout):
     tr = ControllerTransition(
         GridState(1, 1), 0, Action.EAST, 0.0, GridState(2, 1), False
     )
-    update_controller(ctrl, [tr], alpha=0.1, gamma=0.99)
+    update_controller(ctrl, id_coded([tr], index), alpha=0.1, gamma=0.99)
     assert ctrl.action_values(GridState(1, 1), 0)[Action.EAST] == pytest.approx(0.0495)
 
 
@@ -184,24 +184,17 @@ def test_controller_update_rejects_unknown_goal(layout):
         GridState(1, 1), 7, Action.EAST, 0.0, GridState(2, 1), False
     )
     with pytest.raises(ValueError):
-        update_controller(ctrl, [tr], alpha=0.1, gamma=0.99)
-
-
-WALL = GridState(0, 0)
+        update_controller(ctrl, id_coded([tr], ctrl.index), alpha=0.1, gamma=0.99)
 
 
 @pytest.mark.parametrize("where", ["s", "s_next", "a"])
 def test_updates_reject_wall_states(layout, where):
-    # A wall cell on the GridState path; on the int path, a negative id,
-    # which list indexing would wrap to the last row or column, and an id
-    # past the end, which would raise a bare IndexError.
+    # A negative id, which list indexing would wrap to the last row or
+    # column, and an id past the end, which would raise a bare IndexError.
     index = StateIndex(layout)
-    good = (GridState(1, 1), GridState(2, 1))
-    ids = tuple(map(index.encode, good))
+    ids = (index.encode(GridState(1, 1)), index.encode(GridState(2, 1)))
     past_end = len(Action) if where == "a" else index.size
     cases = [(-1, "negative id in transition", ids), (past_end, "id out of range", ids)]
-    if where != "a":
-        cases.append((WALL, "not indexable", good))
     for bad, message, (s, s_next) in cases:
         a = Action.EAST
         if where == "s":
@@ -240,18 +233,14 @@ def test_updates_reject_negative_goal_ids(layout, done):
     ctrl = ControllerTable(index, 2)
     meta = MetaTable(index, 2)
     s, s_next = GridState(1, 1), GridState(2, 1)
+    ctrl_batch, meta_batch = (id_coded([tr], index) for tr in (
+        ControllerTransition(s, -1, Action.EAST, 1.0, s_next, done),
+        MetaTransition.from_rewards(s, -1, [1.0], 0.99, s_next, done),
+    ))
     with pytest.raises(ValueError, match="unknown subgoal id -1"):
-        update_controller(
-            ctrl,
-            [ControllerTransition(s, -1, Action.EAST, 1.0, s_next, done)],
-            alpha=0.1, gamma=0.99,
-        )
+        update_controller(ctrl, ctrl_batch, alpha=0.1, gamma=0.99)
     with pytest.raises(ValueError, match="unknown subgoal id -1"):
-        update_meta(
-            meta,
-            [MetaTransition.from_rewards(s, -1, [1.0], 0.99, s_next, done)],
-            alpha=0.1, gamma=0.99,
-        )
+        update_meta(meta, meta_batch, alpha=0.1, gamma=0.99)
     assert ctrl.action_values(s, 1) == [0.0] * 4
     assert meta.goal_values(s) == [0.0, 0.0]
 
@@ -282,6 +271,7 @@ def test_controller_converges_on_corridor(layout):
         ControllerTransition(cells[1], 0, Action.WEST, 0.0, cells[0], False),
         ControllerTransition(cells[0], 0, Action.WEST, 0.0, cells[0], False),
     ]
+    batch = id_coded(batch, index)
     ctrl = ControllerTable(index, 1)
     for _ in range(3000):
         update_controller(ctrl, batch, alpha=0.1, gamma=gamma)
@@ -313,7 +303,7 @@ def test_meta_update_terminal_arithmetic(layout):
     tr = MetaTransition.from_rewards(
         GridState(1, 1), 1, [0.0, 0.0, 10.0], 0.99, GridState(2, 10, True), True
     )
-    update_meta(meta, [tr], alpha=0.1, gamma=0.99)
+    update_meta(meta, id_coded([tr], meta.index), alpha=0.1, gamma=0.99)
     assert meta.goal_values(GridState(1, 1))[1] == pytest.approx(0.9801)
 
 
@@ -324,7 +314,7 @@ def test_meta_update_bootstrap_arithmetic(layout):
     tr = MetaTransition.from_rewards(
         GridState(1, 1), 0, [0.0] * 5, 0.99, s_end, False
     )
-    update_meta(meta, [tr], alpha=0.1, gamma=0.99)
+    update_meta(meta, id_coded([tr], meta.index), alpha=0.1, gamma=0.99)
     expected = 0.1 * (0.99 ** 5 * 2.0)
     assert expected == pytest.approx(0.19020, abs=5e-6)
     assert meta.goal_values(GridState(1, 1))[0] == pytest.approx(expected)
@@ -336,7 +326,7 @@ def test_meta_update_rejects_unknown_goal(layout):
         GridState(1, 1), 3, [0.0], 0.99, GridState(2, 1), False
     )
     with pytest.raises(ValueError):
-        update_meta(meta, [tr], alpha=0.1, gamma=0.99)
+        update_meta(meta, id_coded([tr], meta.index), alpha=0.1, gamma=0.99)
 
 
 def test_meta_converges_on_key_box_chain(layout):
@@ -375,6 +365,7 @@ def test_meta_converges_on_key_box_chain(layout):
         for g in range(6)
     ]
 
+    transitions = id_coded(transitions, index)
     meta = MetaTable(index, 6)
     for _ in range(4000):
         update_meta(meta, transitions, alpha=0.2, gamma=gamma)
@@ -409,7 +400,7 @@ def test_flat_update_terminal_arithmetic(layout):
     flat = FlatTable(StateIndex(layout))
     tr = Transition(GridState(2, 9, True), Action.SOUTH, 40.0,
                     GridState(2, 10, True), True)
-    flat_q_update(flat, [tr], alpha=0.1, gamma=0.99)
+    flat_q_update(flat, id_coded([tr], flat.index), alpha=0.1, gamma=0.99)
     assert flat.action_values(GridState(2, 9, True))[Action.SOUTH] == pytest.approx(4.0)
 
 
@@ -421,7 +412,7 @@ def test_flat_zero_alpha_is_identity(layout, rng):
                    float(rng.choice([0.0, 10.0])), GridState(2, 1), False)
         for _ in range(20)
     ]
-    flat_q_update(flat, batch, alpha=0.0, gamma=0.99)
+    flat_q_update(flat, id_coded(batch, flat.index), alpha=0.0, gamma=0.99)
     assert flat._values == before
 
 
@@ -434,6 +425,7 @@ def test_flat_converges_on_two_state_chain(layout):
         Transition(s0, Action.EAST, 1.0, s1, True),
         Transition(s0, Action.WEST, 0.0, s0, False),
     ]
+    batch = id_coded(batch, index)
     flat = FlatTable(index)
     for _ in range(3000):
         flat_q_update(flat, batch, alpha=0.1, gamma=gamma)
@@ -456,7 +448,7 @@ def test_update_moves_monotonically_without_overshoot(layout):
     tr = ControllerTransition(
         GridState(1, 1), 0, Action.EAST, 1.0, GridState(2, 1), True
     )
-    batch = [tr, tr]
+    batch = id_coded([tr, tr], index)
     prev = 0.0
     for _ in range(200):
         gap = 1.0 - prev
@@ -484,7 +476,7 @@ def test_tables_stay_finite_under_update_storm(layout, rng):
             GridState(*c2, bool(rng.integers(2))),
             bool(rng.integers(2)),
         )
-        update_controller(ctrl, [tr], alpha=1.0, gamma=1.0)
+        update_controller(ctrl, id_coded([tr], index), alpha=1.0, gamma=1.0)
     assert all(
         math.isfinite(v) for _, _, _, v in ctrl.rows()
     )
@@ -495,10 +487,11 @@ def test_update_rate_validation(layout):
     tr = ControllerTransition(
         GridState(1, 1), 0, Action.EAST, 1.0, GridState(2, 1), True
     )
+    batch = id_coded([tr], ctrl.index)
     with pytest.raises(ValueError):
-        update_controller(ctrl, [tr], alpha=1.5, gamma=0.99)
+        update_controller(ctrl, batch, alpha=1.5, gamma=0.99)
     with pytest.raises(ValueError):
-        update_controller(ctrl, [tr], alpha=0.1, gamma=0.0)
+        update_controller(ctrl, batch, alpha=0.1, gamma=0.0)
 
 
 # -- table plumbing -----------------------------------------------------------
@@ -746,33 +739,3 @@ def test_table_from_csv_rejects_non_finite_values(tmp_path, layout, value):
     with pytest.raises(ValueError, match="t.csv: non-finite value"):
         FlatTable.from_csv(path, index)
 
-
-def test_updates_on_grid_states_equal_updates_on_ids(layout):
-    # The public updates take GridState transitions (acceptance criterion
-    # 5b builds them) or id-coded ones (the trainer's replays); both must
-    # give the same tables.
-    index = StateIndex(layout)
-    rng = np.random.default_rng(7)
-    samples = list(zip(rng.integers(index.size, size=40).tolist(),
-                       rng.integers(index.size, size=40).tolist(),
-                       rng.random(40).tolist()))
-
-    def updated(state):
-        """Tables after one update of each kind, with `state(id)` as states."""
-        ctrl, meta, flat = ControllerTable(index, 3, init=0.5), MetaTable(index, 3), FlatTable(index)
-        update_controller(ctrl, [
-            ControllerTransition(state(s), s % 3, s % 4, r, state(s2), r > 0.8)
-            for s, s2, r in samples
-        ], 0.3, 0.9)
-        update_meta(meta, [
-            MetaTransition.from_rewards(state(s), s % 3, [r, 1.0], 0.9, state(s2), r > 0.8)
-            for s, s2, r in samples
-        ], 0.3, 0.9)
-        flat_q_update(flat, [
-            Transition(state(s), s2 % 4, r, state(s2), r > 0.8) for s, s2, r in samples
-        ], 0.3, 0.9)
-        return ctrl._values, meta._values, flat._values
-
-    on_states = updated(index.states.__getitem__)
-    assert on_states == updated(int)
-    assert all(any(v for row in table for v in row) for table in on_states[1:])

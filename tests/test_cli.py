@@ -230,7 +230,7 @@ def test_train_reproduces_from_manifest(tmp_path):
 
 def test_discover_on_full_coverage_memory(tmp_path, env, capsys):
     memory_path = tmp_path / "memory.jsonl"
-    save_transitions_jsonl(memory_path, build_full_coverage_memory(env))
+    save_transitions_jsonl(memory_path, build_full_coverage_memory(env), env.index)
     out_path = tmp_path / "subgoals.json"
     assert main([
         "discover", "--memory", str(memory_path), "--k", "4",
@@ -259,7 +259,7 @@ def test_discover_empty_memory_fails(tmp_path, capsys):
 def test_discover_missing_and_oversized_memory(tmp_path, env, capsys):
     assert main(["discover", "--memory", str(tmp_path / "nope.jsonl")]) == 1
     memory_path = tmp_path / "memory.jsonl"
-    save_transitions_jsonl(memory_path, build_full_coverage_memory(env))
+    save_transitions_jsonl(memory_path, build_full_coverage_memory(env), env.index)
     assert main([
         "discover", "--memory", str(memory_path), "--max-bytes", "10",
     ]) == 1
@@ -367,7 +367,7 @@ def _assert_cli_error(capsys, *needles):
 @pytest.mark.parametrize("theta", ["nan", "inf", "-1", "0"])
 def test_discover_rejects_bad_theta_anom(tmp_path, env, capsys, theta):
     memory_path = tmp_path / "memory.jsonl"
-    save_transitions_jsonl(memory_path, build_full_coverage_memory(env))
+    save_transitions_jsonl(memory_path, build_full_coverage_memory(env), env.index)
     out_path = tmp_path / "subgoals.json"
     assert main([
         "discover", "--memory", str(memory_path), f"--theta-anom={theta}",
@@ -454,7 +454,7 @@ def test_negative_seed_rejected_before_any_file_is_read(tmp_path, capsys, comman
 @pytest.mark.parametrize("min_samples", ["-5", "0", "1"])
 def test_discover_rejects_min_samples_below_two(tmp_path, env, capsys, min_samples):
     memory_path = tmp_path / "memory.jsonl"
-    save_transitions_jsonl(memory_path, build_full_coverage_memory(env))
+    save_transitions_jsonl(memory_path, build_full_coverage_memory(env), env.index)
     out_path = tmp_path / "subgoals.json"
     assert main([
         "discover", "--memory", str(memory_path), "--min-samples", min_samples,
@@ -466,7 +466,7 @@ def test_discover_rejects_min_samples_below_two(tmp_path, env, capsys, min_sampl
 
 def test_discover_out_under_a_regular_file_is_an_error(tmp_path, env, capsys):
     memory_path = tmp_path / "memory.jsonl"
-    save_transitions_jsonl(memory_path, build_full_coverage_memory(env))
+    save_transitions_jsonl(memory_path, build_full_coverage_memory(env), env.index)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     assert main([
@@ -793,6 +793,18 @@ def test_discover_checks_cells_against_the_run_layout(tmp_path, capsys):
         )
         assert main(argv) == code
     _assert_cli_error(capsys, "bad transition on line 2", "x=6, y=2")
+
+
+def test_eval_parses_a_custom_layout_once(tmp_path, capsys):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump({"mode": "flat_q", "seed": 0,
+                                   "total_steps": 300, "warmup_steps": 10,
+                                   "layout_text": _SMALL_GRID}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    RoomsLayout.from_text.cache_clear()
+    assert main(["eval", "--run", str(tmp_path / "flat_q_seed0"), "--episodes", "3"]) == 0
+    # validate, cmd_eval and each episode's rollout read the layout.
+    assert RoomsLayout.from_text.cache_info()[:2] == (4, 1)  # (hits, misses)
 
 
 @pytest.mark.parametrize("layout_text", [None, _SMALL_GRID], ids=["default", "run"])
@@ -1130,15 +1142,33 @@ def _bad_value(field):
 @example(case=("total_steps", 600.0))
 @example(case=("alpha", _HUGE_INT))
 def test_train_refuses_any_bad_config_value_before_any_step(case):
+    # train reads the value from a config file; eval and discover read it
+    # from a run manifest, beside a memory that discover would accept.
     name, value = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = Path(tmp) / "c.yaml", Path(tmp) / "runs"
         cfg_path.write_text(yaml.safe_dump({**BASE_CONFIG, name: value}))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert err.getvalue().startswith("error:")
-        assert "Traceback" not in err.getvalue()
+        run_dir = Path(tmp) / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"config": {**BASE_CONFIG, name: value}})
+        )
+        memory = run_dir / "memory.jsonl"
+        memory.write_text((json.dumps(_GOOD_LINE) + "\n") * 2)
+        files = sorted(Path(tmp).rglob("*"))
+        for argv in (
+            ["train", "--config", str(cfg_path), "--out", str(out)],
+            ["eval", "--run", str(run_dir)],
+            ["discover", "--memory", str(memory), "--k", "1",
+             "--out", str(run_dir / "subgoals.json")],
+        ):
+            err, stdout = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+                assert main(argv) == 1
+            assert err.getvalue().startswith("error: invalid configuration:")
+            assert "Traceback" not in err.getvalue()
+            assert stdout.getvalue() == ""
+            assert sorted(Path(tmp).rglob("*")) == files
         assert not out.exists()
 
 

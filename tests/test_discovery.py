@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_full_coverage_memory
+from conftest import build_full_coverage_memory, id_coded
 from subgoal_hrl.discovery import (
     AnomalySubgoal,
     Centroid,
@@ -21,13 +21,16 @@ from subgoal_hrl.memory import Transition
 from subgoal_hrl.rooms_env import Action, GridState, RoomsLayout, StateIndex
 
 
+_INDEX = StateIndex(RoomsLayout.default())
+
+
 def _arrivals(cells, reward=0.0, key=False, terminal=False):
-    """Minimal transitions whose s' carries the given cells."""
+    """Minimal id-coded transitions whose s' carries the given cells."""
     out = []
     for x, y in cells:
         s = GridState(x, y, key)
         out.append(Transition(s, Action.EAST, reward, GridState(x, y, key), terminal))
-    return out
+    return id_coded(out, _INDEX)
 
 
 # -- kmeans_fit ----------------------------------------------------------
@@ -118,7 +121,7 @@ def test_kmeans_reaches_global_optimum_on_small_instance(rng):
 
 def test_kmeans_four_rooms_centroids_land_in_each_room(rng, env):
     memory = build_full_coverage_memory(env)
-    pts = [(t.s_next.x, t.s_next.y) for t in memory]
+    pts = [env.index.states[t.s_next].cell for t in memory]
     res = kmeans_fit(pts, 4, rng)
     rooms = set()
     for cx, cy in res.centroids:
@@ -192,7 +195,7 @@ def test_anomaly_scores_need_two_transitions():
 
 
 def test_discover_full_memory_k4(full_coverage_memory, rng, layout):
-    subgoals = discover(full_coverage_memory, 4, 3.0, rng)
+    subgoals = discover(full_coverage_memory, 4, 3.0, rng, index=_INDEX)
     assert subgoals.size == 6
     assert subgoals.k == 4
     anomaly_states = {a.state for a in subgoals.anomalies}
@@ -204,7 +207,7 @@ def test_discover_full_memory_k4(full_coverage_memory, rng, layout):
 
 @pytest.mark.parametrize("k", [6, 8])
 def test_discover_more_clusters_same_anomalies(full_coverage_memory, rng, k):
-    subgoals = discover(full_coverage_memory, k, 3.0, rng)
+    subgoals = discover(full_coverage_memory, k, 3.0, rng, index=_INDEX)
     assert subgoals.k == k
     assert subgoals.size == k + 2
     assert len(subgoals.anomalies) == 2
@@ -212,46 +215,45 @@ def test_discover_more_clusters_same_anomalies(full_coverage_memory, rng, k):
 
 def test_discover_zero_rewards_no_anomalies(rng):
     transitions = _arrivals([(x, 1) for x in range(1, 6)] * 4)
-    subgoals = discover(transitions, 1, 3.0, rng)
+    subgoals = discover(transitions, 1, 3.0, rng, index=_INDEX)
     assert subgoals.k == 1
     assert subgoals.anomalies == ()
 
 
 def test_discover_insufficient_memory(rng):
     with pytest.raises(InsufficientMemoryError):
-        discover(_arrivals([(1, 1)]), 4, 3.0, rng)
+        discover(_arrivals([(1, 1)]), 4, 3.0, rng, index=_INDEX)
     with pytest.raises(InsufficientMemoryError):
-        discover(_arrivals([(1, 1), (2, 1)]), 1, 3.0, rng, min_samples=10)
+        discover(
+            _arrivals([(1, 1), (2, 1)]), 1, 3.0, rng, min_samples=10, index=_INDEX
+        )
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_discover_rejects_bad_theta_anom(full_coverage_memory, rng, theta):
     with pytest.raises(ValueError, match="theta_anom"):
-        discover(full_coverage_memory, 4, theta, rng)
+        discover(full_coverage_memory, 4, theta, rng, index=_INDEX)
 
 
 def test_discover_degenerate_memory_rejected(rng):
     # 8 transitions but a single distinct arrival cell: no 2 distinct centroids.
     with pytest.raises(InsufficientMemoryError):
-        discover(_arrivals([(1, 1)] * 8), 2, 3.0, rng)
+        discover(_arrivals([(1, 1)] * 8), 2, 3.0, rng, index=_INDEX)
 
 
 def test_discover_ids_dense_and_anomalies_from_memory(full_coverage_memory, rng):
-    subgoals = discover(full_coverage_memory, 5, 3.0, rng)
+    subgoals = discover(full_coverage_memory, 5, 3.0, rng, index=_INDEX)
     blob = subgoals.to_json_dict()
     assert [c["id"] for c in blob["centroids"]] == [0, 1, 2, 3, 4]
     assert [a["id"] for a in blob["anomalies"]] == [5, 6]
-    arrivals = {t.s_next for t in full_coverage_memory}
+    arrivals = {_INDEX.states[t.s_next] for t in full_coverage_memory}
     assert all(a.state in arrivals for a in subgoals.anomalies)
 
 
 def test_discover_deterministic_under_seed(full_coverage_memory):
-    a = discover(full_coverage_memory, 4, 3.0, np.random.default_rng(2))
-    b = discover(full_coverage_memory, 4, 3.0, np.random.default_rng(2))
+    a = discover(full_coverage_memory, 4, 3.0, np.random.default_rng(2), index=_INDEX)
+    b = discover(full_coverage_memory, 4, 3.0, np.random.default_rng(2), index=_INDEX)
     assert a == b
-
-
-_INDEX = StateIndex(RoomsLayout.default())
 
 
 @pytest.mark.parametrize("bad", [-1, -_INDEX.size, _INDEX.size, 10**6])
@@ -354,7 +356,7 @@ def test_subgoal_set_nearest_centroid_ties_to_lowest_id():
 
 
 def test_subgoal_set_json_round_trip(full_coverage_memory, rng, layout):
-    subgoals = discover(full_coverage_memory, 4, 3.0, rng)
+    subgoals = discover(full_coverage_memory, 4, 3.0, rng, index=_INDEX)
     again = SubgoalSet.from_json_dict(subgoals.to_json_dict(), layout)
     assert again == subgoals
     blob = subgoals.to_json_dict()

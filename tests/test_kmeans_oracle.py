@@ -14,6 +14,7 @@ import pytest
 
 from conftest import build_full_coverage_memory
 from subgoal_hrl.discovery import KMeansResult, _lloyd, kmeans_fit
+from subgoal_hrl.rooms_env import FourRoomsEnv
 
 
 def _reference_seed_centroids(
@@ -150,8 +151,9 @@ def test_matches_reference_on_duplicated_integer_grid(n, k):
 
 
 def test_matches_reference_on_full_coverage_memory():
-    memory = build_full_coverage_memory()
-    points = np.array([(t.s_next.x, t.s_next.y) for t in memory], dtype=float)
+    env = FourRoomsEnv()
+    memory = build_full_coverage_memory(env)
+    points = np.array([env.index.states[t.s_next].cell for t in memory], dtype=float)
     for k in (1, 4, 7):
         _assert_fits_match(points, k, seed=k)
 

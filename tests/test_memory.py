@@ -19,7 +19,15 @@ from subgoal_hrl.memory import (
     transition_from_dict,
     transition_to_dict,
 )
-from subgoal_hrl.rooms_env import Action, GridState, StateIndex
+from conftest import id_coded
+from subgoal_hrl.rooms_env import Action, GridState, RoomsLayout, StateIndex
+
+_INDEX = StateIndex(RoomsLayout.default())
+# One open 11x11 room: every cell with both coordinates in 1..11 is a state.
+_OPEN_INDEX = StateIndex(RoomsLayout.from_text(
+    "#" * 13 + "\n" + "#S" + "." * 9 + "K#\n" + ("#" + "." * 11 + "#\n") * 9
+    + "#B" + "." * 10 + "#\n" + "#" * 13 + "\n"
+))
 
 
 def test_fifo_eviction_keeps_newest():
@@ -250,20 +258,22 @@ def _random_transitions(rng, n=60):
 
 
 def test_jsonl_round_trip_is_exact(tmp_path, rng):
-    transitions = _random_transitions(rng)
+    transitions = id_coded(_random_transitions(rng), _OPEN_INDEX)
     path = tmp_path / "memory.jsonl"
-    save_transitions_jsonl(path, transitions)
-    assert load_transitions_jsonl(path) == transitions
+    save_transitions_jsonl(path, transitions, _OPEN_INDEX)
+    assert load_transitions_jsonl(path, _OPEN_INDEX) == transitions
     # Save -> load -> save is byte-identical.
     again = tmp_path / "again.jsonl"
-    save_transitions_jsonl(again, load_transitions_jsonl(path))
+    save_transitions_jsonl(
+        again, load_transitions_jsonl(path, _OPEN_INDEX), _OPEN_INDEX
+    )
     assert again.read_bytes() == path.read_bytes()
 
 
 def test_jsonl_schema_fields(tmp_path):
     t = Transition(_state(9, 2), Action.EAST, 10.0, _state(10, 2, True), False)
     path = tmp_path / "one.jsonl"
-    save_transitions_jsonl(path, [t])
+    save_transitions_jsonl(path, id_coded([t], _INDEX), _INDEX)
     record = json.loads(path.read_text())
     assert record == {
         "x": 9, "y": 2, "has_key": False, "action": "EAST", "reward": 10.0,
@@ -275,51 +285,51 @@ def test_jsonl_rejects_malformed_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"x": 1}\n')
     with pytest.raises(ValueError):
-        load_transitions_jsonl(path)
+        load_transitions_jsonl(path, _INDEX)
 
 
 def test_jsonl_index_check_names_the_first_off_grid_line(tmp_path, layout):
     good = Transition(GridState(1, 1), Action.EAST, 0.0, GridState(2, 1), False)
-    off_grid = good._replace(s_next=GridState(500, 3))
+    good_line = json.dumps(transition_to_dict(id_coded([good], _INDEX)[0], _INDEX))
+    off_grid = json.dumps(dict(json.loads(good_line), x_next=500, y_next=3))
     path = tmp_path / "memory.jsonl"
-    save_transitions_jsonl(path, [good] * 4 + [off_grid, good, off_grid])
+    path.write_text("\n".join([good_line] * 4 + [off_grid, good_line, off_grid]) + "\n")
     with pytest.raises(ValueError, match=r"line 5: state .*500.* not indexable"):
         load_transitions_jsonl(path, StateIndex(layout))
-    assert load_transitions_jsonl(path) == [good] * 4 + [off_grid, good, off_grid]
 
 
-_states = st.builds(
-    GridState, st.integers(min_value=0), st.integers(min_value=0), st.booleans()
-)
+_ids = st.integers(0, _INDEX.size - 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.builds(
         Transition,
-        _states,
+        _ids,
         st.sampled_from(Action),
         st.floats(allow_nan=False, allow_infinity=False),
-        _states,
+        _ids,
         st.booleans(),
     )
 )
 def test_transition_dict_json_round_trip(t):
-    back = transition_from_dict(json.loads(json.dumps(transition_to_dict(t))))
+    back = transition_from_dict(
+        json.loads(json.dumps(transition_to_dict(t, _INDEX))), _INDEX
+    )
     assert back == t
     assert repr(back.r) == repr(t.r)  # -0.0 stays -0.0
 
 
-def _save_per_line(path, transitions):
+def _save_per_line(path, transitions, index):
     """The codec's reference: one render and one write per transition."""
     with open(path, "w", encoding="utf-8") as fh:
         for t in transitions:
-            fh.write(json.dumps(transition_to_dict(t)) + "\n")
+            fh.write(json.dumps(transition_to_dict(t, index)) + "\n")
 
 
 def _outcome(save, path, transitions):
     try:
-        save(path, transitions)
+        save(path, transitions, _INDEX)
         error = None
     except Exception as exc:  # any type; both writers must raise the same
         error = type(exc)
@@ -327,13 +337,10 @@ def _outcome(save, path, transitions):
 
 
 # Values that compare equal but render differently (-0.0/0.0, 1/True/1.0,
-# 0/False), plus some that cannot be rendered (a bare int action, a None
-# state), which both writers must refuse alike.
+# 0/False), equal state ids (1/True) and action ids (2/Action.EAST), plus
+# a None state, which cannot be rendered and both writers must refuse alike.
 _flags = st.sampled_from([False, True, 0, 1])
-_coords = st.sampled_from([0, 1, 2, True])
-_render_states = st.one_of(
-    st.builds(GridState, _coords, _coords, _flags), st.just(None)
-)
+_render_states = st.one_of(st.sampled_from([0, 1, 2, True]), st.just(None))
 _render_transitions = st.builds(
     Transition,
     _render_states,
@@ -366,7 +373,8 @@ def test_jsonl_save_matches_the_per_line_render(tmp_path, pool, picks):
     )
 
 
-_small_states = st.builds(GridState, st.integers(0, 1), st.integers(0, 1), st.booleans())
+# Ids of (1, 1) and (1, 2), each with and without the key.
+_small_states = st.integers(0, 3)
 
 
 @settings(max_examples=200, deadline=None,
@@ -394,21 +402,23 @@ def test_jsonl_load_matches_the_per_line_parse(tmp_path, pool, picks):
         if variant == "negated":
             t = t._replace(r=-t.r)
         indent = " " if variant == "indented" else ""
-        lines.append(indent + json.dumps(transition_to_dict(t)) + "\n")
+        lines.append(indent + json.dumps(transition_to_dict(t, _INDEX)) + "\n")
     path = tmp_path / "memory.jsonl"
     path.write_text("".join(lines))
-    expected = [transition_from_dict(json.loads(line)) for line in lines if line.strip()]
-    loaded = load_transitions_jsonl(path)
+    expected = [
+        transition_from_dict(json.loads(line), _INDEX) for line in lines if line.strip()
+    ]
+    loaded = load_transitions_jsonl(path, _INDEX)
     assert loaded == expected
     assert [repr(t) for t in loaded] == [repr(t) for t in expected]
 
 
 def test_jsonl_repeated_bad_line_names_its_first_line(tmp_path):
-    good = json.dumps(transition_to_dict(
-        Transition(GridState(1, 1), Action.EAST, 0.0, GridState(2, 1), False)
-    ))
+    good = json.dumps(transition_to_dict(id_coded(
+        [Transition(GridState(1, 1), Action.EAST, 0.0, GridState(2, 1), False)], _INDEX
+    )[0], _INDEX))
     bad = good.replace('"terminal": false', '"terminal": 0')
     path = tmp_path / "memory.jsonl"
     path.write_text("\n".join([good, good, bad, good, bad, bad]) + "\n")
     with pytest.raises(ValueError, match=r"^bad transition on line 3: need true/false"):
-        load_transitions_jsonl(path)
+        load_transitions_jsonl(path, _INDEX)

@@ -1,5 +1,6 @@
 """Training-loop contracts: scheduling, accounting, determinism, metrics."""
 
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -19,7 +20,13 @@ from subgoal_hrl.discovery import (
     kmeans_fit,
     merge,
 )
-from subgoal_hrl.memory import Transition, accumulate_return
+from subgoal_hrl.memory import (
+    Transition,
+    accumulate_return,
+    load_transitions_jsonl,
+    save_transitions_jsonl,
+    transition_to_dict,
+)
 from subgoal_hrl.rooms_env import Action, FourRoomsEnv, GridState, RoomsLayout
 from subgoal_hrl.trainer import (
     ConfigError,
@@ -78,6 +85,15 @@ def test_config_rejects_non_finite_floats(field, value):
 def test_run_rejects_invalid_config_before_stepping():
     with pytest.raises(ConfigError):
         run(RunConfig(mode="unified_hrl", total_steps=10, warmup_steps=10))
+
+
+def test_configs_with_one_layout_text_share_one_layout():
+    text = RoomsLayout.default().to_text()
+    same = text[:-1] + "\n"  # an equal text in another string object
+    a = RunConfig(mode="flat_q", layout_text=text)
+    b = RunConfig(mode="unified_hrl", seed=4, layout_text=same)
+    assert a.layout() is b.layout() is a.layout()
+    assert a.layout() == RoomsLayout.default()
 
 
 def test_meta_epsilon_linear_and_held_at_end():
@@ -279,65 +295,41 @@ def _record_discover_inputs(monkeypatch, runner):
     return given
 
 
-def _per_item_decode(raw, index):
-    states = index.states
-    return tuple(
-        Transition(states[s], Action(a), r, states[s2], term)
-        for s, a, r, s2, term in raw
-    )
-
-
-@pytest.mark.parametrize("slip_prob", [0.0, 0.3])
-def test_decoded_memory_equals_a_per_item_decode(monkeypatch, slip_prob):
-    # A small ring wraps, and slip adds transitions whose action is not the
-    # move taken.
-    runner = Runner(small_config(memory_capacity=700, slip_prob=slip_prob))
+@pytest.mark.parametrize(
+    "slip_prob,capacity", [(0.0, 50_000), (0.3, 50_000), (0.0, 700)],
+    ids=["0.0", "0.3", "wrapped"],
+)
+def test_decoded_memory_equals_a_per_item_decode(
+    monkeypatch, tmp_path, slip_prob, capacity
+):
+    # The run's memory is the raw id snapshot; memory.jsonl decodes it item
+    # by item and loads back to the same ids. Slip adds transitions whose
+    # action is not the move taken, and a small ring wraps.
+    runner = Runner(small_config(memory_capacity=capacity, slip_prob=slip_prob))
     given = _record_discover_inputs(monkeypatch, runner)
-    decoded_calls = []
-    decode = runner._decoded
-
-    def counting_decode(transitions):
-        decoded_calls.append(transitions)
-        return decode(transitions)
-
-    monkeypatch.setattr(runner, "_decoded", counting_decode)
     result = runner.run()
     assert len(given) == len(range(300, 3000, 600))
-    # Discovery reads the raw id snapshot; nothing is decoded for it.
+    # Discovery reads the raw id snapshot too.
     for transitions, index, snapshot in given:
         assert index is runner.index
         assert transitions == snapshot
         assert all(type(t.s_next) is int for t in transitions)
-    assert len(decoded_calls) == 1  # for the RunResult only
 
-    expected = _per_item_decode(runner.memory.snapshot(), runner.index)
-    assert result.memory == expected
-    assert [repr(t) for t in result.memory] == [repr(t) for t in expected]
+    snapshot = runner.memory.snapshot()
+    assert result.memory == snapshot
+    path = tmp_path / "memory.jsonl"
+    save_transitions_jsonl(path, result.memory, runner.index)
+    assert path.read_text().splitlines() == [
+        json.dumps(transition_to_dict(t, runner.index)) for t in snapshot
+    ]
+    loaded = load_transitions_jsonl(path, runner.index)
+    assert len(loaded) == len(snapshot)
+    for back, t in zip(loaded, snapshot):
+        assert back == t and repr(back) == repr(t)
     shared: dict[Transition, Transition] = {}
     for t in result.memory:
         assert shared.setdefault(t, t) is t  # equal transitions are one object
     assert len(set(result.memory)) < len(result.memory)  # repeats exist
-
-
-@pytest.mark.parametrize(
-    "overrides",
-    [{}, {"slip_prob": 0.3}, {"memory_capacity": 700}],
-    ids=["plain", "slip", "wrapped"],
-)
-def test_discover_on_ids_equals_discover_on_decoded_states(monkeypatch, overrides):
-    runner = Runner(small_config(**overrides))
-    given = _record_discover_inputs(monkeypatch, runner)
-    runner.run()
-    with_anomalies = 0
-    for raw, index, _ in given:
-        rng_ids, rng_states = default_rng(7), default_rng(7)
-        from_ids = discover(raw, 4, 3.0, rng_ids, index=index)
-        from_states = discover(_per_item_decode(raw, index), 4, 3.0, rng_states)
-        assert from_ids == from_states
-        assert repr(from_ids) == repr(from_states)
-        assert rng_ids.bit_generator.state == rng_states.bit_generator.state
-        with_anomalies += bool(from_ids.anomalies)
-    assert with_anomalies >= 1
 
 
 def test_discover_fits_the_arrivals_grouped_by_state(monkeypatch):
