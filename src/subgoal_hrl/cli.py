@@ -21,7 +21,7 @@ import numpy as np
 from .agent import ControllerTable, FlatTable, MetaTable, StateIndex
 from .discovery import SubgoalSet, discover
 from .memory import load_transitions_jsonl, save_transitions_jsonl
-from .rooms_env import RoomsLayout
+from .rooms_env import RoomsLayout, compile_moves
 from .trainer import (
     MODES,
     MetricsRecord,
@@ -152,7 +152,7 @@ def write_run_artifacts(result: RunResult, run_dir: Path) -> dict:
     (run_dir / "metrics.csv").write_text(metrics_to_csv(result.metrics))
     artifacts["metrics"] = "metrics.csv"
 
-    index = StateIndex(result.config.layout())  # decodes the run's ids
+    index = compile_moves(result.config.layout())[0]  # the run's own index
     save_transitions_jsonl(run_dir / "memory.jsonl", result.memory, index)
     artifacts["memory"] = "memory.jsonl"
 
@@ -241,6 +241,8 @@ def cmd_discover(args) -> int:
                 f"--k must be in [1, {len(layout.playable)}], the layout's "
                 f"playable cell count, got {args.k}"
             )
+        # A bare index: discover needs no moves, and compiling them costs
+        # several times more than the index.
         index = StateIndex(layout)
         transitions = load_transitions_jsonl(path, index)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -396,7 +398,7 @@ def cmd_eval(args) -> int:
         if config.mode == "random_walk":
             raise CliError("random_walk runs have no tables to evaluate")
         layout = config.layout()
-        index = StateIndex(layout)
+        index = compile_moves(layout)[0]  # shared with greedy_rollout's env
         artifacts = manifest["artifacts"]
         if config.mode == "flat_q":
             flat = FlatTable.from_csv(run_dir / artifacts["flat_table"], index)

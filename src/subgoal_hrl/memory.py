@@ -13,8 +13,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Generic, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,6 +27,8 @@ _RETURN_CHECK_TOL = 1e-9
 # Largest memory capacity. `sample` reads index floor(u * size), which stays
 # below size for every double u < 1 while size < 2**52.
 MAX_CAPACITY = 2**32
+# Lines per write of `save_transitions_jsonl`; bounds the bytes held at once.
+SAVE_BLOCK = 4096
 
 
 def is_finite_number(v) -> bool:
@@ -177,6 +180,10 @@ class BoundedMemory(Generic[T]):
 
 
 def transition_to_dict(t: Transition, index: StateIndex) -> dict:
+    """The JSON record of `t`, states from `index`; ValueError names a
+    transition whose state ids are off `index`."""
+    if not (0 <= t.s < index.size and 0 <= t.s_next < index.size):
+        raise ValueError(f"{t} has a state id outside [0, {index.size})")
     s, s_next = index.states[t.s], index.states[t.s_next]
     return {
         "x": s.x,
@@ -215,25 +222,37 @@ def transition_from_dict(d: dict, index: StateIndex) -> Transition:
 
 
 def save_transitions_jsonl(
-    path: str | Path, transitions: Sequence[Transition], index: StateIndex
+    path: str | Path, transitions: Iterable[Transition], index: StateIndex
 ) -> None:
     """Write one JSON line per transition, states from `index`; round-trips
     bit-exactly.
 
-    Each distinct transition object is rendered once. The memo is keyed on
-    identity, not value (-0.0 == 0.0 and True == 1 render differently), and
-    holds the object so that its id is not reused while the memo lives.
+    Each distinct transition object is rendered once, to bytes, and the
+    file is written in blocks of SAVE_BLOCK lines joined over the objects'
+    ids. The memo is keyed on identity, not value (-0.0 == 0.0 and True == 1
+    render differently), and holds the object so that its id is not reused
+    while the memo lives. A transition that cannot be rendered raises after
+    the lines before it are written, as a line-by-line writer would.
     """
-    rendered: dict[int, tuple[Transition, str]] = {}
-
-    def line(t: Transition) -> str:
-        hit = rendered.get(id(t))
-        if hit is None:
-            hit = rendered[id(t)] = (t, json.dumps(transition_to_dict(t, index)) + "\n")
-        return hit[1]
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(line, transitions))
+    lines: dict[int, bytes] = {}
+    held: list[Transition] = []
+    items = iter(transitions)
+    with open(path, "wb") as fh:
+        while block := list(islice(items, SAVE_BLOCK)):
+            ids = list(map(id, block))
+            # Render new objects in order of first use, so the first one
+            # that fails is the first failing line.
+            for key, t in dict(zip(ids, block)).items():
+                if key in lines:
+                    continue
+                try:
+                    line = json.dumps(transition_to_dict(t, index)) + "\n"
+                except Exception:
+                    fh.write(b"".join(map(lines.__getitem__, ids[: ids.index(key)])))
+                    raise
+                lines[key] = line.encode()
+                held.append(t)
+            fh.write(b"".join(map(lines.__getitem__, ids)))
 
 
 def load_transitions_jsonl(path: str | Path, index: StateIndex) -> list[Transition]:

@@ -301,15 +301,15 @@ class Runner:
         self.meta: MetaTable | None = None
         self.flat: FlatTable | None = None
 
-        # One byte per cell (state id // 2), plus the count of ones.
-        self._visits = bytearray(len(self.index.cells))
-        self._n_visited = 0
         self.metrics: list[MetricsRecord] = []
         self.steps = 0
         self.ep_steps = 0
         self.ep_return = 0.0
         self.sid = self._start = self.index.encode(self.env.reset())
-        self._mark_visit(self.sid)
+        # One byte per cell (state id // 2), plus the count of ones.
+        self._visits = bytearray(len(self.index.cells))
+        self._visits[self._start >> 1] = 1
+        self._n_visited = 1
 
         self.warmup_steps_used = 0
         self.attempt_steps_total = 0
@@ -338,26 +338,25 @@ class Runner:
             for g in range(subgoals.size)
         ]
 
-    def _mark_visit(self, sid: int) -> None:
-        cell = sid >> 1
-        if not self._visits[cell]:
-            self._visits[cell] = 1
-            self._n_visited += 1
-
-    def _env_step(self, action: int) -> tuple[float, bool]:
+    def _env_step(self, action: int) -> Transition:
+        """One move: push its shared transition, mark the cell and run a
+        discovery that falls due; returns the transition."""
         t = self._transitions[self.env.move(self.sid, action) * N_ACTIONS + action]
         self.steps += 1
         self.ep_steps += 1
         self.ep_return += t.r
         self.memory.push(t)
-        self._mark_visit(t.s_next)
-        self.sid = t.s_next
-        self._maybe_discover()
-        return t.r, t.terminal
+        self.sid = sid = t.s_next
+        if not self._visits[sid >> 1]:
+            self._visits[sid >> 1] = 1
+            self._n_visited += 1
+        # steps grows by one and the schedule moves only when it fires, so
+        # equality is reached exactly once per scheduled discovery.
+        if self.steps == self._next_discovery:
+            self._maybe_discover()
+        return t
 
     def _maybe_discover(self) -> None:
-        if self._next_discovery is None or self.steps < self._next_discovery:
-            return
         self._next_discovery += self.cfg.discovery_period
         try:
             fresh = discover(
@@ -397,7 +396,6 @@ class Runner:
             )
         )
         self.sid = self._start
-        self._mark_visit(self.sid)
         self.ep_steps = 0
         self.ep_return = 0.0
 
@@ -461,7 +459,7 @@ class Runner:
             action = epsilon_greedy_index(
                 values[self.sid], cfg.flat_eps, self.rng, tie_break="first"
             )
-            _, terminal = self._env_step(action)
+            terminal = self._env_step(action).terminal
             flat_q_update(
                 self.flat,
                 self.memory.sample(cfg.batch_size, self.rng),
@@ -483,11 +481,11 @@ class Runner:
         end = self.cfg.total_steps
         if self._next_discovery is not None:
             end = min(end, self._next_discovery)
+        cap = self.cfg.episode_cap
         while self.steps < end:
             n = min(end - self.steps, WARMUP_CHUNK)
             for action in self.rng.integers(N_ACTIONS, size=n).tolist():
-                _, terminal = self._env_step(action)
-                if self._episode_over(terminal):
+                if self._env_step(action).terminal or self.ep_steps >= cap:
                     self._end_episode()
             self.warmup_steps_used += n
 
@@ -515,7 +513,8 @@ class Runner:
             action = epsilon_greedy_index(
                 self.controller._values[s_prev][goal_id], epsilon, self.rng
             )
-            reward, terminal = self._env_step(action)
+            t = self._env_step(action)
+            terminal = t.terminal
             # A rediscovery inside the step may have replaced the rows.
             attained = self._attains[goal_id][self.sid]
             self.ctrl_memory.push(
@@ -534,7 +533,7 @@ class Runner:
                 cfg.alpha,
                 cfg.gamma,
             )
-            rewards.append(reward)
+            rewards.append(t.r)
             if (
                 attained
                 or terminal

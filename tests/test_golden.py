@@ -24,6 +24,11 @@ later draw follows. Entries whose content does not depend on the fit kept
 their values: every flat_q and random_walk file, and the random_meta_hrl
 seed-1 and seed-2 meta tables, which hold only initial values and so depend
 on the subgoal count alone, and it did not change for those seeds.
+
+The plain table's memory.jsonl entries came last, recorded from the code
+before the trainer step returned its Transition and before the memory file
+was written in byte blocks; they cover the unwrapped memory that `train`
+writes, random walks included.
 """
 
 import hashlib
@@ -36,8 +41,8 @@ from subgoal_hrl.trainer import MODES
 
 SEEDS = (0, 1, 2)
 ARTIFACTS = (
-    "metrics.csv", "controller_q.csv", "meta_q.csv", "flat_q.csv",
-    "subgoals.json",
+    "metrics.csv", "memory.jsonl", "controller_q.csv", "meta_q.csv",
+    "flat_q.csv", "subgoals.json",
 )
 # Capacities small enough that all three memories wrap, none a divisor of
 # the step counts, so sampling and snapshots run with the ring head
@@ -51,18 +56,26 @@ WRAPPED_CAPACITIES = {
 GOLDEN_SHA256 = {
     "flat_q_seed0/flat_q.csv":
         "1770783ce6965a1fec1012a2cf02cf2081383260028ae20274a7394b0d5311b3",
+    "flat_q_seed0/memory.jsonl":
+        "136205872c0f2781cb0a0d2eaf26334a242cb7ffdcac3de6bbced40bb9a6fda8",
     "flat_q_seed0/metrics.csv":
         "87adf971ff705aa96dc72e3d499c9401cc06f8cda1c6bd0f20a86ec8b2135756",
     "flat_q_seed1/flat_q.csv":
         "ed4d6d0ba4a7ca259a4444f5bd64805a252c2c7d39dcc84c1d671b52ea097f1c",
+    "flat_q_seed1/memory.jsonl":
+        "5ee5cfdae922d5868f0393cceec7bab69da658494616eef8e714fe28b8158c8e",
     "flat_q_seed1/metrics.csv":
         "62d1f8590f553c48c5b43d8a9bb20218a672a4e88b775cfd43e938a63f5637be",
     "flat_q_seed2/flat_q.csv":
         "c9abc729547c892d6327d5eb4b3dd66cf99c5bc7a1e554818c9f97d3fb8ffe9b",
+    "flat_q_seed2/memory.jsonl":
+        "1f0e81088ea7405f0a196649be9556817e2921dfeb69edbdedae20221600f8bf",
     "flat_q_seed2/metrics.csv":
         "e8c579ec69d9886e4daab01753dd4ac85c032ca49b5416366843eed22637b024",
     "random_meta_hrl_seed0/controller_q.csv":
         "f0e6096720441ab24d4efb865661aa7493703d632a7d445defded3a4af3633e3",
+    "random_meta_hrl_seed0/memory.jsonl":
+        "f1975673c5c39d75d6b8cc0665ae30d977d02a6bb1e9d087a37c76bec06ee0d4",
     "random_meta_hrl_seed0/meta_q.csv":
         "232feabe11ec51dd4f8ece768a5b265f513c961a5632b5b31fb88b85e739d495",
     "random_meta_hrl_seed0/metrics.csv":
@@ -71,6 +84,8 @@ GOLDEN_SHA256 = {
         "421668b86e09da3f5acebef2ff5ee61f7f832093fc50f5493dcd494625d6d8a4",
     "random_meta_hrl_seed1/controller_q.csv":
         "c23d7d6fb1c7d20a05c9dd28496463a80543699a6cc4c080b9996ccfb013896b",
+    "random_meta_hrl_seed1/memory.jsonl":
+        "3a559a87a1837848fd7e2ae8698177953146c46240bed1d5f74834389d7e8b0a",
     "random_meta_hrl_seed1/meta_q.csv":
         "fb4fecc06903a3f1cdc3db8bed5f68b3af2f13d3d35bc776f0daa5f5963897c6",
     "random_meta_hrl_seed1/metrics.csv":
@@ -79,20 +94,30 @@ GOLDEN_SHA256 = {
         "3aee4d88ce5ed6e85f8f638dd5729e61cebc0197b380e12cc229670f1b1aaec9",
     "random_meta_hrl_seed2/controller_q.csv":
         "d0bf2beffe275172857acf3fdabb7943fd719df634e9bb77bc74cfc2cfe7e15c",
+    "random_meta_hrl_seed2/memory.jsonl":
+        "4c96771de41b5650f09c700a1f6571dfc68accbd6b80551d7aaf4fd5d5c4b081",
     "random_meta_hrl_seed2/meta_q.csv":
         "fb4fecc06903a3f1cdc3db8bed5f68b3af2f13d3d35bc776f0daa5f5963897c6",
     "random_meta_hrl_seed2/metrics.csv":
         "ae3640f438674698d8c20c577ec5591c69abc7560bf22357769e667fb46bd05b",
     "random_meta_hrl_seed2/subgoals.json":
         "a317b9fbabae8a6b07d5501aaf35fb2e98adba53675046f477353864fb63321f",
+    "random_walk_seed0/memory.jsonl":
+        "bc9da75a5cd255f8a28b3e48c2c27294c025984c095baa5c0890c4268d987df2",
     "random_walk_seed0/metrics.csv":
         "71b9d229bf3a70686bf4d8e851133586c73310bb7d24d1b0bf668c3c5f92d997",
+    "random_walk_seed1/memory.jsonl":
+        "0389552a46319fa3d1b82c2f2f45980cd5823e93ab6eb8d803a8ebd348a93d18",
     "random_walk_seed1/metrics.csv":
         "d71bad9eb67099d84a915e1409b748f169fa041505228e79f145ecfde8f23111",
+    "random_walk_seed2/memory.jsonl":
+        "3b46953a77d8aab3a2b4f025d510a05a3040429a0c78c350e01a34d4a47c86ae",
     "random_walk_seed2/metrics.csv":
         "24c571d4ac88ee8ef40f93a51335bdc6c57737e16a90373b7e224c134bffeda0",
     "unified_hrl_seed0/controller_q.csv":
         "2ddf800f81102b0fceaf5d04de50f082233e4f5d0fa786c202ac57fb8d9934a9",
+    "unified_hrl_seed0/memory.jsonl":
+        "dcf0e3cd1de7505220b94d3206207debe8d6f6758bbe06e4ebb6b9755ea11b5e",
     "unified_hrl_seed0/meta_q.csv":
         "9deca5d2d44d5ebe76df131043f3f189a0187f7e3534dbcf97bd0fe56a7927e3",
     "unified_hrl_seed0/metrics.csv":
@@ -101,6 +126,8 @@ GOLDEN_SHA256 = {
         "d516bc30cc5d882b5785d12692f2c6a1db40239e0e720cd44e36ba9a9d563ad1",
     "unified_hrl_seed1/controller_q.csv":
         "31c7e1606df24aea8cb562af8f8a73b46ae11cc2ec80a7aafb4383e61dfee42e",
+    "unified_hrl_seed1/memory.jsonl":
+        "fc3ff0a031ebdd4f601772036770995e182dbe2c904a5220f189a58318026971",
     "unified_hrl_seed1/meta_q.csv":
         "a3e69f43d3d46b52e802b8e49710f43e2aa1b1bb742fe43698b8a84008fd18b3",
     "unified_hrl_seed1/metrics.csv":
@@ -109,6 +136,8 @@ GOLDEN_SHA256 = {
         "e2156f7f6c6ae4e71b7c4b880bc9cb37d9132689622699a7b7f14d79e5700732",
     "unified_hrl_seed2/controller_q.csv":
         "759aaa36dd05a77ceef3c6568ca79c8ee5b7332cade046e20a5756b1c7736a6f",
+    "unified_hrl_seed2/memory.jsonl":
+        "20143182517ff3d44a1110ae6bc0bec9bcd6197b55d06c7863b42002d7042bed",
     "unified_hrl_seed2/meta_q.csv":
         "413645bcff28032577c0f36a3a5e06823a08c142daef817d0470d4b266e147ad",
     "unified_hrl_seed2/metrics.csv":
@@ -221,7 +250,7 @@ def test_wrapped_memory_artifacts_match_golden_hashes(tmp_path, mode):
         }))
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         run_dir = tmp_path / f"{mode}_seed{seed}"
-        for name in ARTIFACTS + ("memory.jsonl",):
+        for name in ARTIFACTS:
             path = run_dir / name
             if path.exists():
                 key = f"{mode}_seed{seed}/{name}"
@@ -270,7 +299,7 @@ def test_slip_artifacts_match_golden_hashes(tmp_path, mode):
         "--slip-prob", "0.1", "--out", str(tmp_path),
     ]) == 0
     got = {}
-    for name in ARTIFACTS + ("memory.jsonl",):
+    for name in ARTIFACTS:
         path = tmp_path / f"{mode}_seed0" / name
         if path.exists():
             got[f"{mode}_seed0/{name}"] = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -2,14 +2,17 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from subgoal_hrl import RunConfig, run
 from subgoal_hrl.memory import (
     MAX_CAPACITY,
+    SAVE_BLOCK,
     BoundedMemory,
     MetaTransition,
     Transition,
@@ -371,6 +374,51 @@ def test_jsonl_save_matches_the_per_line_render(tmp_path, pool, picks):
     assert _outcome(save_transitions_jsonl, tmp_path / "memo.jsonl", transitions) == (
         _outcome(_save_per_line, tmp_path / "ref.jsonl", transitions)
     )
+
+
+def _walk_memory():
+    """A random walk's raw memory, more than two save blocks long."""
+    memory = run(RunConfig(mode="random_walk", seed=0, total_steps=10_000)).memory
+    assert len(memory) > 2 * SAVE_BLOCK
+    return list(memory)
+
+
+def test_jsonl_save_matches_the_per_line_render_across_blocks(tmp_path):
+    memory = _walk_memory()
+    got = _outcome(save_transitions_jsonl, tmp_path / "memo.jsonl", memory)
+    assert got == _outcome(_save_per_line, tmp_path / "ref.jsonl", memory)
+    assert got[0] is None and got[1].count(b"\n") == len(memory)
+
+
+@pytest.mark.parametrize("at", [SAVE_BLOCK, SAVE_BLOCK + 1234, 2 * SAVE_BLOCK + 7])
+@pytest.mark.parametrize("bad", [None, -1], ids=["unrenderable", "negative"])
+def test_jsonl_save_failure_past_a_block_leaves_the_per_line_prefix(
+    tmp_path, at, bad
+):
+    memory = _walk_memory()
+    # The bad transition, then one seen before it, one never seen and one
+    # that fails with another error.
+    other = -1 if bad is None else None
+    memory[at:at] = [
+        Transition(bad, 0, 0.0, 0, False), memory[at - 1],
+        Transition(1, 0, 0.0, 0, False), Transition(other, 0, 0.0, 0, False),
+    ]
+    got = _outcome(save_transitions_jsonl, tmp_path / "memo.jsonl", memory)
+    assert got == _outcome(_save_per_line, tmp_path / "ref.jsonl", memory)
+    assert got[0] is not None and got[1].count(b"\n") == at
+
+
+@pytest.mark.parametrize("field", ["s", "s_next"])
+@pytest.mark.parametrize("bad", [-1, _INDEX.size])
+def test_jsonl_save_refuses_state_ids_off_the_index(tmp_path, field, bad):
+    good = Transition(0, 0, 0.0, 1, False)
+    t = good._replace(**{field: bad})
+    with pytest.raises(ValueError, match=rf"^{re.escape(repr(t))} has a state id outside"):
+        transition_to_dict(t, _INDEX)
+    path = tmp_path / "memory.jsonl"
+    with pytest.raises(ValueError):
+        save_transitions_jsonl(path, [good, t], _INDEX)
+    assert path.read_text() == json.dumps(transition_to_dict(good, _INDEX)) + "\n"
 
 
 # Ids of (1, 1) and (1, 2), each with and without the key.
