@@ -223,6 +223,9 @@ def cmd_train(args) -> int:
 def cmd_discover(args) -> int:
     _require_at_least(0, args, "seed")
     _require_at_least(2, args, "min_samples")
+    _require_at_least(1, args, "max_bytes")
+    if not 0 < args.theta_anom < float("inf"):
+        raise CliError(f"theta_anom must be finite and > 0, got {args.theta_anom!r}")
     path = Path(args.memory)
     if not path.exists():
         raise CliError(f"memory file not found: {path}")

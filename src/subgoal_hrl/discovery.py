@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -193,101 +194,113 @@ class KMeansResult:
     distortion_history: tuple[float, ...] = field(default=())
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances over the last axis, summed per coordinate in column
+    order: bit-equal to `((a - b) ** 2).sum(axis=-1)` up to 7 columns, since
+    numpy's pairwise sum regroups terms only from 8 on."""
+    return sum((a[..., c] - b[..., c]) ** 2 for c in range(a.shape[-1]))
+
+
 def _seed_centroids(
     points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """K-means++ seeding: spread initial centroids by weighted squared
     distance, drawing row i with probability w_i * d_i^2 / total."""
-    n = points.shape[0]
     # Unit j of the rows laid end to end (row i repeated w_i times) is in
     # row ends.searchsorted(j, side="right").
     ends = np.cumsum(weights)
     centroids = np.empty((k, points.shape[1]), dtype=float)
     centroids[0] = points[ends.searchsorted(rng.integers(ends[-1]), side="right")]
-    closest_sq = ((points - centroids[0]) ** 2).sum(axis=1)
+    closest_sq = _sq_dist(points, centroids[0])
     for i in range(1, k):
         mass = weights * closest_sq
         total = mass.sum()
         if total <= 0.0:
             idx = ends.searchsorted(rng.integers(ends[-1]), side="right")
+        elif not math.isfinite(total):
+            raise ValueError(f"squared distances sum to {total}")
         else:
-            idx = int(rng.choice(n, p=mass / total))
+            # rng.choice(n, p=mass / total) without its argument checks.
+            cdf = (mass / total).cumsum()
+            cdf /= cdf[-1]
+            idx = cdf.searchsorted(rng.random(), side="right")
         centroids[i] = points[idx]
-        closest_sq = np.minimum(
-            closest_sq, ((points - centroids[i]) ** 2).sum(axis=1)
-        )
+        closest_sq = np.minimum(closest_sq, _sq_dist(points, centroids[i]))
     return centroids
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row nearest-centroid ids and squared distances."""
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
-    return assign, d2[np.arange(points.shape[0]), assign]
-
-
 def _lloyd(
-    points: np.ndarray,
-    weights: np.ndarray,
-    centroids: np.ndarray,
-    max_iter: int,
+    points: np.ndarray, weights: np.ndarray, seeds: np.ndarray, max_iter: int,
     tol: float,
-) -> KMeansResult:
+) -> list[KMeansResult]:
     """Lloyd iterations over `points`, row i standing for `weights[i]`
-    copies of itself."""
-    k = centroids.shape[0]
-    history: list[float] = []
-    prev = float("inf")
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        assign, nearest = _assign(points, centroids)
-        # `(w * d).sum()`, not `w @ d`: with unit weights it is numpy's
-        # pairwise sum of the per-point distances.
-        distortion = float((weights * nearest).sum())
-        # Lloyd's guarantee: alternating assignment/update never increases
-        # the distortion (empty-cluster repair moves a centroid no point
-        # was assigned to, so it cannot increase any point's minimum).
-        assert distortion <= prev + 1e-9 + 1e-12 * abs(prev), (
-            f"distortion increased: {prev} -> {distortion}"
-        )
-        history.append(distortion)
-        prev = distortion
+    copies of itself, from each of the stacked `seeds` (restarts, k, dim).
 
-        sums = np.column_stack([
-            np.bincount(assign, weights=weights * col, minlength=k)
-            for col in points.T
-        ])
-        counts = np.bincount(assign, weights=weights, minlength=k)
-        new_centroids = centroids.copy()
+    The live restarts iterate together; one leaves once its shift is below
+    `tol`. Each result is the one a restart run alone gives."""
+    runs, k = seeds.shape[:2]
+    centroids = seeds.copy()
+    history: list[list[float]] = [[] for _ in range(runs)]
+    n_iter = np.zeros(runs, dtype=int)
+    live = np.arange(runs)
+
+    def assign(restarts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        """Nearest-centroid ids and squared distances per restart and row."""
+        d2 = _sq_dist(points[:, None, :], centroids[restarts, None])
+        ids = d2.argmin(axis=2)
+        nearest = np.take_along_axis(d2, ids[..., None], axis=2)[..., 0]
+        # `(w * d).sum(axis=1)`, not `d @ w`: with unit weights each row is
+        # numpy's pairwise sum of the per-point distances.
+        distortions = (weights * nearest).sum(axis=1).tolist()
+        for r, distortion in zip(restarts.tolist(), distortions):
+            # Lloyd's guarantee: alternating assignment/update never
+            # increases the distortion (empty-cluster repair moves a
+            # centroid no point was assigned to, so it cannot increase any
+            # point's minimum).
+            prev = history[r][-1] if history[r] else float("inf")
+            assert distortion <= prev + 1e-9 + 1e-12 * abs(prev), (
+                f"distortion increased: {prev} -> {distortion}"
+            )
+            history[r].append(distortion)
+        return ids, nearest, distortions
+
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        ids, nearest, _ = assign(live)
+        # One bincount per column, and one for the counts, over all live
+        # restarts: bin r * k + j is centroid j of the r-th live restart.
+        bins = (ids + np.arange(live.size)[:, None] * k).ravel()
+        acc = np.stack([
+            np.bincount(bins, np.tile(weights * col, live.size), live.size * k)
+            for col in (*points.T, 1)
+        ], axis=1).reshape(live.size, k, -1)
+        sums, counts = acc[..., :-1], acc[..., -1]
+        old = centroids[live]
+        new = old.copy()
         nonempty = counts > 0
-        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-        if not nonempty.all():
-            # Repair: the point farthest from its centroid becomes the
-            # new centroid; take the next-farthest for further repairs.
-            # A row leaves the search once each of its copies is taken.
-            farthest = nearest.copy()
+        new[nonempty] = sums[nonempty] / counts[nonempty, None]
+        for i in np.flatnonzero(~nonempty.all(axis=1)).tolist():
+            # Repair: the point farthest from its centroid becomes the new
+            # centroid; take the next-farthest for further repairs. A row
+            # leaves the search once each of its copies is taken.
+            farthest = nearest[i].copy()
             left = weights.copy()
-            for cid in np.flatnonzero(~nonempty):
+            for cid in np.flatnonzero(~nonempty[i]):
                 j = int(farthest.argmax())
-                new_centroids[cid] = points[j]
+                new[i, cid] = points[j]
                 left[j] -= 1
                 if left[j] == 0:
                     farthest[j] = -1.0
-        shift = float(np.abs(new_centroids - centroids).max())
-        centroids = new_centroids
-        if shift < tol:
-            break
-    assign, nearest = _assign(points, centroids)
-    distortion = float((weights * nearest).sum())
-    assert distortion <= prev + 1e-9 + 1e-12 * abs(prev)
-    history.append(distortion)
-    return KMeansResult(
-        centroids=centroids,
-        assignments=assign,
-        distortion=distortion,
-        n_iter=n_iter,
-        distortion_history=tuple(history),
-    )
+        centroids[live] = new
+        n_iter[live] = it
+        live = live[np.abs(new - old).max(axis=(1, 2)) >= tol]
+    ids, _, distortions = assign(np.arange(runs))
+    return [
+        KMeansResult(centroids[r], ids[r], distortions[r], int(n_iter[r]),
+                     tuple(history[r]))
+        for r in range(runs)
+    ]
 
 
 def kmeans_fit(
@@ -337,13 +350,11 @@ def kmeans_fit(
         raise ValueError("points must be finite")
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
-    best: KMeansResult | None = None
-    for _ in range(n_init):
-        seeds = _seed_centroids(pts, w, k, rng)
-        result = _lloyd(pts, w, seeds, max_iter, tol)
-        if best is None or result.distortion < best.distortion:
-            best = result
-    return best
+    # Lloyd draws nothing, so every seeding can come first.
+    seeds = np.stack([_seed_centroids(pts, w, k, rng) for _ in range(n_init)])
+    results = _lloyd(pts, w, seeds, max_iter, tol)
+    # The first restart with the lowest distortion.
+    return min(results, key=lambda r: r.distortion)
 
 
 def anomaly_scores(transitions: Sequence[Transition]) -> np.ndarray:
@@ -355,7 +366,7 @@ def anomaly_scores(transitions: Sequence[Transition]) -> np.ndarray:
     """
     if len(transitions) < 2:
         raise ValueError("need at least 2 transitions to score anomalies")
-    rewards = np.array([t.r for t in transitions], dtype=float)
+    rewards = np.fromiter(map(itemgetter(2), transitions), float, len(transitions))
     with np.errstate(over="ignore", invalid="ignore"):
         mean, std = rewards.mean(), float(rewards.std())
     if not (math.isfinite(mean) and math.isfinite(std)):
@@ -393,20 +404,19 @@ def discover(
     """
     if not (math.isfinite(theta_anom) and theta_anom > 0):
         raise ValueError(f"theta_anom must be finite and > 0, got {theta_anom!r}")
-    required = max(k, min_samples, 2)
-    if len(transitions) < required:
-        raise InsufficientMemoryError(
-            f"need at least {required} transitions, got {len(transitions)}"
-        )
-    # Distinct arrivals in first-seen order; inverse[i] is transition i's.
-    codes: dict = {}
-    inverse = [codes.setdefault(t.s_next, len(codes)) for t in transitions]
-    for sid in codes:
+    required, n = max(k, min_samples, 2), len(transitions)
+    if n < required:
+        raise InsufficientMemoryError(f"need at least {required} transitions, got {n}")
+    # Distinct arrivals in first-seen order, checked before the array cast
+    # (which would truncate a float id and overflow past int64), each
+    # weighted by its count.
+    order = list(dict.fromkeys(map(itemgetter(3), transitions)))
+    for sid in order:
         if not 0 <= sid < index.size:
             raise ValueError(f"arrival id {sid} is not in the state index")
-    states = [index.states[sid] for sid in codes]
-    coords = np.array([(s.x, s.y) for s in states], dtype=float)
-    fit = kmeans_fit(coords, k, rng, weights=np.bincount(inverse))
+    arrivals = np.fromiter(map(itemgetter(3), transitions), np.intp, n)
+    coords = np.array([index.states[sid].cell for sid in order], dtype=float)
+    fit = kmeans_fit(coords, k, rng, weights=np.bincount(arrivals)[order])
     positions = [tuple(c) for c in fit.centroids]
     if len(set(positions)) != k:
         raise InsufficientMemoryError(
@@ -416,15 +426,16 @@ def discover(
 
     # Each flagged state keeps its highest score, in first-flagged order.
     scores = anomaly_scores(transitions)
+    hit = scores > theta_anom
     flagged: dict[GridState, float] = {}
-    for i in np.flatnonzero(scores > theta_anom).tolist():
-        state = states[inverse[i]]
-        flagged[state] = max(flagged.get(state, 0.0), float(scores[i]))
+    for sid, score in zip(arrivals[hit].tolist(), scores[hit].tolist()):
+        state = index.states[sid]
+        flagged[state] = max(flagged.get(state, 0.0), score)
     return SubgoalSet(
         centroids=centroids,
         anomalies=tuple(AnomalySubgoal(s, score) for s, score in flagged.items()),
         theta_anom=theta_anom,
-        source_size=len(transitions),
+        source_size=n,
     )
 
 

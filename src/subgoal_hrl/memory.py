@@ -255,6 +255,20 @@ def save_transitions_jsonl(
             fh.write(b"".join(map(lines.__getitem__, ids)))
 
 
+class _ParsedLines(dict):
+    """A `memory.jsonl` line to its `Transition`, parsed at its first
+    lookup; a blank line maps to None."""
+
+    def __init__(self, index: StateIndex) -> None:
+        super().__init__()
+        self.index = index
+
+    def __missing__(self, line: str) -> Transition | None:
+        t = transition_from_dict(json.loads(line), self.index) if line.strip() else None
+        self[line] = t
+        return t
+
+
 def load_transitions_jsonl(path: str | Path, index: StateIndex) -> list[Transition]:
     """Transitions with states as ids of `index`; ValueError names the line
     of a bad transition or of a state off `index`.
@@ -262,17 +276,15 @@ def load_transitions_jsonl(path: str | Path, index: StateIndex) -> list[Transiti
     Each distinct line is parsed and checked once; a repeat reuses its
     `Transition`, so a bad line still fails at its first occurrence.
     """
-    transitions = []
-    parsed: dict[str, Transition] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            t = parsed.get(line)
-            if t is None:
-                if not line.strip():
-                    continue
-                try:
-                    t = parsed[line] = transition_from_dict(json.loads(line), index)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"bad transition on line {line_no}: {exc}") from exc
-            transitions.append(t)
-    return transitions
+    parsed = _ParsedLines(index)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            transitions = list(map(parsed.__getitem__, fh))
+    except UnicodeDecodeError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # Each line before the bad one is in the map, and the bad one is not.
+        with open(path, "r", encoding="utf-8") as fh:
+            line_no = next(i for i, line in enumerate(fh, 1) if line not in parsed)
+        raise ValueError(f"bad transition on line {line_no}: {exc}") from exc
+    return list(filter(None, transitions)) if None in parsed.values() else transitions

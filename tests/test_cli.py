@@ -375,6 +375,43 @@ def test_discover_rejects_bad_theta_anom(tmp_path, env, capsys, theta):
     ]) == 1
     _assert_cli_error(capsys, "theta_anom")
     assert not out_path.exists()
+    # The flag is refused before the memory is read: a memory that would
+    # fail to load gets the flag's error, not the load's.
+    bad_memory = tmp_path / "bad.jsonl"
+    bad_memory.write_text("garbage\n")
+    assert main([
+        "discover", "--memory", str(bad_memory), f"--theta-anom={theta}",
+        "--out", str(out_path),
+    ]) == 1
+    _assert_cli_error(capsys, "theta_anom must be finite and > 0")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("max_bytes", ["0", "-1"])
+def test_discover_rejects_max_bytes_below_one(tmp_path, capsys, max_bytes):
+    # Checked with the other flags, before the memory is read: this memory
+    # would fail to load.
+    bad_memory = tmp_path / "bad.jsonl"
+    bad_memory.write_text("garbage\n")
+    out_path = tmp_path / "subgoals.json"
+    assert main([
+        "discover", "--memory", str(bad_memory), "--max-bytes", max_bytes,
+        "--out", str(out_path),
+    ]) == 1
+    _assert_cli_error(capsys, f"--max-bytes must be >= 1, got {max_bytes}")
+    assert not out_path.exists()
+
+
+def test_discover_reports_invalid_utf8_in_memory(tmp_path, env, capsys):
+    memory_path = tmp_path / "memory.jsonl"
+    save_transitions_jsonl(memory_path, build_full_coverage_memory(env), env.index)
+    lines = memory_path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"action"', b'"act\xffion"')
+    memory_path.write_bytes(b"".join(lines))
+    out_path = tmp_path / "subgoals.json"
+    assert main(["discover", "--memory", str(memory_path), "--out", str(out_path)]) == 1
+    _assert_cli_error(capsys, "error: cannot load memory:", "utf-8")
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf"])

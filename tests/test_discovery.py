@@ -256,10 +256,11 @@ def test_discover_deterministic_under_seed(full_coverage_memory):
     assert a == b
 
 
-@pytest.mark.parametrize("bad", [-1, -_INDEX.size, _INDEX.size, 10**6])
+@pytest.mark.parametrize("bad", [-1, -_INDEX.size, _INDEX.size, 10**6, 2**70])
 def test_discover_rejects_arrival_ids_off_the_index(bad):
     # A negative id would wrap through list indexing, a past-the-end one
-    # would end in a bare IndexError.
+    # would end in a bare IndexError, and one past int64 does not fit the
+    # arrivals array.
     memory = [Transition(0, 0, 0.0, sid, False) for sid in range(_INDEX.size)]
     memory[5] = memory[5]._replace(s_next=bad)
     rng = np.random.default_rng(0)
@@ -267,6 +268,19 @@ def test_discover_rejects_arrival_ids_off_the_index(bad):
     with pytest.raises(ValueError, match=rf"arrival id {bad} "):
         discover(memory, 4, 3.0, rng, index=_INDEX)
     assert rng.bit_generator.state == before  # checked before any draw
+
+
+@pytest.mark.parametrize("bad", [3.5, "3"])
+def test_discover_rejects_arrival_ids_that_are_not_integers(bad):
+    # The ids are read into an integer array only after the check, which
+    # would otherwise truncate 3.5 to 3 and parse "3".
+    memory = [Transition(0, 0, 0.0, sid, False) for sid in range(_INDEX.size)]
+    memory[5] = memory[5]._replace(s_next=bad)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(TypeError):
+        discover(memory, 4, 3.0, rng, index=_INDEX)
+    assert rng.bit_generator.state == before
 
 
 # -- merge -----------------------------------------------------------------

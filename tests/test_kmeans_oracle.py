@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import build_full_coverage_memory
-from subgoal_hrl.discovery import KMeansResult, _lloyd, kmeans_fit
+from subgoal_hrl.discovery import KMeansResult, _lloyd, _sq_dist, kmeans_fit
 from subgoal_hrl.rooms_env import FourRoomsEnv
 
 
@@ -185,12 +185,12 @@ def test_empty_cluster_repair_matches_reference():
     rng.shuffle(rows)
     w = rng.integers(2, 6, size=len(rows))
     init = np.array([[4.0, 4.0], [4.0, 4.0], [4.0, 4.0], [0.0, 9.0]])
-    got = _lloyd(rows, w, init.copy(), 100, 1e-6)
+    got = _lloyd(rows, w, init[None], 100, 1e-6)[0]
     want = _reference_lloyd(np.repeat(rows, w, axis=0), init.copy(), 100, 1e-6)
     _assert_matches_expanded(got, want, w)
     assert got.n_iter > 1
     # After the first update one row holds both repaired centroids.
-    first = _lloyd(rows, w, init.copy(), 1, 1e-6).centroids
+    first = _lloyd(rows, w, init[None], 1, 1e-6)[0].centroids
     assert first[1].tobytes() == first[2].tobytes()
     assert (first[1] != init[1]).any()
 
@@ -210,3 +210,94 @@ def test_weighted_fit_matches_fit_on_expanded_points(side, k):
         want = _reference_kmeans_fit(np.repeat(rows, w, axis=0), k, rng_ref)
         _assert_matches_expanded(got, want, w)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_coordinate_sums_equal_numpy_sums_bit_for_bit(dim):
+    # Below 8 terms numpy's pairwise sum adds in order, so summing the
+    # squared differences column by column rounds the same way. Magnitudes
+    # spread over 16 decades make any regrouping show in the last bit.
+    g = np.random.default_rng(dim)
+
+    def draw(*shape):
+        return g.normal(size=shape) * 10.0 ** g.integers(-8, 9, size=shape)
+
+    points, centroids = draw(300, dim), draw(5, 4, dim)
+    # Lloyd's shape: every row against every centroid of every restart.
+    got = _sq_dist(points[:, None, :], centroids[:, None])
+    want = ((points[:, None, :] - centroids[:, None]) ** 2).sum(axis=-1)
+    assert got.shape == (5, 300, 4)
+    assert got.tobytes() == want.tobytes()
+    # The seeding's shape: every row against one centroid.
+    got = _sq_dist(points, centroids[0, 0])
+    assert got.tobytes() == ((points - centroids[0, 0]) ** 2).sum(axis=1).tobytes()
+
+
+def test_batched_restarts_match_the_reference_restart_by_restart():
+    # Three cells and k = 4: every seeding repeats a cell, so every restart
+    # repairs an empty cluster on its first update, and the restarts
+    # converge after one or two iterations, leaving the batch at different
+    # times; the second-iteration ones repair again while they are a subset.
+    points = np.repeat(
+        np.array([[0.0, 0.0], [5.0, 1.0], [2.0, 7.0]]), [3, 1, 4], axis=0
+    )
+    assert len(np.unique(points, axis=0)) < 4
+    rng = np.random.default_rng(0)
+    seeds = [_reference_seed_centroids(points, 4, rng) for _ in range(10)]
+    want = [_reference_lloyd(points, s.copy(), 100, 1e-6) for s in seeds]
+    assert len({r.n_iter for r in want}) > 1
+    got = _lloyd(points, np.ones(len(points), dtype=np.int64), np.stack(seeds), 100, 1e-6)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _assert_identical(g, w)
+
+    rng_new = np.random.default_rng(0)
+    rng_ref = np.random.default_rng(0)
+    _assert_identical(
+        kmeans_fit(points, 4, rng_new), _reference_kmeans_fit(points, 4, rng_ref)
+    )
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_batched_repair_after_a_restart_has_left_matches_the_reference():
+    # Restart 0 starts at a converged fit and leaves after one iteration.
+    # Restart 1 is the repair case above: its first update puts two repaired
+    # centroids on one row, so its second update repairs again, now as the
+    # first of the live restarts, with non-zero distances to choose from.
+    rng = np.random.default_rng(7)
+    rows = np.unique(rng.integers(0, 10, size=(60, 2)), axis=0).astype(float)
+    rng.shuffle(rows)
+    w = rng.integers(2, 6, size=len(rows))
+    expanded = np.repeat(rows, w, axis=0)
+    spread = rows[rng.choice(len(rows), 4, replace=False)]
+    seeds = np.stack([
+        _reference_lloyd(expanded, spread.copy(), 100, 1e-6).centroids,
+        np.array([[4.0, 4.0], [4.0, 4.0], [4.0, 4.0], [0.0, 9.0]]),
+        spread,
+    ])
+    got = _lloyd(rows, w, seeds, 100, 1e-6)
+    for result, seed in zip(got, seeds):
+        _assert_matches_expanded(
+            result, _reference_lloyd(expanded, seed.copy(), 100, 1e-6), w
+        )
+    assert got[0].n_iter == 1 < got[1].n_iter
+
+
+def test_seeding_refuses_a_non_finite_distance_total_before_its_draw():
+    # The squared distances overflow to inf, so p = mass / total holds NaN:
+    # rng.choice refuses it before drawing, and so must the seeding. (The
+    # overflow warnings are silenced, as errors they would end both first.)
+    points = np.array([[-1e200, 0.0], [1e200, 0.0], [0.0, 0.0]])
+    for seed in range(3):
+        rng_new = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="squared distances sum to inf"):
+                kmeans_fit(points, 2, rng_new)
+            with pytest.raises(ValueError, match="(?i)probabilities"):
+                _reference_kmeans_fit(points, 2, rng_ref)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        # Only the first centroid's draw was made.
+        rng_one = np.random.default_rng(seed)
+        rng_one.integers(3)
+        assert rng_new.bit_generator.state == rng_one.bit_generator.state

@@ -434,25 +434,32 @@ _small_states = st.integers(0, 3)
         min_size=1, max_size=5,
     ),
     picks=st.lists(
-        st.tuples(st.integers(0, 4), st.sampled_from(["plain", "indented", "negated", "blank"])),
+        st.tuples(st.integers(0, 4), st.sampled_from(
+            ["plain", "indented", "negated", "blank", "whitespace", "crlf"]
+        )),
         max_size=30,
     ),
+    newline_at_end=st.booleans(),
 )
-def test_jsonl_load_matches_the_per_line_parse(tmp_path, pool, picks):
-    # Repeats, blanks, equal transitions written as different raw lines, and
-    # lines that differ only in the sign of the reward (0.0 == -0.0).
+def test_jsonl_load_matches_the_per_line_parse(tmp_path, pool, picks, newline_at_end):
+    # Repeats, blank and whitespace-only lines, equal transitions written as
+    # different raw lines, lines that differ only in the sign of the reward
+    # (0.0 == -0.0), "\r\n" line endings, and a last line with no newline.
     lines = []
     for i, variant in picks:
         t = pool[i % len(pool)]
-        if variant == "blank":
-            lines.append("\n")
+        if variant in ("blank", "whitespace"):
+            lines.append("\n" if variant == "blank" else " \t \n")
             continue
         if variant == "negated":
             t = t._replace(r=-t.r)
         indent = " " if variant == "indented" else ""
-        lines.append(indent + json.dumps(transition_to_dict(t, _INDEX)) + "\n")
+        end = "\r\n" if variant == "crlf" else "\n"
+        lines.append(indent + json.dumps(transition_to_dict(t, _INDEX)) + end)
+    if lines and not newline_at_end:
+        lines[-1] = lines[-1].rstrip("\r\n")
     path = tmp_path / "memory.jsonl"
-    path.write_text("".join(lines))
+    path.write_bytes("".join(lines).encode())
     expected = [
         transition_from_dict(json.loads(line), _INDEX) for line in lines if line.strip()
     ]
@@ -469,4 +476,58 @@ def test_jsonl_repeated_bad_line_names_its_first_line(tmp_path):
     path = tmp_path / "memory.jsonl"
     path.write_text("\n".join([good, good, bad, good, bad, bad]) + "\n")
     with pytest.raises(ValueError, match=r"^bad transition on line 3: need true/false"):
+        load_transitions_jsonl(path, _INDEX)
+
+
+_GOOD_LINE = json.dumps(transition_to_dict(Transition(0, 1, 0.0, 1, False), _INDEX))
+# Good lines, repeated as drawn: two transitions, a blank and a
+# whitespace-only line, and one written with "\r\n".
+_GOOD_LINES = [
+    _GOOD_LINE + "\n",
+    json.dumps(transition_to_dict(Transition(1, 2, 10.0, 0, True), _INDEX)) + "\n",
+    "\n",
+    " \t \n",
+    _GOOD_LINE + "\r\n",
+]
+# One bad line per error the parse can raise.
+_BAD_LINES = [
+    "garbage\n",  # not JSON
+    "[1, 2]\n",  # not an object
+    '{"x": 1}\n',  # a missing field
+    _GOOD_LINE.replace('"terminal": false', '"terminal": 0') + "\n",  # a bad type
+    json.dumps(dict(json.loads(_GOOD_LINE), x_next=500)) + "\n",  # off the index
+]
+
+
+def _first_bad_line_no(lines: list[str]) -> int | None:
+    """The line number a per-line loader names, or None for a good file."""
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                transition_from_dict(json.loads(line), _INDEX)
+            except (KeyError, TypeError, ValueError):
+                return line_no
+    return None
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    good=st.lists(st.sampled_from(_GOOD_LINES), max_size=30),
+    bad=st.lists(
+        st.tuples(st.integers(0, 30), st.sampled_from(_BAD_LINES)), min_size=1, max_size=3
+    ),
+)
+def test_jsonl_load_names_the_line_a_per_line_loader_names(tmp_path, good, bad):
+    # Bad lines at drawn positions after and among repeats: the map-based
+    # loader re-reads the file for the line number, and must name the same
+    # first bad line as the per-line loop.
+    lines = list(good)
+    for at, line in bad:
+        lines.insert(min(at, len(lines)), line)
+    path = tmp_path / "memory.jsonl"
+    path.write_bytes("".join(lines).encode())
+    line_no = _first_bad_line_no(lines)
+    assert line_no is not None
+    with pytest.raises(ValueError, match=rf"^bad transition on line {line_no}: "):
         load_transitions_jsonl(path, _INDEX)
