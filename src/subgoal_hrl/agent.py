@@ -215,11 +215,7 @@ def epsilon_greedy_index(
     if rng.random() < epsilon:
         return int(rng.integers(n))
     if tie_break == "first":
-        best, best_v = 0, values[0]
-        for i in range(1, n):
-            if values[i] > best_v:
-                best, best_v = i, values[i]
-        return best
+        return values.index(max(values))
     mx = max(values)
     ties = [i for i, v in enumerate(values) if v == mx]
     if len(ties) == 1:

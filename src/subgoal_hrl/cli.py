@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import ControllerTable, FlatTable, MetaTable, StateIndex
+from .agent import ControllerTable, FlatTable, MetaTable
 from .discovery import SubgoalSet, discover
 from .memory import load_transitions_jsonl, save_transitions_jsonl
-from .rooms_env import RoomsLayout, compile_moves
+from .rooms_env import RoomsLayout
 from .trainer import (
     MODES,
     MetricsRecord,
@@ -152,7 +152,7 @@ def write_run_artifacts(result: RunResult, run_dir: Path) -> dict:
     (run_dir / "metrics.csv").write_text(metrics_to_csv(result.metrics))
     artifacts["metrics"] = "metrics.csv"
 
-    index = compile_moves(result.config.layout())[0]  # the run's own index
+    index = result.config.layout().index
     save_transitions_jsonl(run_dir / "memory.jsonl", result.memory, index)
     artifacts["memory"] = "memory.jsonl"
 
@@ -244,9 +244,7 @@ def cmd_discover(args) -> int:
                 f"--k must be in [1, {len(layout.playable)}], the layout's "
                 f"playable cell count, got {args.k}"
             )
-        # A bare index: discover needs no moves, and compiling them costs
-        # several times more than the index.
-        index = StateIndex(layout)
+        index = layout.index
         transitions = load_transitions_jsonl(path, index)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load memory: {exc}") from exc
@@ -319,27 +317,28 @@ def cmd_compare(args) -> int:
     _require_at_least(1, args, "grid_step", "window")
     run_dirs = _load_run_dirs(args)
     by_mode: dict[str, list[list[MetricsRecord]]] = {}
-    first_of_mode: dict[str, tuple[Path, dict]] = {}
+    first_of_mode: dict[str, tuple[Path, RunConfig]] = {}
     final_steps = []
     for d in run_dirs:
         try:
             path = d / MANIFEST_NAME
             manifest = json.loads(path.read_text())
-            mode, config = manifest["mode"], dict(manifest["config"])
+            mode, config = manifest["mode"], _make_config(manifest["config"])
             path = d / "metrics.csv"
             records = metrics_from_csv(path.read_text())
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CliError(f"cannot load {path}: {exc!r}") from exc
         if mode not in MODES:
             raise CliError(f"{d / MANIFEST_NAME}: mode {mode!r} is not one of {MODES}")
+        if config.mode != mode:
+            raise CliError(f"{d / MANIFEST_NAME}: mode {mode!r} differs from "
+                           f"its config's mode {config.mode!r}")
         if not records:
             raise CliError(f"{path} has no metrics rows")
         # Runs of one mode are averaged, so they may differ in seed alone.
         first_dir, first = first_of_mode.setdefault(mode, (d, config))
-        differ = sorted(
-            key for key in first.keys() | config.keys()
-            if key != "seed" and first.get(key) != config.get(key)
-        )
+        differ = [name for name in RunConfig.field_names() if name != "seed"
+                  and getattr(first, name) != getattr(config, name)]
         if differ:
             raise CliError(
                 f"{first_dir} and {d} are {mode} runs whose configs differ in "
@@ -401,8 +400,12 @@ def cmd_eval(args) -> int:
         if config.mode == "random_walk":
             raise CliError("random_walk runs have no tables to evaluate")
         layout = config.layout()
-        index = compile_moves(layout)[0]  # shared with greedy_rollout's env
+        index = layout.index
         artifacts = manifest["artifacts"]
+        # A name with a directory part would reach outside the run.
+        for name in dict(artifacts).values():
+            if Path(name).name != name or name == "..":
+                raise ValueError(f"artifact name {name!r} is not a plain file name")
         if config.mode == "flat_q":
             flat = FlatTable.from_csv(run_dir / artifacts["flat_table"], index)
             kwargs = {"flat": flat}

@@ -19,7 +19,7 @@ from typing import Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .rooms_env import Action, GridState, StateIndex
+from .rooms_env import Action, GridState, StateIndex, Transition
 
 T = TypeVar("T")
 
@@ -54,16 +54,6 @@ def accumulate_return(rewards: Sequence[float], gamma: float) -> float:
         total += factor * r
         factor *= gamma
     return total
-
-
-class Transition(NamedTuple):
-    """One raw environment step."""
-
-    s: int
-    a: int
-    r: float
-    s_next: int
-    terminal: bool
 
 
 class ControllerTransition(NamedTuple):

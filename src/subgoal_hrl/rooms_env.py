@@ -60,6 +60,16 @@ class GridState(NamedTuple):
         return (self.x, self.y)
 
 
+class Transition(NamedTuple):
+    """One raw environment step."""
+
+    s: int
+    a: int
+    r: float
+    s_next: int
+    terminal: bool
+
+
 @dataclass(frozen=True)
 class StepOutcome:
     """Result of one environment step."""
@@ -147,6 +157,32 @@ class RoomsLayout:
             for y in range(self.height)
             if (x, y) not in self.walls
         )
+
+    @cached_property
+    def index(self) -> StateIndex:
+        """The layout's one dense state index."""
+        return StateIndex(self)
+
+    @cached_property
+    def moves(self) -> list[Transition]:
+        """The move rule: entry `(sid * N_ACTIONS + taken) * N_ACTIONS + chosen`
+        is the `Transition` of taking `taken` in state id `sid` when `chosen`
+        was chosen (slip makes them differ). Equal entries are one object,
+        shared by every env and run on this layout; nothing may write them."""
+        index, shared, moves = self.index, {}, []
+        for sid, (x, y, has_key) in enumerate(index.states):
+            for dx, dy in ACTION_DELTAS.values():
+                cell = (x + dx, y + dy)
+                if cell in self.walls:
+                    cell = (x, y)
+                takes_key = cell == self.key_cell and not has_key
+                done = cell == self.box_cell and has_key
+                reward = BOX_REWARD if done else KEY_REWARD if takes_key else 0.0
+                s_next = index.ids[(*cell, has_key or takes_key)]
+                for chosen in range(N_ACTIONS):
+                    t = Transition(sid, chosen, reward, s_next, done)
+                    moves.append(shared.setdefault(t, t))
+        return moves
 
     def _reachable_from_start(self) -> frozenset[tuple[int, int]]:
         seen = {self.start_cell}
@@ -301,7 +337,7 @@ class StateIndex:
 
 
 class FourRoomsEnv:
-    """Deterministic four-rooms environment over the compiled move rule.
+    """Deterministic four-rooms environment over its layout's `moves`.
 
     `step` is `move` between encoding and decoding the state. Steps are
     a pure function of (state, action) when `slip_prob` is 0 (the default);
@@ -322,7 +358,8 @@ class FourRoomsEnv:
         self.layout = layout = layout if layout is not None else RoomsLayout.default()
         self.slip_prob = slip_prob
         self._rng = rng
-        self.index, self.next_id, self.reward, self.terminal = compile_moves(layout)
+        self.index = layout.index
+        self._moves = layout.moves
         self.terminal_id = self.index.ids[(*layout.box_cell, True)]
 
     def reset(self) -> GridState:
@@ -335,36 +372,17 @@ class FourRoomsEnv:
         Raises:
             ValueError: when stepping from a non-playable or terminal state.
         """
-        i = self.move(self.index.encode(state), Action(action))
-        next_state = self.index.states[self.next_id[i]]
-        return StepOutcome(next_state, self.reward[i], self.terminal[i])
+        t = self.move(self.index.encode(state), Action(action))
+        return StepOutcome(self.index.states[t.s_next], t.r, t.terminal)
 
-    def move(self, sid: int, action: int) -> int:
-        """Index `sid * N_ACTIONS + taken action` of the move made, into the
-        compiled lists; with slip the taken action may differ from `action`.
-        ValueError from the terminal state."""
+    def move(self, sid: int, action: int) -> Transition:
+        """The shared `Transition` of choosing `action` in state id `sid`;
+        with slip the action taken may differ from it. ValueError from the
+        terminal state."""
         if sid == self.terminal_id:
             raise ValueError("cannot step from a terminal state")
+        taken = action
         if self.slip_prob > 0.0 and self._rng.random() < self.slip_prob:
-            action = int(self._rng.integers(N_ACTIONS))
-        return sid * N_ACTIONS + action
+            taken = int(self._rng.integers(N_ACTIONS))
+        return self._moves[(sid * N_ACTIONS + taken) * N_ACTIONS + action]
 
-
-@lru_cache(maxsize=16)
-def compile_moves(layout: RoomsLayout) -> tuple[StateIndex, list, list, list]:
-    """The move rule as `next_id`, `reward` and `terminal` lists indexed by
-    `state_id * N_ACTIONS + action`, with their state index. Compiled once
-    per layout and shared by its envs, so nothing may write to them."""
-    index = StateIndex(layout)
-    next_id, reward, terminal = [], [], []
-    for x, y, has_key in index.states:
-        for dx, dy in (ACTION_DELTAS[a] for a in Action):
-            cell = (x + dx, y + dy)
-            if cell in layout.walls:
-                cell = (x, y)
-            takes_key = cell == layout.key_cell and not has_key
-            done = cell == layout.box_cell and has_key
-            next_id.append(index.ids[(*cell, has_key or takes_key)])
-            reward.append(BOX_REWARD if done else KEY_REWARD if takes_key else 0.0)
-            terminal.append(done)
-    return index, next_id, reward, terminal

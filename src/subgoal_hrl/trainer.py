@@ -277,15 +277,6 @@ class Runner:
         layout = config.layout()
         self.env = env = FourRoomsEnv(layout, slip_prob=config.slip_prob, rng=self.rng)
         self.index = env.index
-        # Entry move * N_ACTIONS + chosen action: the raw memory holds
-        # these shared objects, and equal entries are one object.
-        shared: dict[Transition, Transition] = {}
-        self._transitions: list[Transition] = []
-        for i, nxt in enumerate(env.next_id):
-            for a in range(N_ACTIONS):
-                t = Transition(i // N_ACTIONS, a, env.reward[i], nxt, env.terminal[i])
-                self._transitions.append(shared.setdefault(t, t))
-
         self.memory: BoundedMemory[Transition] = BoundedMemory(
             config.memory_capacity
         )
@@ -341,7 +332,7 @@ class Runner:
     def _env_step(self, action: int) -> Transition:
         """One move: push its shared transition, mark the cell and run a
         discovery that falls due; returns the transition."""
-        t = self._transitions[self.env.move(self.sid, action) * N_ACTIONS + action]
+        t = self.env.move(self.sid, action)
         self.steps += 1
         self.ep_steps += 1
         self.ep_return += t.r

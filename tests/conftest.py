@@ -88,11 +88,10 @@ def build_full_coverage_memory(
         for i in range(arrivals_per_cell):
             has_key = cell == layout.box_cell and i == arrivals_per_cell - 1
             sid = index.encode(GridState(src[0], src[1], has_key))
-            move = env.move(sid, action)
-            assert index.states[env.next_id[move]].cell == cell
-            transitions.append(Transition(
-                sid, action, env.reward[move], env.next_id[move], env.terminal[move]
-            ))
+            t = env.move(sid, action)
+            assert (t.s, t.a) == (sid, action)
+            assert index.states[t.s_next].cell == cell
+            transitions.append(t)
     return transitions
 
 

@@ -988,6 +988,76 @@ def test_manifest_with_use_dissimilarity_is_refused(tmp_path, capsys):
     assert not (tmp_path / "again").exists()
 
 
+def _copy_flat_runs(trained_runs, tmp_path, edit):
+    """Two copies of the flat_q run under tmp_path/runs, each manifest
+    passed through `edit`."""
+    for name in ("a", "b"):
+        run_dir = tmp_path / "runs" / name
+        shutil.copytree(trained_runs / "flat_q_seed1", run_dir)
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+    return tmp_path / "runs"
+
+
+@pytest.mark.parametrize(
+    "config,needle",
+    [
+        ({"x": 1}, "'x'"),
+        ({"mode": "flat_q", "alpha": 7}, "alpha must be in (0, 1]"),
+        ({"mode": "flat_q", "use_dissimilarity": False}, "use_dissimilarity"),
+    ],
+    ids=["unknown-key-only", "alpha-out-of-range", "use-dissimilarity"],
+)
+def test_compare_refuses_runs_whose_configs_are_invalid(
+    trained_runs, tmp_path, capsys, config, needle
+):
+    # Both runs carry the same invalid config, so they would average.
+    root = _copy_flat_runs(trained_runs, tmp_path, lambda m: m.update(config=config))
+    capsys.readouterr()
+    out_dir = tmp_path / "cmp"
+    assert main(["compare", "--root", str(root), "--grid-step", "300",
+                 "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:") and needle in err
+    assert not out_dir.exists()
+
+
+def test_compare_refuses_a_mode_its_config_does_not_hold(trained_runs, tmp_path, capsys):
+    def edit(manifest):
+        manifest["config"]["mode"] = "random_walk"
+
+    root = _copy_flat_runs(trained_runs, tmp_path, edit)
+    capsys.readouterr()
+    out_dir = tmp_path / "cmp"
+    assert main(["compare", "--root", str(root), "--grid-step", "300",
+                 "--out-dir", str(out_dir)]) == 1
+    _assert_cli_error(capsys, "mode 'flat_q' differs from its config's mode 'random_walk'")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "name", [lambda runs: str(runs / "flat_q_seed1" / "flat_q.csv"),
+             lambda runs: "../flat_q_seed1/flat_q.csv"],
+    ids=["absolute", "parent-dir"],
+)
+def test_eval_refuses_artifact_names_outside_the_run(trained_runs, tmp_path, capsys, name):
+    # Each name points at a valid table, which eval must still not open.
+    flat_table = name(trained_runs)
+    run_dir = tmp_path / "copy"
+    shutil.copytree(trained_runs / "flat_q_seed1", run_dir)
+    shutil.copytree(trained_runs / "flat_q_seed1", tmp_path / "flat_q_seed1")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["artifacts"]["flat_table"] = flat_table
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    (run_dir / "flat_q.csv").unlink()
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(capsys, "cannot load run artifacts", repr(flat_table),
+                      "is not a plain file name")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_eval_rejects_non_finite_table_values(trained_runs, tmp_path, capsys, value):
     header, first, *rows = (

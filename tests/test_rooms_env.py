@@ -11,7 +11,9 @@ from subgoal_hrl.rooms_env import (
     LayoutError,
     RoomsLayout,
     StepOutcome,
+    Transition,
 )
+from subgoal_hrl.trainer import RunConfig, run
 
 
 def test_reset_returns_fixed_start(env):
@@ -248,17 +250,49 @@ CUSTOM_GRID = (
 def test_compiled_tables_match_the_reference_move_rule(grid):
     env = FourRoomsEnv(grid)
     states = env.index.states
-    assert len(env.next_id) == len(env.reward) == len(env.terminal) == 4 * len(states)
     assert states[env.terminal_id] == GridState(*grid.box_cell, True)
     for sid, state in enumerate(states):
         if sid == env.terminal_id:
             continue
         for a in Action:
             want = _reference_step(grid, state, a)
-            i = sid * 4 + a
-            got = (states[env.next_id[i]], env.reward[i], env.terminal[i])
+            t = env.move(sid, a)
+            assert (t.s, t.a) == (sid, a)
+            got = (states[t.s_next], t.r, t.terminal)
             assert got == (want.next_state, want.reward, want.terminal), (state, a)
             assert env.step(state, a) == want
+
+
+@pytest.mark.parametrize("text", [None, CUSTOM_GRID], ids=["default", "custom"])
+def test_layout_owns_one_index_and_one_shared_move_table(text):
+    grid = RoomsLayout.default() if text is None else RoomsLayout.from_text(text)
+    index, moves = grid.index, grid.moves
+    assert FourRoomsEnv(grid).index is index
+    assert grid.moves is moves
+    # Entry (sid * 4 + taken) * 4 + chosen is the reference step of `taken`,
+    # recorded under the chosen action.
+    assert len(moves) == 16 * index.size
+    for sid, state in enumerate(index.states):
+        for taken in Action:
+            want = _reference_step(grid, state, taken)
+            s_next = index.encode(want.next_state)
+            for chosen in Action:
+                assert moves[(sid * 4 + taken) * 4 + chosen] == Transition(
+                    sid, chosen, want.reward, s_next, want.terminal
+                ), (state, taken, chosen)
+    # Equal entries are one object.
+    first: dict[Transition, Transition] = {}
+    assert all(first.setdefault(t, t) is t for t in moves)
+    assert len(first) < len(moves)
+    # Runs on the layout push its entries, with and without slip.
+    table = {id(t) for t in moves}
+    for seed, slip in ((0, 0.0), (1, 0.3)):
+        result = run(RunConfig(
+            mode="random_walk", seed=seed, total_steps=2000, warmup_steps=100,
+            slip_prob=slip, layout_text=text,
+        ))
+        assert len(result.memory) == 2000
+        assert all(id(t) in table for t in result.memory)
 
 
 def test_rejected_steps_draw_no_slip(layout):

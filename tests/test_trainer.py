@@ -210,21 +210,15 @@ def test_slip_draws_follow_the_block_of_warmup_actions():
     result = runner.run()
     ref = default_rng(8)
     assert _actions(result.memory) == ref.integers(4, size=n).tolist()
-    # The raw memory holds entries of the runner's shared table, not one
-    # object per step.
+    # The raw memory holds entries of the layout's shared move table, not
+    # one object per step.
     raw = runner.memory.snapshot()
-    table = {id(t) for t in runner._transitions}
+    table = {id(t) for t in RoomsLayout.default().moves}
     assert all(id(t) in table for t in raw)
     # Replaying each recorded step on an env that shares the reference
-    # generator makes the same slip draws and builds equal transitions.
+    # generator makes the same slip draws and returns the same entries.
     env = FourRoomsEnv(RoomsLayout.default(), slip_prob=slip, rng=ref)
-    replay = []
-    for t in raw:
-        i = env.move(t.s, t.a)
-        replay.append(
-            Transition(t.s, t.a, env.reward[i], env.next_id[i], env.terminal[i])
-        )
-    assert replay == list(raw)
+    assert all(env.move(t.s, t.a) is t for t in raw)
     assert runner.rng.bit_generator.state == ref.bit_generator.state
 
 
