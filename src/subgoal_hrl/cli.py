@@ -10,6 +10,7 @@ reproduces the run exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
@@ -126,12 +127,14 @@ def _build_configs(args) -> list[RunConfig]:
     return [_make_config(base)]
 
 
-def _make_config(values: dict) -> RunConfig:
+def _make_config(values: dict, source: Path | None = None) -> RunConfig:
+    """Build and validate a RunConfig; `source` names the file it came from."""
     try:
         cfg = RunConfig(**values)
         cfg.validate()
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid configuration: {exc}") from exc
+        where = f"{source}: " if source else ""
+        raise CliError(f"invalid configuration: {where}{exc}") from exc
     return cfg
 
 
@@ -323,7 +326,7 @@ def cmd_compare(args) -> int:
         try:
             path = d / MANIFEST_NAME
             manifest = json.loads(path.read_text())
-            mode, config = manifest["mode"], _make_config(manifest["config"])
+            mode, config = manifest["mode"], _make_config(manifest["config"], path)
             path = d / "metrics.csv"
             records = metrics_from_csv(path.read_text())
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -335,6 +338,10 @@ def cmd_compare(args) -> int:
                            f"its config's mode {config.mode!r}")
         if not records:
             raise CliError(f"{path} has no metrics rows")
+        # Rows rise in steps, so the last row bounds the run's curve.
+        if records[-1].steps > config.total_steps:
+            raise CliError(f"{path}: steps {records[-1].steps} exceed the run's "
+                           f"total_steps {config.total_steps}")
         # Runs of one mode are averaged, so they may differ in seed alone.
         first_dir, first = first_of_mode.setdefault(mode, (d, config))
         differ = [name for name in RunConfig.field_names() if name != "seed"
@@ -441,7 +448,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each `add_argument` makes
+    a help formatter, and parsing never changes the parser."""
     parser = argparse.ArgumentParser(
         prog="subgoal-hrl",
         description=(
@@ -498,8 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

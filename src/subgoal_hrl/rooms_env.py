@@ -378,9 +378,12 @@ class FourRoomsEnv:
     def move(self, sid: int, action: int) -> Transition:
         """The shared `Transition` of choosing `action` in state id `sid`;
         with slip the action taken may differ from it. ValueError from the
-        terminal state."""
+        terminal state or for an action outside [0, N_ACTIONS)."""
         if sid == self.terminal_id:
             raise ValueError("cannot step from a terminal state")
+        # An id out of range would index another state's entries.
+        if not 0 <= action < N_ACTIONS:
+            raise ValueError(f"action must be in [0, {N_ACTIONS}), got {action!r}")
         taken = action
         if self.slip_prob > 0.0 and self._rng.random() < self.slip_prob:
             taken = int(self._rng.integers(N_ACTIONS))

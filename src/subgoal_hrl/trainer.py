@@ -12,10 +12,11 @@ Modes:
 
 from __future__ import annotations
 
+import math
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,8 +183,7 @@ class RunConfig:
         return tuple(f.name for f in fields(cls))
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     """Per-episode training metrics, one row of metrics.csv."""
 
     episode: int
@@ -207,23 +207,41 @@ def metrics_to_csv(records: Sequence[MetricsRecord]) -> str:
 
 
 def metrics_from_csv(text: str) -> list[MetricsRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != METRICS_HEADER:
+    """Parse metrics.csv. A row that no run writes raises ValueError
+    naming its line."""
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not rows or rows[0][1] != METRICS_HEADER:
         raise ValueError("unrecognized metrics CSV header")
     records = []
-    for ln in lines[1:]:
-        ep, steps, ret, cov, sr, ng = ln.split(",")
-        records.append(
-            MetricsRecord(
-                episode=int(ep),
-                steps=int(steps),
-                ep_return=float(ret),
-                coverage=float(cov),
-                success_rate=float(sr),
-                num_subgoals=int(ng),
+    last_steps = 0
+    for number, ln in rows[1:]:
+        try:
+            ep, steps, ret, cov, sr, ng = ln.split(",")
+            record = MetricsRecord(
+                int(ep), int(steps), float(ret), float(cov), float(sr), int(ng)
             )
-        )
+            _check_metrics_row(record, last_steps)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
+        records.append(record)
+        last_steps = record.steps
     return records
+
+
+def _check_metrics_row(record: MetricsRecord, last_steps: int) -> None:
+    # Every episode ends after at least one step, so steps strictly rise.
+    if record.steps <= last_steps:
+        raise ValueError(
+            f"steps {record.steps} do not exceed the previous row's {last_steps}"
+        )
+    if not math.isfinite(record.ep_return):
+        raise ValueError(f"return {record.ep_return!r} is not finite")
+    if not 0.0 <= record.coverage <= 1.0:
+        raise ValueError(f"coverage {record.coverage!r} is outside [0, 1]")
+    if not 0.0 <= record.success_rate <= 1.0:
+        raise ValueError(f"success rate {record.success_rate!r} is outside [0, 1]")
+    if record.num_subgoals < 0:
+        raise ValueError(f"num_subgoals {record.num_subgoals} is negative")
 
 
 def moving_average(series: Sequence[float], window: int) -> list[float]:

@@ -272,6 +272,31 @@ def test_discover_requires_memory_flag():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_call_in_a_process(trained_runs, tmp_path, env, capsys):
+    assert build_parser() is build_parser()
+    # An option given in one call does not carry over into the next.
+    run_dir = str(trained_runs / "flat_q_seed1")
+    assert main(["eval", "--run", run_dir, "--episodes", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["episodes"]) == 3
+    assert main(["eval", "--run", run_dir]) == 0
+    assert len(json.loads(capsys.readouterr().out)["episodes"]) == 1
+
+    memory_path = tmp_path / "memory.jsonl"
+    save_transitions_jsonl(memory_path, build_full_coverage_memory(env), env.index)
+    for extra, k in ((["--k", "5"], 5), ([], 4)):
+        out_path = tmp_path / f"subgoals{k}.json"
+        assert main(["discover", "--memory", str(memory_path),
+                     "--out", str(out_path), *extra]) == 0
+        assert json.loads(out_path.read_text())["k"] == k
+
+    # A call that argparse refuses leaves the parser usable.
+    with pytest.raises(SystemExit):
+        main(["eval", "--run", run_dir, "--episodes", "many"])
+    capsys.readouterr()
+    assert main(["eval", "--run", run_dir]) == 0
+    assert len(json.loads(capsys.readouterr().out)["episodes"]) == 1
+
+
 def test_compare_merges_runs(tmp_path, capsys):
     for seed in (0, 1):
         assert main(train_args(tmp_path, mode="random_walk", seed=seed)) == 0
@@ -674,6 +699,18 @@ def _list_mode(text):
     return json.dumps(manifest)
 
 
+def _set_metrics_cell(row, column, value):
+    """Edit that sets one cell of metrics.csv (row 1 is the first
+    episode's); a value of None copies the cell from the row above."""
+    def edit(text):
+        lines = text.splitlines()
+        cells = lines[row].split(",")
+        cells[column] = lines[row - 1].split(",")[column] if value is None else value
+        lines[row] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
 @pytest.mark.parametrize(
     "artifact,edit,needle",
     [
@@ -683,10 +720,28 @@ def _list_mode(text):
         ("manifest.json", _drop_mode, "KeyError('mode')"),
         ("manifest.json", _list_mode, "is not one of"),
         ("metrics.csv", lambda text: text.splitlines()[0] + "\n", "no metrics rows"),
+        ("metrics.csv", _set_metrics_cell(1, 3, "nan"),
+         "line 2: coverage nan is outside [0, 1]"),
+        ("metrics.csv", _set_metrics_cell(2, 3, "1.5"),
+         "line 3: coverage 1.5 is outside [0, 1]"),
+        ("metrics.csv", _set_metrics_cell(1, 2, "inf"), "line 2: return inf is not finite"),
+        ("metrics.csv", _set_metrics_cell(2, 2, "-nan"), "line 3: return nan is not finite"),
+        ("metrics.csv", _set_metrics_cell(1, 4, "-0.25"),
+         "line 2: success rate -0.25 is outside [0, 1]"),
+        ("metrics.csv", _set_metrics_cell(1, 5, "-1"), "line 2: num_subgoals -1 is negative"),
+        ("metrics.csv", _set_metrics_cell(1, 1, "-5"),
+         "line 2: steps -5 do not exceed the previous row's 0"),
+        ("metrics.csv", _set_metrics_cell(1, 1, "0"), "line 2: steps 0 do not exceed"),
+        ("metrics.csv", _set_metrics_cell(2, 1, None), "line 3: steps"),
+        ("metrics.csv", _set_metrics_cell(-1, 1, "40000"),
+         "steps 40000 exceed the run's total_steps 1500"),
     ],
     ids=["garbage-metrics", "short-metrics-row", "truncated-manifest",
          "manifest-without-mode", "manifest-with-unknown-mode",
-         "header-only-metrics"],
+         "header-only-metrics", "nan-coverage", "coverage-above-one",
+         "inf-return", "nan-return", "negative-success-rate",
+         "negative-subgoal-count", "negative-steps", "zero-steps",
+         "repeated-steps", "steps-beyond-the-run"],
 )
 def test_compare_rejects_malformed_runs(
     trained_runs, tmp_path, capsys, artifact, edit, needle
@@ -1021,6 +1076,7 @@ def test_compare_refuses_runs_whose_configs_are_invalid(
                  "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration:") and needle in err
+    assert str(root / "a" / "manifest.json") in err
     assert not out_dir.exists()
 
 

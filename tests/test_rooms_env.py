@@ -309,4 +309,10 @@ def test_rejected_steps_draw_no_slip(layout):
         env.step(GridState(20, 1), Action.SOUTH)
     with pytest.raises(ValueError):
         env.step(GridState(1, 1), 4)
+    # move reads its table by action id, so an id out of range must not
+    # reach another state's entries.
+    with pytest.raises(ValueError, match="action must be in"):
+        env.move(0, 4)
+    with pytest.raises(ValueError, match="action must be in"):
+        env.move(5, -1)
     assert rng.bit_generator.state == before

@@ -147,6 +147,16 @@ def test_same_seed_is_bit_identical():
     assert metrics_from_csv(csv_a) == metrics_from_csv(csv_b)
 
 
+def test_metrics_records_round_trip_through_csv_and_are_immutable():
+    records = run(small_config(seed=7)).metrics
+    assert any(r.num_subgoals and r.success_rate for r in records)
+    loaded = metrics_from_csv(metrics_to_csv(records))
+    assert loaded == records
+    assert repr(loaded) == repr(records)
+    with pytest.raises(AttributeError):
+        records[0].steps = 0
+
+
 def test_different_seeds_differ():
     a = run(small_config(seed=1))
     b = run(small_config(seed=2))
