@@ -297,9 +297,17 @@ def _load_run_dirs(args) -> list[Path]:
         dirs = sorted(
             p.parent for p in Path(args.root).glob(f"*/{MANIFEST_NAME}")
         )
+    # Each run counts once in a mode's mean, however its path is spelled:
+    # a run is known by its manifest file's identity.
+    seen: set[tuple[int, int]] = set()
     for d in dirs:
-        if not (d / MANIFEST_NAME).exists():
-            raise CliError(f"{d} is not a completed run (no {MANIFEST_NAME})")
+        try:
+            st = (d / MANIFEST_NAME).stat()
+        except OSError:
+            raise CliError(f"{d} is not a completed run (no {MANIFEST_NAME})") from None
+        if (st.st_dev, st.st_ino) in seen:
+            raise CliError(f"{d} is listed more than once")
+        seen.add((st.st_dev, st.st_ino))
     if len(dirs) < 2:
         raise CliError("comparison needs at least 2 completed run directories")
     return dirs
@@ -491,8 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.set_defaults(func=cmd_discover)
 
     p_cmp = sub.add_parser("compare", help="merge metrics across runs per mode")
-    p_cmp.add_argument("--runs", nargs="*", help="run directories")
-    p_cmp.add_argument("--root", help="scan this directory for completed runs")
+    p_runs = p_cmp.add_mutually_exclusive_group()
+    p_runs.add_argument("--runs", nargs="*", help="run directories")
+    p_runs.add_argument("--root", help="scan this directory for completed runs")
     p_cmp.add_argument("--grid-step", dest="grid_step", type=int, default=1000)
     p_cmp.add_argument("--window", type=int, default=100,
                        help="episodes in the return moving average")

@@ -482,21 +482,53 @@ class Runner:
         """Uniform random actions up to the next scheduled discovery, or to
         the end of the run when none is scheduled.
 
-        The discovery fires on the stretch's last step, so no drawn action
-        is left over. numpy's block draw gives the same values and
-        generator state as one scalar draw per step; with slip, the env's
-        draws follow the block's.
+        The steps of `_env_step` in one loop: the counters live in locals
+        and reach the runner before `_maybe_discover` or `_end_episode`
+        reads them. Without slip a step reads the entry `env.move` would
+        return straight from the move table; its checks cannot fire, as
+        actions are drawn in range and a terminal step ends the episode.
+
+        The discovery fires on the stretch's last step, before that step's
+        episode ends, so no drawn action is left over. numpy's block draw
+        gives the same values and generator state as one scalar draw per
+        step; with slip, the env's draws follow the block's.
         """
         end = self.cfg.total_steps
         if self._next_discovery is not None:
             end = min(end, self._next_discovery)
-        cap = self.cfg.episode_cap
-        while self.steps < end:
-            n = min(end - self.steps, WARMUP_CHUNK)
+        env, cap = self.env, self.cfg.episode_cap
+        move, moves, slip = env.move, env.layout.moves, env.slip_prob > 0.0
+        push, visits = self.memory.push, self._visits
+        steps, sid, ep_steps = self.steps, self.sid, self.ep_steps
+        ep_return, n_visited = self.ep_return, self._n_visited
+        while steps < end:
+            n = min(end - steps, WARMUP_CHUNK)
             for action in self.rng.integers(N_ACTIONS, size=n).tolist():
-                if self._env_step(action).terminal or self.ep_steps >= cap:
+                if slip:
+                    t = move(sid, action)
+                else:
+                    t = moves[(sid * N_ACTIONS + action) * N_ACTIONS + action]
+                steps += 1
+                ep_steps += 1
+                ep_return += t.r
+                push(t)
+                sid = t.s_next
+                if not visits[sid >> 1]:
+                    visits[sid >> 1] = 1
+                    n_visited += 1
+                if t.terminal or ep_steps >= cap:
+                    self.steps, self.ep_return = steps, ep_return
+                    self._n_visited = n_visited
+                    if steps == self._next_discovery:
+                        self._maybe_discover()
                     self._end_episode()
+                    sid, ep_steps, ep_return = self.sid, 0, 0.0
             self.warmup_steps_used += n
+        self.steps, self.sid, self.ep_steps = steps, sid, ep_steps
+        self.ep_return, self._n_visited = ep_return, n_visited
+        # Moved on when it fired at an episode end above.
+        if steps == self._next_discovery:
+            self._maybe_discover()
 
     def _choose_subgoal(self, unified: bool) -> int:
         if unified:

@@ -769,6 +769,43 @@ def test_compare_refuses_runs_it_cannot_align(trained_runs, tmp_path, capsys, ar
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "runs,named",
+    [
+        (["flat_q_seed1", "flat_q_seed1"], "flat_q_seed1"),
+        (["unified_hrl_seed1", "flat_q_seed1", "unified_hrl_seed1"],
+         "unified_hrl_seed1"),
+        (["flat_q_seed1", "./flat_q_seed1/"], "flat_q_seed1"),
+        (["{root}/flat_q_seed1", "./flat_q_seed1/"], "flat_q_seed1"),
+        (["flat_q_seed1", "{tmp}/link"], "link"),
+    ],
+    ids=["twice", "a-b-a", "trailing-slash", "absolute-and-relative", "symlink"],
+)
+def test_compare_refuses_a_run_listed_twice(
+    trained_runs, tmp_path, capsys, monkeypatch, runs, named
+):
+    (tmp_path / "link").symlink_to(trained_runs / "flat_q_seed1")
+    monkeypatch.chdir(trained_runs)
+    out_dir = tmp_path / "cmp"
+    runs = [r.format(root=trained_runs, tmp=tmp_path) for r in runs]
+    argv = ["compare", "--runs", *runs, "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    _assert_cli_error(capsys, named, "listed more than once")
+    assert not out_dir.exists()
+
+
+def test_compare_takes_runs_or_root_not_both(trained_runs, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--runs", str(trained_runs / "flat_q_seed1"),
+              str(trained_runs / "unified_hrl_seed1"), "--root", str(trained_runs),
+              "--out-dir", str(tmp_path / "cmp")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with argument" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cmp").exists()
+
+
 def _drop_subgoals(manifest):
     del manifest["artifacts"]["subgoals"]
 

@@ -200,7 +200,10 @@ def test_artifacts_match_golden_hashes(tmp_path, capsys, mode):
 # Recorded from the code before states and transitions became tuples and
 # before sampling indexed the ring with one vectorised modulo; all
 # re-recorded with the float replay draw, and the unified_hrl entries again
-# with the weighted K-means (see the module docstring).
+# with the weighted K-means (see the module docstring). The random_walk
+# entries were added later, recorded from the code before the warm-up walk
+# became one loop over the move table; a random walk's warm-up spans several
+# WARMUP_CHUNK blocks and its ring wraps ten times.
 WRAPPED_GOLDEN_SHA256 = {
     "flat_q_seed0/flat_q.csv":
         "ec9a0935150bc2b715acffd06ce24945b476c552a5dad6fc9f8c497abc99c688",
@@ -214,6 +217,14 @@ WRAPPED_GOLDEN_SHA256 = {
         "170406adac29e46f2364311a8903967f93359315d055804b1b4e9dbb94b1e11b",
     "flat_q_seed1/metrics.csv":
         "62d1f8590f553c48c5b43d8a9bb20218a672a4e88b775cfd43e938a63f5637be",
+    "random_walk_seed0/memory.jsonl":
+        "503a4bad221cb33d68c2d0ac77dc3c893651542885a945127139b802ab51dd3f",
+    "random_walk_seed0/metrics.csv":
+        "71b9d229bf3a70686bf4d8e851133586c73310bb7d24d1b0bf668c3c5f92d997",
+    "random_walk_seed1/memory.jsonl":
+        "2dbfd6b1c4db3e70ee67cc0f6177a2164785d567ed5332f7409a13eb05347dd2",
+    "random_walk_seed1/metrics.csv":
+        "d71bad9eb67099d84a915e1409b748f169fa041505228e79f145ecfde8f23111",
     "unified_hrl_seed0/controller_q.csv":
         "91e2f260978efae16a9eebedce0dd41c2cced2f8eb56727bd55c4c6187b1d2e9",
     "unified_hrl_seed0/memory.jsonl":
@@ -238,7 +249,7 @@ WRAPPED_GOLDEN_SHA256 = {
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("mode", ("flat_q", "unified_hrl"))
+@pytest.mark.parametrize("mode", ("flat_q", "random_walk", "unified_hrl"))
 def test_wrapped_memory_artifacts_match_golden_hashes(tmp_path, mode):
     got = {}
     for seed in (0, 1):
@@ -269,7 +280,8 @@ def test_wrapped_memory_artifacts_match_golden_hashes(tmp_path, mode):
 # with slip the env's draws now follow the block's instead of falling
 # between the actions. All entries were recorded again with the float replay
 # draw, and the unified_hrl entries with the weighted K-means (see the module
-# docstring).
+# docstring). The random_walk entries were added later, recorded from the
+# code before the warm-up walk became one loop over the move table.
 SLIP_GOLDEN_SHA256 = {
     "flat_q_seed0/flat_q.csv":
         "d6f710c8a4e1474be54fc5fec2f32fb5ad61fcaee075627222e16bda7c11f9e5",
@@ -277,6 +289,10 @@ SLIP_GOLDEN_SHA256 = {
         "2200a2edc325a40589e2c0d4884a13bba85a36e9a3e423f62ca1bf80a282d2a6",
     "flat_q_seed0/metrics.csv":
         "e5714606406f731070acf914d9ef1274f9881fc71fd7b957bb012993cc61d247",
+    "random_walk_seed0/memory.jsonl":
+        "c95bdbf7ce803d95a02c9b93c687fbc9d9b26c6a58f630cb99b490dbaa4afbd0",
+    "random_walk_seed0/metrics.csv":
+        "1d396c4acf70e8307b775a7b7d9392a1bfa27741b51d13edec1eaf2451677b01",
     "unified_hrl_seed0/controller_q.csv":
         "1de8755389e7490516b95ba97d48fa299b5aa49b36fae991217c01d66c29bcb3",
     "unified_hrl_seed0/memory.jsonl":
@@ -291,7 +307,7 @@ SLIP_GOLDEN_SHA256 = {
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("mode", ("flat_q", "unified_hrl"))
+@pytest.mark.parametrize("mode", ("flat_q", "random_walk", "unified_hrl"))
 def test_slip_artifacts_match_golden_hashes(tmp_path, mode):
     assert main([
         "train", "--mode", mode, "--seed", "0", "--steps", "20000",

@@ -1,5 +1,6 @@
 """Training-loop contracts: scheduling, accounting, determinism, metrics."""
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -21,14 +22,18 @@ from subgoal_hrl.discovery import (
     merge,
 )
 from subgoal_hrl.memory import (
+    BoundedMemory,
     Transition,
     accumulate_return,
     load_transitions_jsonl,
     save_transitions_jsonl,
     transition_to_dict,
 )
-from subgoal_hrl.rooms_env import Action, FourRoomsEnv, GridState, RoomsLayout
+from subgoal_hrl.rooms_env import (
+    N_ACTIONS, Action, FourRoomsEnv, GridState, RoomsLayout,
+)
 from subgoal_hrl.trainer import (
+    WARMUP_CHUNK,
     ConfigError,
     RunConfig,
     Runner,
@@ -230,6 +235,101 @@ def test_slip_draws_follow_the_block_of_warmup_actions():
     env = FourRoomsEnv(RoomsLayout.default(), slip_prob=slip, rng=ref)
     assert all(env.move(t.s, t.a) is t for t in raw)
     assert runner.rng.bit_generator.state == ref.bit_generator.state
+
+
+class _StepwiseWarmupRunner(Runner):
+    """The reference warm-up: one `_env_step` call per drawn action, as the
+    walk ran before it became one loop over the move table."""
+
+    def _warmup(self) -> None:
+        end = self.cfg.total_steps
+        if self._next_discovery is not None:
+            end = min(end, self._next_discovery)
+        cap = self.cfg.episode_cap
+        while self.steps < end:
+            n = min(end - self.steps, WARMUP_CHUNK)
+            for action in self.rng.integers(N_ACTIONS, size=n).tolist():
+                if self._env_step(action).terminal or self.ep_steps >= cap:
+                    self._end_episode()
+            self.warmup_steps_used += n
+
+
+# The key beside the start and the box one step further: the walk reaches
+# the terminal state every few dozen steps.
+TINY_GRID = "#####\n#SK.#\n#.B.#\n#...#\n#####\n"
+WARMUP_GRID = [
+    # Three WARMUP_CHUNK blocks into a ring that wraps four times.
+    dict(mode="random_walk", seed=4, total_steps=9000, memory_capacity=1900),
+    dict(mode="random_walk", seed=5, total_steps=9000, episode_cap=37),
+    dict(mode="random_walk", seed=6, total_steps=5000, warmup_steps=100,
+         layout_text=TINY_GRID, episode_cap=23, memory_capacity=777),
+    # The discovery at 300 finds too few samples, so a second stretch runs.
+    dict(mode="unified_hrl", seed=2, total_steps=1500, warmup_steps=300,
+         discovery_period=150, discovery_min_samples=400, episode_cap=50),
+    # A discovery due on a step whose episode ends there (see below).
+    dict(mode="unified_hrl", seed=0, total_steps=1200, warmup_steps=1000,
+         discovery_period=1000, episode_cap=200),
+    dict(mode="random_meta_hrl", seed=3, total_steps=2000, warmup_steps=400,
+         layout_text=TINY_GRID, episode_cap=29, memory_capacity=350,
+         discovery_min_samples=300),
+]
+
+
+@pytest.mark.parametrize("slip_prob", [0.0, 0.2])
+@pytest.mark.parametrize("fields", WARMUP_GRID)
+def test_warmup_loop_equals_the_stepwise_reference(fields, slip_prob):
+    cfg = RunConfig(**fields, slip_prob=slip_prob)
+    runner, reference = Runner(cfg), _StepwiseWarmupRunner(cfg)
+    got, want = runner.run(), reference.run()
+    assert len(got.memory) == len(want.memory)
+    assert all(a is b for a, b in zip(got.memory, want.memory))
+    for name in ("controller", "meta", "flat"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a and a._values) == (b and b._values)
+    # Every other field, the metrics rows, `visited`, the subgoals,
+    # `discovery_steps` and `warmup_steps_used` among them, compares by value.
+    assert dataclasses.replace(
+        got, memory=(), controller=None, meta=None, flat=None, elapsed_seconds=0.0
+    ) == dataclasses.replace(
+        want, memory=(), controller=None, meta=None, flat=None, elapsed_seconds=0.0
+    )
+    assert runner.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("slip_prob", [0.0, 0.2])
+def test_warmup_pushes_once_per_step_and_never_steps_from_the_terminal(
+    monkeypatch, slip_prob
+):
+    pushes = Counter()
+    push = BoundedMemory.push
+
+    def counting_push(self, item):
+        pushes[id(self)] += 1
+        push(self, item)
+
+    monkeypatch.setattr(BoundedMemory, "push", counting_push)
+    runner = Runner(RunConfig(mode="random_walk", seed=9, total_steps=6000,
+                              layout_text=TINY_GRID, memory_capacity=6000,
+                              slip_prob=slip_prob))
+    result = runner.run()
+    assert pushes == {id(runner.memory): 6000}
+    terminal_id = runner.env.terminal_id
+    assert sum(t.terminal for t in result.memory) > 10
+    assert all(t.s != terminal_id for t in result.memory)
+    # Each terminal step ends its episode; the next starts at the start.
+    for t, after in zip(result.memory, result.memory[1:]):
+        if t.terminal:
+            assert after.s == runner._start
+
+
+def test_discovery_due_at_an_episode_end_shows_in_that_row():
+    # The episode cap ends the fifth episode on step 1000, the step the
+    # first discovery falls due: the row records its subgoals.
+    result = run(RunConfig(mode="unified_hrl", seed=0, total_steps=1200,
+                           warmup_steps=1000, discovery_period=1000,
+                           episode_cap=200))
+    (row,) = [m for m in result.metrics if m.steps == 1000]
+    assert row.num_subgoals == result.subgoals.size == 5
 
 
 def test_warmup_random_walk_escapes_first_room(layout):
