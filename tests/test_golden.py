@@ -167,6 +167,60 @@ EVAL_STDOUT_SHA256 = {
 }
 
 
+# `compare --runs` over the three seeds of each mode above, and offline
+# `discover --memory <mode>_seed0/memory.jsonl --k 4`. Recorded from the code
+# before discover, compare and eval came to read run directories through
+# one reader.
+READER_SHA256 = {
+    "flat_q/coverage.csv":
+        "af637d5c8fc802da77411e64497289d2ffee13b9c575a65a04f8cd87775fa768",
+    "flat_q/discover_subgoals.json":
+        "dfd6446f70ec2b858e935b66fadee0af0ca460484b14343830e40b7e661a8d51",
+    "flat_q/return.csv":
+        "fa543ebc576c6a44851139db30ea56ed1f06e649d515ad42ffe3c20f63b823da",
+    "random_meta_hrl/coverage.csv":
+        "6f1875d4ec613503f48418600e4416265d670da1d052cbac9d7296a762b7e7a1",
+    "random_meta_hrl/discover_subgoals.json":
+        "8799e2597dc9ff2561940348e39f116d53889ab4834a77df9bf81fd1b4e6e8a8",
+    "random_meta_hrl/return.csv":
+        "f95168a079b85361cfb22ecb68b4d3dd1bb32b46545c2b54b6871c08881c1435",
+    "random_walk/coverage.csv":
+        "e24b7b0a1b56831f202a8cf94a924ec2943adeac9ba24f1d7724ef3f7e14a58e",
+    "random_walk/discover_subgoals.json":
+        "0061bc757416ffbe76a14100b9b2dec5cdb7ece2209ce0b82a3310f95f30a314",
+    "random_walk/return.csv":
+        "82e7862d1375d6aa03af4e9afc64ad4273bf60adbe3dbae877e06b5c7aff616d",
+    "unified_hrl/coverage.csv":
+        "6f95743363fdf8bb5fb6cdb37772e3c3ffbc45b68cccacd8dd481e41ee9ebcbf",
+    "unified_hrl/discover_subgoals.json":
+        "d97ea8308cf13cdbebaf09cf6f6a41d1b0472a3a44647e9e88591418b1438399",
+    "unified_hrl/return.csv":
+        "090d9c219bbb64d76826eb48d3a7dac89483928306a8a7c7dec86beab75a4bf9",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _reader_hashes(tmp_path, mode):
+    """Hashes of what compare and offline discover write from the runs of
+    `mode` under tmp_path."""
+    cmp_dir = tmp_path / "cmp"
+    runs = [str(tmp_path / f"{mode}_seed{seed}") for seed in SEEDS]
+    assert main(["compare", "--runs", *runs, "--out-dir", str(cmp_dir)]) == 0
+    discovered = tmp_path / "discovered.json"
+    assert main([
+        "discover", "--memory", str(tmp_path / f"{mode}_seed0" / "memory.jsonl"),
+        "--k", "4", "--out", str(discovered),
+    ]) == 0
+    return {
+        f"{mode}/coverage.csv": _sha256(cmp_dir / "coverage.csv"),
+        f"{mode}/return.csv": _sha256(cmp_dir / "return.csv"),
+        f"{mode}/discover_subgoals.json": _sha256(discovered),
+    }
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("mode", MODES)
 def test_artifacts_match_golden_hashes(tmp_path, capsys, mode):
@@ -195,6 +249,8 @@ def test_artifacts_match_golden_hashes(tmp_path, capsys, mode):
         k: v for k, v in EVAL_STDOUT_SHA256.items() if k.startswith(f"{mode}_seed")
     }
     assert got_eval == want_eval
+    want_reader = {k: v for k, v in READER_SHA256.items() if k.startswith(f"{mode}/")}
+    assert _reader_hashes(tmp_path, mode) == want_reader
 
 
 # Recorded from the code before states and transitions became tuples and
