@@ -101,13 +101,12 @@ def _build_configs(args) -> list[RunConfig]:
                     f"each experiment sets exactly 'mode' and 'seeds', got {entry!r}"
                 )
             seeds = entry["seeds"]
-            if not isinstance(seeds, list) or any(
+            if not isinstance(seeds, list) or not seeds or any(
                 isinstance(seed, bool) or not isinstance(seed, int)
                 for seed in seeds
             ):
-                raise CliError(
-                    f"experiment seeds must be a list of integers, got {seeds!r}"
-                )
+                raise CliError(f"experiment {entry['mode']!r} seeds must be a "
+                               f"non-empty list of integers, got {seeds!r}")
             for seed in seeds:
                 values = dict(base)
                 values["mode"] = entry["mode"]
@@ -197,6 +196,30 @@ def write_run_artifacts(result: RunResult, run_dir: Path) -> dict:
     return manifest
 
 
+def read_run(run_dir: Path) -> tuple[RunConfig, dict[str, Path]]:
+    """The validated config of a completed run and the path of each artifact
+    its manifest lists, by key. Every error names the manifest."""
+    path = run_dir / MANIFEST_NAME
+    if not path.exists():
+        raise CliError(f"{run_dir} is not a completed run (no {MANIFEST_NAME})")
+    try:
+        manifest = json.loads(path.read_text())
+        config = _make_config(manifest["config"], path)
+        mode, names = manifest["mode"], dict(manifest["artifacts"])
+        # A name with a directory part would reach outside the run.
+        for name in names.values():
+            if Path(name).name != name or name in ("", ".."):
+                raise ValueError(f"artifact name {name!r} is not a plain file name")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"cannot load run artifacts from {path}: {exc!r}") from exc
+    if mode not in MODES:
+        raise CliError(f"{path}: mode {mode!r} is not one of {MODES}")
+    if mode != config.mode:
+        raise CliError(f"{path}: mode {mode!r} differs from its config's mode "
+                       f"{config.mode!r}")
+    return config, {key: run_dir / name for key, name in names.items()}
+
+
 def cmd_train(args) -> int:
     configs = _build_configs(args)
     out_root = _out_root(args)
@@ -236,19 +259,17 @@ def cmd_discover(args) -> int:
         raise CliError(
             f"memory file exceeds {args.max_bytes} bytes; refusing to load"
         )
-    manifest = path.parent / MANIFEST_NAME
+    layout = RoomsLayout.default()
+    if (path.parent / MANIFEST_NAME).exists():
+        layout = read_run(path.parent)[0].layout()
+    # RunConfig.validate's bound, checked before the memory is read.
+    if not 1 <= args.k <= len(layout.playable):
+        raise CliError(
+            f"--k must be in [1, {len(layout.playable)}], the layout's "
+            f"playable cell count, got {args.k}"
+        )
     try:
-        layout = RoomsLayout.default()
-        if manifest.exists():
-            layout = _make_config(json.loads(manifest.read_text())["config"]).layout()
-        # RunConfig.validate's bound, checked before the memory is read.
-        if not 1 <= args.k <= len(layout.playable):
-            raise CliError(
-                f"--k must be in [1, {len(layout.playable)}], the layout's "
-                f"playable cell count, got {args.k}"
-            )
-        index = layout.index
-        transitions = load_transitions_jsonl(path, index)
+        transitions = load_transitions_jsonl(path, layout.index)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load memory: {exc}") from exc
     if not transitions:
@@ -257,7 +278,7 @@ def cmd_discover(args) -> int:
     try:
         subgoals = discover(
             transitions, args.k, args.theta_anom, rng,
-            min_samples=args.min_samples, index=index,
+            min_samples=args.min_samples, index=layout.index,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -289,7 +310,7 @@ def _write_files(files: dict[Path, str]) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_run_dirs(args) -> list[Path]:
+def _load_run_dirs(args) -> list[tuple[Path, RunConfig, dict[str, Path]]]:
     dirs: list[Path] = []
     if args.runs:
         dirs = [Path(d) for d in args.runs]
@@ -300,17 +321,16 @@ def _load_run_dirs(args) -> list[Path]:
     # Each run counts once in a mode's mean, however its path is spelled:
     # a run is known by its manifest file's identity.
     seen: set[tuple[int, int]] = set()
+    runs = []
     for d in dirs:
-        try:
-            st = (d / MANIFEST_NAME).stat()
-        except OSError:
-            raise CliError(f"{d} is not a completed run (no {MANIFEST_NAME})") from None
+        runs.append((d, *read_run(d)))
+        st = (d / MANIFEST_NAME).stat()
         if (st.st_dev, st.st_ino) in seen:
             raise CliError(f"{d} is listed more than once")
         seen.add((st.st_dev, st.st_ino))
-    if len(dirs) < 2:
+    if len(runs) < 2:
         raise CliError("comparison needs at least 2 completed run directories")
-    return dirs
+    return runs
 
 
 def _sample_at(steps: list[int], values: list[float], grid: list[int]) -> list[float]:
@@ -326,24 +346,16 @@ def _sample_at(steps: list[int], values: list[float], grid: list[int]) -> list[f
 
 def cmd_compare(args) -> int:
     _require_at_least(1, args, "grid_step", "window")
-    run_dirs = _load_run_dirs(args)
     by_mode: dict[str, list[list[MetricsRecord]]] = {}
     first_of_mode: dict[str, tuple[Path, RunConfig]] = {}
     final_steps = []
-    for d in run_dirs:
+    for d, config, artifacts in _load_run_dirs(args):
+        mode, path = config.mode, d / MANIFEST_NAME
         try:
-            path = d / MANIFEST_NAME
-            manifest = json.loads(path.read_text())
-            mode, config = manifest["mode"], _make_config(manifest["config"], path)
-            path = d / "metrics.csv"
+            path = artifacts["metrics"]
             records = metrics_from_csv(path.read_text())
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CliError(f"cannot load {path}: {exc!r}") from exc
-        if mode not in MODES:
-            raise CliError(f"{d / MANIFEST_NAME}: mode {mode!r} is not one of {MODES}")
-        if config.mode != mode:
-            raise CliError(f"{d / MANIFEST_NAME}: mode {mode!r} differs from "
-                           f"its config's mode {config.mode!r}")
         if not records:
             raise CliError(f"{path} has no metrics rows")
         # Rows rise in steps, so the last row bounds the run's curve.
@@ -406,37 +418,28 @@ def cmd_eval(args) -> int:
     _require_at_least(1, args, "episodes")
     _require_at_least(0, args, "seed")
     run_dir = Path(args.run)
-    manifest_path = run_dir / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise CliError(f"{run_dir} is not a completed run (no {MANIFEST_NAME})")
+    config, artifacts = read_run(run_dir)
+    if config.mode == "random_walk":
+        raise CliError("random_walk runs have no tables to evaluate")
+    layout = config.layout()
+    index = layout.index
     try:
-        manifest = json.loads(manifest_path.read_text())
-        config = _make_config(manifest["config"])
-        if config.mode == "random_walk":
-            raise CliError("random_walk runs have no tables to evaluate")
-        layout = config.layout()
-        index = layout.index
-        artifacts = manifest["artifacts"]
-        # A name with a directory part would reach outside the run.
-        for name in dict(artifacts).values():
-            if Path(name).name != name or name == "..":
-                raise ValueError(f"artifact name {name!r} is not a plain file name")
         if config.mode == "flat_q":
-            flat = FlatTable.from_csv(run_dir / artifacts["flat_table"], index)
+            flat = FlatTable.from_csv(artifacts["flat_table"], index)
             kwargs = {"flat": flat}
         else:
             if "subgoals" not in artifacts:
                 raise CliError("run finished without a discovered subgoal set")
             subgoals = SubgoalSet.from_json_dict(
-                json.loads((run_dir / artifacts["subgoals"]).read_text()), layout
+                json.loads(artifacts["subgoals"].read_text()), layout
             )
             kwargs = {
                 "subgoals": subgoals,
                 "controller": ControllerTable.from_csv(
-                    run_dir / artifacts["controller_table"], index, subgoals.size
+                    artifacts["controller_table"], index, subgoals.size
                 ),
                 "meta": MetaTable.from_csv(
-                    run_dir / artifacts["meta_table"], index, subgoals.size
+                    artifacts["meta_table"], index, subgoals.size
                 ),
             }
     except (OSError, ValueError, KeyError, TypeError) as exc:

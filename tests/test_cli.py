@@ -26,8 +26,10 @@ from subgoal_hrl.trainer import (
     MAX_BATCH_SIZE,
     MAX_EPISODE_CAP,
     MODES,
+    MetricsRecord,
     RunConfig,
     metrics_from_csv,
+    metrics_to_csv,
 )
 
 
@@ -456,12 +458,17 @@ def test_train_rejects_non_finite_table_init(tmp_path, capsys, value):
 
 def test_experiment_seed_must_be_integer(tmp_path, capsys):
     cfg_path = tmp_path / "exp.yaml"
-    cfg_path.write_text(
-        "total_steps: 600\nwarmup_steps: 50\n"
-        "experiments:\n  - mode: random_walk\n    seeds: [abc]\n"
-    )
-    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
-    _assert_cli_error(capsys, "abc")
+    # An empty list would train nothing and still exit 0.
+    for seeds, needle in (("[abc]", "abc"),
+                          ("[]", "'random_walk' seeds must be a non-empty list")):
+        cfg_path.write_text(
+            "total_steps: 600\nwarmup_steps: 50\n"
+            f"experiments:\n  - mode: random_walk\n    seeds: {seeds}\n"
+        )
+        out = tmp_path / "runs"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        _assert_cli_error(capsys, needle)
+        assert not out.exists()
 
 
 def test_experiment_unknown_key_rejected(tmp_path, capsys):
@@ -945,7 +952,11 @@ def test_discover_bounds_k_by_the_layout_before_reading_memory(
     path.write_text("not a transition\n")
     if layout_text is not None:
         config = {**BASE_CONFIG, "layout_text": layout_text}
-        (tmp_path / "manifest.json").write_text(json.dumps({"config": config}))
+        artifacts = {"metrics": "metrics.csv", "memory": "memory.jsonl",
+                     "flat_table": "flat_q.csv"}
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"config": config, "mode": config["mode"], "artifacts": artifacts}
+        ))
     playable = len(RunConfig(mode="flat_q", layout_text=layout_text).layout().playable)
     out = tmp_path / "subgoals.json"
     assert main(["discover", "--memory", str(path), "--k", str(playable + 1),
@@ -1093,6 +1104,27 @@ def _copy_flat_runs(trained_runs, tmp_path, edit):
     return tmp_path / "runs"
 
 
+# The commands that read a run directory, each pointed at the runs that
+# _copy_flat_runs writes under `root`; discover reads run a's manifest as
+# its memory's sibling.
+_READERS = {
+    "compare": lambda root, out: ["compare", "--root", str(root), "--grid-step", "300",
+                                  "--out-dir", str(out / "cmp")],
+    "eval": lambda root, out: ["eval", "--run", str(root / "a")],
+    "discover": lambda root, out: ["discover", "--memory", str(root / "a" / "memory.jsonl"),
+                                   "--out", str(out / "subgoals.json")],
+}
+
+
+def _assert_each_reader_refuses(root, tmp_path, capsys, *needles):
+    capsys.readouterr()
+    for command, argv in _READERS.items():
+        assert main(argv(root, tmp_path)) == 1, command
+        _assert_cli_error(capsys, str(root / "a" / "manifest.json"), *needles)
+    assert not (tmp_path / "cmp").exists()
+    assert not (tmp_path / "subgoals.json").exists()
+
+
 @pytest.mark.parametrize(
     "config,needle",
     [
@@ -1107,14 +1139,8 @@ def test_compare_refuses_runs_whose_configs_are_invalid(
 ):
     # Both runs carry the same invalid config, so they would average.
     root = _copy_flat_runs(trained_runs, tmp_path, lambda m: m.update(config=config))
-    capsys.readouterr()
-    out_dir = tmp_path / "cmp"
-    assert main(["compare", "--root", str(root), "--grid-step", "300",
-                 "--out-dir", str(out_dir)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid configuration:") and needle in err
-    assert str(root / "a" / "manifest.json") in err
-    assert not out_dir.exists()
+    _assert_each_reader_refuses(root, tmp_path, capsys,
+                                "error: invalid configuration:", needle)
 
 
 def test_compare_refuses_a_mode_its_config_does_not_hold(trained_runs, tmp_path, capsys):
@@ -1122,12 +1148,17 @@ def test_compare_refuses_a_mode_its_config_does_not_hold(trained_runs, tmp_path,
         manifest["config"]["mode"] = "random_walk"
 
     root = _copy_flat_runs(trained_runs, tmp_path, edit)
-    capsys.readouterr()
-    out_dir = tmp_path / "cmp"
-    assert main(["compare", "--root", str(root), "--grid-step", "300",
-                 "--out-dir", str(out_dir)]) == 1
-    _assert_cli_error(capsys, "mode 'flat_q' differs from its config's mode 'random_walk'")
-    assert not out_dir.exists()
+    _assert_each_reader_refuses(
+        root, tmp_path, capsys, "mode 'flat_q' differs from its config's mode 'random_walk'"
+    )
+
+
+@pytest.mark.parametrize("key", ["config", "mode", "artifacts"])
+def test_every_reader_refuses_a_manifest_without_a_key(trained_runs, tmp_path, capsys, key):
+    # discover blames the manifest, not the memory beside it.
+    root = _copy_flat_runs(trained_runs, tmp_path, lambda m: m.pop(key))
+    _assert_each_reader_refuses(root, tmp_path, capsys,
+                                "cannot load run artifacts", f"KeyError('{key}')")
 
 
 @pytest.mark.parametrize(
@@ -1342,25 +1373,32 @@ def _bad_value(field):
 @example(case=("total_steps", 600.0))
 @example(case=("alpha", _HUGE_INT))
 def test_train_refuses_any_bad_config_value_before_any_step(case):
-    # train reads the value from a config file; eval and discover read it
-    # from a run manifest, beside a memory that discover would accept.
+    # train reads the value from a config file; eval, discover and compare
+    # read it from a run manifest, beside a memory that discover would accept
+    # and a metrics row that compare would.
     name, value = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = Path(tmp) / "c.yaml", Path(tmp) / "runs"
         cfg_path.write_text(yaml.safe_dump({**BASE_CONFIG, name: value}))
-        run_dir = Path(tmp) / "run"
-        run_dir.mkdir()
-        (run_dir / "manifest.json").write_text(
-            json.dumps({"config": {**BASE_CONFIG, name: value}})
-        )
-        memory = run_dir / "memory.jsonl"
-        memory.write_text((json.dumps(_GOOD_LINE) + "\n") * 2)
+        manifest = {"config": {**BASE_CONFIG, name: value}, "mode": "flat_q",
+                    "artifacts": {"metrics": "metrics.csv", "memory": "memory.jsonl"}}
+        run_dirs = [Path(tmp) / "run", Path(tmp) / "run2"]
+        for run_dir in run_dirs:
+            run_dir.mkdir()
+            (run_dir / "manifest.json").write_text(json.dumps(manifest))
+            (run_dir / "memory.jsonl").write_text((json.dumps(_GOOD_LINE) + "\n") * 2)
+            (run_dir / "metrics.csv").write_text(
+                metrics_to_csv([MetricsRecord(1, 50, 0.0, 0.5, 0.0, 0)])
+            )
+        run_dir = run_dirs[0]
         files = sorted(Path(tmp).rglob("*"))
         for argv in (
             ["train", "--config", str(cfg_path), "--out", str(out)],
             ["eval", "--run", str(run_dir)],
-            ["discover", "--memory", str(memory), "--k", "1",
+            ["discover", "--memory", str(run_dir / "memory.jsonl"), "--k", "1",
              "--out", str(run_dir / "subgoals.json")],
+            ["compare", "--runs", *map(str, run_dirs), "--grid-step", "50",
+             "--out-dir", str(Path(tmp) / "cmp")],
         ):
             err, stdout = io.StringIO(), io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
