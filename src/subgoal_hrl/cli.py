@@ -200,16 +200,16 @@ def read_run(run_dir: Path) -> tuple[RunConfig, dict[str, Path]]:
     """The validated config of a completed run and the path of each artifact
     its manifest lists, by key. Every error names the manifest."""
     path = run_dir / MANIFEST_NAME
-    if not path.exists():
-        raise CliError(f"{run_dir} is not a completed run (no {MANIFEST_NAME})")
     try:
         manifest = json.loads(path.read_text())
         config = _make_config(manifest["config"], path)
         mode, names = manifest["mode"], dict(manifest["artifacts"])
         # A name with a directory part would reach outside the run.
         for name in names.values():
-            if Path(name).name != name or name in ("", ".."):
+            if os.path.basename(name) != name or name in ("", ".", ".."):
                 raise ValueError(f"artifact name {name!r} is not a plain file name")
+    except FileNotFoundError:
+        raise CliError(f"{run_dir} is not a completed run (no {MANIFEST_NAME})") from None
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load run artifacts from {path}: {exc!r}") from exc
     if mode not in MODES:

@@ -1163,8 +1163,9 @@ def test_every_reader_refuses_a_manifest_without_a_key(trained_runs, tmp_path, c
 
 @pytest.mark.parametrize(
     "name", [lambda runs: str(runs / "flat_q_seed1" / "flat_q.csv"),
-             lambda runs: "../flat_q_seed1/flat_q.csv"],
-    ids=["absolute", "parent-dir"],
+             lambda runs: "../flat_q_seed1/flat_q.csv",
+             lambda runs: ""],  # the run directory itself
+    ids=["absolute", "parent-dir", "empty"],
 )
 def test_eval_refuses_artifact_names_outside_the_run(trained_runs, tmp_path, capsys, name):
     # Each name points at a valid table, which eval must still not open.
