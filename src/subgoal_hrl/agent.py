@@ -308,16 +308,16 @@ def update_meta(
     values, n_subgoals = meta._values, meta.n_subgoals
     try:
         for tr in batch:
-            g = tr.goal_id
+            s0, g, ret, s_end, duration, terminal = tr
             if not 0 <= g < n_subgoals:
                 raise ValueError(f"unknown subgoal id {g}")
-            if tr.s0 < 0 or tr.s_end < 0:
+            if s0 < 0 or s_end < 0:
                 raise ValueError(f"negative id in transition {tr}")
-            if tr.terminal:
-                target = tr.return_g
+            if terminal:
+                target = ret
             else:
-                target = tr.return_g + gamma ** tr.duration * max(values[tr.s_end])
-            row = values[tr.s0]
+                target = ret + gamma ** duration * max(values[s_end])
+            row = values[s0]
             row[g] += alpha * (target - row[g])
     except IndexError:
         raise ValueError(f"id out of range in transition {tr}") from None

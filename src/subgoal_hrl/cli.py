@@ -93,6 +93,9 @@ def _build_configs(args) -> list[RunConfig]:
     if experiments and not flag_overrides.get("mode"):
         if not isinstance(experiments, list):
             raise CliError("'experiments' must be a list")
+        if "seed" in flag_overrides:
+            raise CliError("--seed cannot override the seeds of a config's "
+                           "experiments list; pass --mode too for one run")
         configs = []
         run_dirs: set[str] = set()
         for entry in experiments:

@@ -10,9 +10,7 @@ below is the one place that maps an id to its (x, y, has_key).
 from __future__ import annotations
 
 import json
-import math
 import sys
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -23,7 +21,6 @@ from .rooms_env import Action, GridState, StateIndex, Transition
 
 T = TypeVar("T")
 
-_RETURN_CHECK_TOL = 1e-9
 # Largest memory capacity. `sample` reads index floor(u * size), which stays
 # below size for every double u < 1 while size < 2**52.
 MAX_CAPACITY = 2**32
@@ -72,13 +69,11 @@ class ControllerTransition(NamedTuple):
     attained_or_terminal: bool
 
 
-@dataclass(frozen=True)
-class MetaTransition:
-    """One completed subgoal attempt, as seen by the meta-controller.
-
-    The per-step task rewards and the discount are kept alongside the
-    return so consistency can be checked at construction and re-audited
-    later.
+class MetaTransition(NamedTuple):
+    """One completed subgoal attempt, as seen by the meta-controller: the
+    SMDP transition (s0, g, discounted return, s_end) plus the attempt's
+    step count, which discounts the bootstrap, and whether the episode
+    ended. Build it with `from_rewards`.
     """
 
     s0: int
@@ -86,23 +81,7 @@ class MetaTransition:
     return_g: float
     s_end: int
     duration: int
-    rewards: tuple[float, ...]
-    gamma: float
     terminal: bool
-
-    def __post_init__(self) -> None:
-        if self.duration < 1:
-            raise ValueError("duration must be >= 1")
-        if self.duration != len(self.rewards):
-            raise ValueError("duration must equal the number of rewards")
-        expected = accumulate_return(self.rewards, self.gamma)
-        if not math.isclose(
-            self.return_g, expected, rel_tol=0.0, abs_tol=_RETURN_CHECK_TOL
-        ):
-            raise ValueError(
-                f"return {self.return_g} inconsistent with rewards "
-                f"(expected {expected})"
-            )
 
     @classmethod
     def from_rewards(
@@ -114,15 +93,11 @@ class MetaTransition:
         s_end: int,
         terminal: bool,
     ) -> "MetaTransition":
+        """The attempt that earned `rewards`, one per step; ValueError for
+        no rewards, so `duration >= 1`, or a gamma outside (0, 1]."""
         return cls(
-            s0=s0,
-            goal_id=goal_id,
-            return_g=accumulate_return(rewards, gamma),
-            s_end=s_end,
-            duration=len(rewards),
-            rewards=tuple(rewards),
-            gamma=gamma,
-            terminal=terminal,
+            s0, goal_id, accumulate_return(rewards, gamma), s_end, len(rewards),
+            terminal,
         )
 
 

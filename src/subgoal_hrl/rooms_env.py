@@ -70,8 +70,7 @@ class Transition(NamedTuple):
     terminal: bool
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Result of one environment step."""
 
     next_state: GridState

@@ -1,6 +1,5 @@
 """Shared fixtures and oracles for the test suite."""
 
-import dataclasses
 from collections import deque
 
 import numpy as np
@@ -59,13 +58,12 @@ def id_coded(batch, index: StateIndex) -> list:
     id of `index`, the one state form the memories and updates take."""
     out = []
     for tr in batch:
-        named = isinstance(tr, tuple)
         ids = {
             name: index.encode(value)
-            for name, value in (tr._asdict() if named else vars(tr)).items()
+            for name, value in tr._asdict().items()
             if isinstance(value, GridState)
         }
-        out.append(tr._replace(**ids) if named else dataclasses.replace(tr, **ids))
+        out.append(tr._replace(**ids))
     return out
 
 

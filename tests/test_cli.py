@@ -165,6 +165,23 @@ def test_config_experiments_matrix(tmp_path):
     assert (tmp_path / "random_walk_seed1" / "manifest.json").exists()
 
 
+def test_seed_flag_with_experiments_list_is_refused(tmp_path, capsys):
+    # The list names every seed, so a --seed flag cannot override it; with
+    # --mode the list is unused and the flag names the one run.
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump({
+        "total_steps": 600,
+        "warmup_steps": 50,
+        "experiments": [{"mode": "random_walk", "seeds": [0, 1]}],
+    }))
+    argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path)]
+    assert main(argv + ["--seed", "9"]) == 1
+    _assert_cli_error(capsys, "--seed", "experiments list")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
+    assert main(argv + ["--seed", "9", "--mode", "flat_q"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml", "flat_q_seed9"]
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [

@@ -230,15 +230,7 @@ def test_meta_transition_checks_return_consistency():
     assert math.isclose(good.return_g, 9.9)
     assert good.duration == 2
     with pytest.raises(ValueError):
-        MetaTransition(
-            s0=s0, goal_id=0, return_g=5.0, s_end=s1, duration=2,
-            rewards=(0.0, 10.0), gamma=0.99, terminal=False,
-        )
-    with pytest.raises(ValueError):
-        MetaTransition(
-            s0=s0, goal_id=0, return_g=0.0, s_end=s1, duration=0,
-            rewards=(), gamma=0.99, terminal=False,
-        )
+        MetaTransition.from_rewards(s0, 0, [], 0.99, s1, False)
 
 
 def _random_transitions(rng, n=60):

@@ -371,12 +371,21 @@ def test_unified_invariants_small_run(layout):
     # No lost steps: warmup plus attempt durations equals total steps.
     assert result.warmup_steps_used + result.attempt_steps_total == result.steps
     assert result.steps == cfg.total_steps
-    # Every recorded meta transition's return re-derives from its rewards.
+    # Replayed against the raw memory: after the warm-up, each meta record
+    # covers the next `duration` raw steps, in order, and its ids, end flag
+    # and return are those of that chunk.
+    raw = result.memory[result.warmup_steps_used:]
+    start = 0
     for mt in runner.meta_memory:
-        assert math.isclose(
-            mt.return_g, accumulate_return(mt.rewards, cfg.gamma), abs_tol=1e-9
+        chunk = raw[start:start + mt.duration]
+        start += mt.duration
+        assert len(chunk) == mt.duration >= 1
+        assert (mt.s0, mt.s_end, mt.terminal) == (
+            chunk[0].s, chunk[-1].s_next, chunk[-1].terminal
         )
-        assert mt.duration == len(mt.rewards) >= 1
+        assert mt.return_g == accumulate_return([t.r for t in chunk], cfg.gamma)
+    assert start == len(raw)
+    assert any(mt.return_g != 0.0 for mt in runner.meta_memory)
     # Every controller transition's goal id existed when recorded (ids
     # are stable across merges, so the final set bounds them all).
     assert result.subgoals is not None
