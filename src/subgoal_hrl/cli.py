@@ -96,6 +96,10 @@ def _build_configs(args) -> list[RunConfig]:
         if "seed" in flag_overrides:
             raise CliError("--seed cannot override the seeds of a config's "
                            "experiments list; pass --mode too for one run")
+        for key in ("mode", "seed"):
+            if key in file_values:
+                raise CliError(f"config key {key!r} cannot override the {key}s "
+                               "of its experiments list; remove one of them")
         configs = []
         run_dirs: set[str] = set()
         for entry in experiments:

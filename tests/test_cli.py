@@ -182,6 +182,23 @@ def test_seed_flag_with_experiments_list_is_refused(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml", "flat_q_seed9"]
 
 
+@pytest.mark.parametrize("key,value", [("seed", 9), ("mode", "flat_q")])
+def test_config_key_beside_experiments_list_is_refused(tmp_path, capsys, key, value):
+    # The list names every run's mode and seed; a top-level key that would be
+    # dropped is refused, like the --seed flag.
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump({
+        key: value,
+        "total_steps": 600,
+        "warmup_steps": 50,
+        "experiments": [{"mode": "random_walk", "seeds": [0]}],
+    }))
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    _assert_cli_error(capsys, f"config key '{key}'", "experiments list")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [

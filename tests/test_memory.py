@@ -91,6 +91,56 @@ def test_sample_matches_indexing_oracle(cap, pushes):
     assert got == [m[i] for i in (oracle_rng.random(200) * len(m)).astype(int)]
 
 
+class _RecordingGenerator:
+    """Forwards each method call to a seeded Generator and records it."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.calls: list[tuple] = []
+
+    def __getattr__(self, name: str):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return record
+
+
+@pytest.mark.parametrize("n", [1, 32])
+@pytest.mark.parametrize("cap,pushes", [(7, 3), (7, 7), (7, 10), (7, 14)])
+def test_sample_draws_once_per_minibatch(cap, pushes, n):
+    # Every replay shares this sampler, so its draws fix the run's stream:
+    # one rng.random(n) per minibatch, whatever the ring's fill or head.
+    m, _, _ = _filled(cap, pushes)
+    rng = _RecordingGenerator(5)
+    m.sample(n, rng)
+    assert rng.calls == [("random", (n,), {})]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cap=st.integers(1, 9),
+    pushes=st.integers(0, 30),
+    n=st.sampled_from([1, 2, 32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_equals_floor_oracle_on_any_ring(cap, pushes, n, seed):
+    # Filling, exactly full and wrapped rings: the sample is the items at
+    # floor(u * size), oldest first, of a twin generator's draws, and both
+    # generators end in the same state. An empty ring draws nothing.
+    m, _, _ = _filled(cap, pushes)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    if pushes:
+        got = m.sample(n, rng)
+        assert got == [m[math.floor(u * len(m))] for u in twin.random(n)]
+    else:
+        with pytest.raises(ValueError):
+            m.sample(n, rng)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class _ConstantDraw:
     """Generator stub whose `random(n)` returns n copies of one u."""
 
