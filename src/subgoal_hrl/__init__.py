@@ -37,7 +37,6 @@ from .rooms_env import (
     FourRoomsEnv,
     GridState,
     RoomsLayout,
-    StepOutcome,
 )
 from .trainer import (
     MODES,

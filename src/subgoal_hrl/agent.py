@@ -7,7 +7,8 @@ dense (x, y, has_key) state index. Loss minimization is realized as
 per-sample tabular TD updates, the exact-table special case of
 minimizing the squared TD error. The updates index rows by state id and
 columns by action id; a negative id, which list indexing would wrap, or
-an id past the end raises ValueError naming the transition.
+an id past the end raises ValueError naming the transition. The
+selectors refuse such a state or subgoal id the same way, naming the id.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .discovery import AnomalySubgoal, SubgoalSet
 from .memory import ControllerTransition, MetaTransition, Transition
-from .rooms_env import Action, GridState, N_ACTIONS, StateIndex
+from .rooms_env import GridState, N_ACTIONS, StateIndex
 
 INTRINSIC_REWARD = 1.0
 
@@ -178,9 +179,6 @@ class MetaTable(_ValueTable):
     def __init__(self, index: StateIndex, n_subgoals: int, init: float = 0.0) -> None:
         super().__init__(index, n_subgoals, init=init)
 
-    def goal_values(self, state: GridState) -> list[float]:
-        return self._values[self.index.encode(state)]
-
 
 class FlatTable(_ValueTable):
     """Plain Q(state, action) table for the non-hierarchical baseline."""
@@ -223,31 +221,39 @@ def epsilon_greedy_index(
     return ties[int(rng.integers(len(ties)))]
 
 
+def _check_state_id(table: _ValueTable, sid: int) -> None:
+    # List indexing would wrap a negative id to another state's row.
+    if not 0 <= sid < table.shape[0]:
+        raise ValueError(f"state id {sid} is outside [0, {table.shape[0]})")
+
+
 def select_subgoal(
     meta: MetaTable,
-    state: GridState,
+    sid: int,
     epsilon: float,
     rng: np.random.Generator,
 ) -> int:
-    """Epsilon-greedy subgoal id from the meta-controller's values."""
+    """Epsilon-greedy subgoal id from the meta-controller's values in state
+    id `sid`."""
     if meta.n_subgoals == 0:
         raise ValueError("cannot select from an empty subgoal set")
-    return epsilon_greedy_index(meta.goal_values(state), epsilon, rng)
+    _check_state_id(meta, sid)
+    return epsilon_greedy_index(meta._values[sid], epsilon, rng)
 
 
 def select_action(
     controller: ControllerTable,
-    state: GridState,
+    sid: int,
     goal_id: int,
     epsilon: float,
     rng: np.random.Generator,
-) -> Action:
-    """Epsilon-greedy primitive action under the current subgoal."""
-    return Action(
-        epsilon_greedy_index(
-            controller.action_values(state, goal_id), epsilon, rng
-        )
-    )
+) -> int:
+    """Epsilon-greedy primitive action id in state id `sid` under subgoal
+    `goal_id`."""
+    _check_state_id(controller, sid)
+    if not 0 <= goal_id < controller.n_subgoals:
+        raise ValueError(f"unknown subgoal id {goal_id}")
+    return epsilon_greedy_index(controller._values[sid][goal_id], epsilon, rng)
 
 
 def intrinsic_critic(

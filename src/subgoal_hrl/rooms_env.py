@@ -70,14 +70,6 @@ class Transition(NamedTuple):
     terminal: bool
 
 
-class StepOutcome(NamedTuple):
-    """Result of one environment step."""
-
-    next_state: GridState
-    reward: float
-    terminal: bool
-
-
 class LayoutError(ValueError):
     """Raised for malformed or unreachable layouts."""
 
@@ -338,8 +330,9 @@ class StateIndex:
 class FourRoomsEnv:
     """Deterministic four-rooms environment over its layout's `moves`.
 
-    `step` is `move` between encoding and decoding the state. Steps are
-    a pure function of (state, action) when `slip_prob` is 0 (the default);
+    `step` maps a state id and an action to the layout's shared
+    `Transition`; it is the one transition function. Steps are a pure
+    function of (state id, action) when `slip_prob` is 0 (the default);
     with slip enabled the chosen action is replaced by a uniformly random
     one with probability `slip_prob`, drawn from `rng`.
     """
@@ -365,16 +358,7 @@ class FourRoomsEnv:
         x, y = self.layout.start_cell
         return GridState(x, y, has_key=False)
 
-    def step(self, state: GridState, action: Action) -> StepOutcome:
-        """Move one cell, handing out key/box rewards.
-
-        Raises:
-            ValueError: when stepping from a non-playable or terminal state.
-        """
-        t = self.move(self.index.encode(state), Action(action))
-        return StepOutcome(self.index.states[t.s_next], t.r, t.terminal)
-
-    def move(self, sid: int, action: int) -> Transition:
+    def step(self, sid: int, action: int) -> Transition:
         """The shared `Transition` of choosing `action` in state id `sid`;
         with slip the action taken may differ from it. ValueError from the
         terminal state or for an action outside [0, N_ACTIONS)."""

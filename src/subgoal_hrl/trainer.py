@@ -42,7 +42,7 @@ from .memory import (
     Transition,
     is_finite_number,
 )
-from .rooms_env import Action, FourRoomsEnv, LayoutError, N_ACTIONS, RoomsLayout
+from .rooms_env import FourRoomsEnv, LayoutError, N_ACTIONS, RoomsLayout
 
 MODES = ("random_walk", "flat_q", "random_meta_hrl", "unified_hrl")
 # Most warm-up actions drawn in one call. Any chunking gives the same
@@ -348,9 +348,9 @@ class Runner:
         ]
 
     def _env_step(self, action: int) -> Transition:
-        """One move: push its shared transition, mark the cell and run a
+        """One step: push its shared transition, mark the cell and run a
         discovery that falls due; returns the transition."""
-        t = self.env.move(self.sid, action)
+        t = self.env.step(self.sid, action)
         self.steps += 1
         self.ep_steps += 1
         self.ep_return += t.r
@@ -484,7 +484,7 @@ class Runner:
 
         The steps of `_env_step` in one loop: the counters live in locals
         and reach the runner before `_maybe_discover` or `_end_episode`
-        reads them. Without slip a step reads the entry `env.move` would
+        reads them. Without slip a step reads the entry `env.step` would
         return straight from the move table; its checks cannot fire, as
         actions are drawn in range and a terminal step ends the episode.
 
@@ -497,7 +497,7 @@ class Runner:
         if self._next_discovery is not None:
             end = min(end, self._next_discovery)
         env, cap = self.env, self.cfg.episode_cap
-        move, moves, slip = env.move, env.layout.moves, env.slip_prob > 0.0
+        step, moves, slip = env.step, env.layout.moves, env.slip_prob > 0.0
         push, visits = self.memory.push, self._visits
         steps, sid, ep_steps = self.steps, self.sid, self.ep_steps
         ep_return, n_visited = self.ep_return, self._n_visited
@@ -505,7 +505,7 @@ class Runner:
             n = min(end - steps, WARMUP_CHUNK)
             for action in self.rng.integers(N_ACTIONS, size=n).tolist():
                 if slip:
-                    t = move(sid, action)
+                    t = step(sid, action)
                 else:
                     t = moves[(sid * N_ACTIONS + action) * N_ACTIONS + action]
                 steps += 1
@@ -626,42 +626,40 @@ def greedy_rollout(
     flat: FlatTable | None = None,
     rng: np.random.Generator,
 ) -> dict:
-    """One greedy episode from saved tables; reports return and subgoal path."""
-    layout = config.layout()
-    env = FourRoomsEnv(layout)
-    state = env.reset()
+    """One greedy episode from saved tables; reports return and subgoal path.
+
+    Steps run on state ids; a state is decoded only for the critic."""
+    env = FourRoomsEnv(config.layout())
+    states = env.index.states
+    sid = env.index.ids[env.reset()]
     ep_return = 0.0
     steps = 0
     terminal = False
     subgoal_path: list[dict] = []
 
     if flat is not None:
+        values = flat._values
         while not terminal and steps < config.episode_cap:
-            action = Action(
-                epsilon_greedy_index(
-                    flat.action_values(state), 0.0, rng, tie_break="first"
-                )
-            )
-            out = env.step(state, action)
-            ep_return += out.reward
-            terminal = out.terminal
-            state = out.next_state
+            action = epsilon_greedy_index(values[sid], 0.0, rng, tie_break="first")
+            t = env.step(sid, action)
+            ep_return += t.r
+            terminal = t.terminal
+            sid = t.s_next
             steps += 1
     else:
         if controller is None or meta is None or subgoals is None:
             raise ValueError("hierarchical rollout needs controller, meta and subgoals")
         while not terminal and steps < config.episode_cap:
-            goal_id = select_subgoal(meta, state, 0.0, rng)
+            goal_id = select_subgoal(meta, sid, 0.0, rng)
             t_in = 0
             while True:
-                action = select_action(controller, state, goal_id, 0.0, rng)
-                out = env.step(state, action)
-                ep_return += out.reward
-                terminal = out.terminal
-                state = out.next_state
+                t = env.step(sid, select_action(controller, sid, goal_id, 0.0, rng))
+                ep_return += t.r
+                terminal = t.terminal
+                sid = t.s_next
                 steps += 1
                 t_in += 1
-                attained, _ = intrinsic_critic(state, goal_id, subgoals)
+                attained, _ = intrinsic_critic(states[sid], goal_id, subgoals)
                 if (
                     attained
                     or terminal

@@ -1,14 +1,37 @@
 """Shared fixtures and oracles for the test suite."""
 
+import os
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subgoal_hrl
 from subgoal_hrl.memory import Transition
 from subgoal_hrl.rooms_env import (
     ACTION_DELTAS, FourRoomsEnv, GridState, RoomsLayout, StateIndex,
 )
+
+
+def pytest_report_header() -> list[str]:
+    """Where `subgoal_hrl` was imported from. `pyproject.toml` puts this
+    checkout's `src/` ahead of `PYTHONPATH`, so a `PYTHONPATH` entry that
+    holds another `subgoal_hrl` is not the code under test; name it."""
+    here = Path(subgoal_hrl.__file__).resolve().parent
+    lines = [f"subgoal_hrl: {here}"]
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        try:
+            other = Path(entry, "subgoal_hrl").resolve()
+            shadowed = other != here and (other / "__init__.py").is_file()
+        except OSError:  # a header never ends the session
+            continue
+        if shadowed:
+            lines.append(
+                f"subgoal_hrl: PYTHONPATH entry {entry} holds another subgoal_hrl "
+                "and is shadowed; to test that tree, run its own tests in it"
+            )
+    return lines
 
 
 @pytest.fixture
@@ -86,7 +109,7 @@ def build_full_coverage_memory(
         for i in range(arrivals_per_cell):
             has_key = cell == layout.box_cell and i == arrivals_per_cell - 1
             sid = index.encode(GridState(src[0], src[1], has_key))
-            t = env.move(sid, action)
+            t = env.step(sid, action)
             assert (t.s, t.a) == (sid, action)
             assert index.states[t.s_next].cell == cell
             transitions.append(t)

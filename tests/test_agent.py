@@ -42,6 +42,11 @@ def rooms_subgoals():
     return SubgoalSet(centroids=centroids, anomalies=anomalies)
 
 
+def goal_values(meta: MetaTable, state: GridState) -> list[float]:
+    """The meta-controller's live value row for `state`."""
+    return meta._values[meta.index.encode(state)]
+
+
 # -- selection ---------------------------------------------------------------
 
 
@@ -49,11 +54,13 @@ def test_greedy_picks_argmax(rng, layout):
     index = StateIndex(layout)
     meta = MetaTable(index, 3)
     s = GridState(1, 1)
-    meta.goal_values(s)[:] = [1.0, 2.0, 0.5]
-    assert select_subgoal(meta, s, 0.0, rng) == 1
+    sid = index.encode(s)
+    goal_values(meta, s)[:] = [1.0, 2.0, 0.5]
+    assert select_subgoal(meta, sid, 0.0, rng) == 1
     ctrl = ControllerTable(index, 1)
     ctrl.action_values(s, 0)[:] = [0.0, 0.0, 1.0, 0.0]
-    assert select_action(ctrl, s, 0, 0.0, rng) == Action.EAST
+    action = select_action(ctrl, sid, 0, 0.0, rng)
+    assert action == Action.EAST and type(action) is int
 
 
 @pytest.mark.parametrize("n_arms", [3, 4])
@@ -109,7 +116,30 @@ def test_first_index_tie_breaking():
 def test_select_subgoal_rejects_empty(rng, layout):
     meta = MetaTable(StateIndex(layout), 0)
     with pytest.raises(ValueError):
-        select_subgoal(meta, GridState(1, 1), 0.0, rng)
+        select_subgoal(meta, layout.index.encode(GridState(1, 1)), 0.0, rng)
+
+
+@pytest.mark.parametrize("sid", [-1, -208, 208, 1000])
+def test_selectors_reject_a_state_id_off_the_index(rng, layout, sid):
+    # List indexing would wrap a negative id to another state's row.
+    index = StateIndex(layout)
+    meta, ctrl = MetaTable(index, 2), ControllerTable(index, 2)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"state id {sid} is outside"):
+        select_subgoal(meta, sid, 0.0, rng)
+    with pytest.raises(ValueError, match=f"state id {sid} is outside"):
+        select_action(ctrl, sid, 0, 0.0, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("goal_id", [-1, -2, 2, 7])
+def test_select_action_rejects_an_unknown_goal_id(rng, layout, goal_id):
+    # A negative id would wrap to the last subgoal's column.
+    ctrl = ControllerTable(StateIndex(layout), 2)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"unknown subgoal id {goal_id}"):
+        select_action(ctrl, 0, goal_id, 0.0, rng)
+    assert rng.bit_generator.state == before
 
 
 # -- intrinsic critic -------------------------------------------------------
@@ -242,7 +272,7 @@ def test_updates_reject_negative_goal_ids(layout, done):
     with pytest.raises(ValueError, match="unknown subgoal id -1"):
         update_meta(meta, meta_batch, alpha=0.1, gamma=0.99)
     assert ctrl.action_values(s, 1) == [0.0] * 4
-    assert meta.goal_values(s) == [0.0, 0.0]
+    assert goal_values(meta, s) == [0.0, 0.0]
 
 
 def value_iteration(n_states, n_actions, step_fn, gamma, tol=1e-13):
@@ -304,20 +334,20 @@ def test_meta_update_terminal_arithmetic(layout):
         GridState(1, 1), 1, [0.0, 0.0, 10.0], 0.99, GridState(2, 10, True), True
     )
     update_meta(meta, id_coded([tr], meta.index), alpha=0.1, gamma=0.99)
-    assert meta.goal_values(GridState(1, 1))[1] == pytest.approx(0.9801)
+    assert goal_values(meta, GridState(1, 1))[1] == pytest.approx(0.9801)
 
 
 def test_meta_update_bootstrap_arithmetic(layout):
     meta = MetaTable(StateIndex(layout), 2)
     s_end = GridState(5, 5)
-    meta.goal_values(s_end)[:] = [2.0, 0.0]
+    goal_values(meta, s_end)[:] = [2.0, 0.0]
     tr = MetaTransition.from_rewards(
         GridState(1, 1), 0, [0.0] * 5, 0.99, s_end, False
     )
     update_meta(meta, id_coded([tr], meta.index), alpha=0.1, gamma=0.99)
     expected = 0.1 * (0.99 ** 5 * 2.0)
     assert expected == pytest.approx(0.19020, abs=5e-6)
-    assert meta.goal_values(GridState(1, 1))[0] == pytest.approx(expected)
+    assert goal_values(meta, GridState(1, 1))[0] == pytest.approx(expected)
 
 
 def test_meta_update_rejects_unknown_goal(layout):
@@ -389,11 +419,11 @@ def test_meta_converges_on_key_box_chain(layout):
         oracle = new
 
     for p in states:
-        got = meta.goal_values(p)
+        got = goal_values(meta, p)
         for g in range(6):
             assert abs(got[g] - oracle[p][g]) < 1e-3
-    assert max(range(6), key=lambda g: meta.goal_values(start)[g]) == 4
-    assert max(range(6), key=lambda g: meta.goal_values(key_state)[g]) == 5
+    assert max(range(6), key=lambda g: goal_values(meta, start)[g]) == 4
+    assert max(range(6), key=lambda g: goal_values(meta, key_state)[g]) == 5
 
 
 def test_flat_update_terminal_arithmetic(layout):
@@ -534,12 +564,12 @@ def test_table_grow_keeps_columns_and_appends_init(layout):
     ctrl.action_values(s, 2)[0] = 9.0  # new columns are distinct lists
     assert ctrl.action_values(s, 3) == [0.5] * 4
     meta = MetaTable(index, 2, init=-1.0)
-    meta.goal_values(s)[:] = [3.5, 2.0]
+    goal_values(meta, s)[:] = [3.5, 2.0]
     meta.grow(2)
-    assert meta.goal_values(s) == [3.5, 2.0]
+    assert goal_values(meta, s) == [3.5, 2.0]
     meta.grow(3)
     assert meta.n_subgoals == 3
-    assert meta.goal_values(s) == [3.5, 2.0, -1.0]
+    assert goal_values(meta, s) == [3.5, 2.0, -1.0]
     assert all(len(row) == 3 for row in meta._values)
     with pytest.raises(ValueError):
         meta.grow(2)
@@ -566,8 +596,8 @@ def test_table_csv_round_trip(tmp_path, layout, rng):
     flat = FlatTable(index)
     s = GridState(4, 7, True)
     ctrl.action_values(s, 1)[2] = 0.123456789
-    meta.goal_values(s)[0] = -7.25
-    meta.goal_values(s)[1] = -0.0
+    goal_values(meta, s)[0] = -7.25
+    goal_values(meta, s)[1] = -0.0
     flat.action_values(s)[3] = 39.9999
     flat.action_values(s)[0] = 5e-324
     flat.action_values(s)[1] = 0.1 + 0.2

@@ -157,29 +157,28 @@ def test_anomaly_scores_key_and_box_top_two(env):
     # Scripted episode: straight to the key, then to the box, then padding.
     layout = env.layout
     transitions = []
-    s = env.reset()
+    start = sid = env.index.encode(env.reset())
     # (1,1) -> door (6,3) -> key (10,2), then down through (9,6) and
     # (6,9) doorways to the box (2,10).
     plan = [Action.EAST] * 4 + [Action.SOUTH] * 2 + [Action.EAST] * 5 + [Action.NORTH]
     plan += [Action.WEST] + [Action.SOUTH] * 7 + [Action.WEST] * 7 + [Action.SOUTH]
     for a in plan:
-        out = env.step(s, a)
-        transitions.append(Transition(s, a, out.reward, out.next_state, out.terminal))
-        s = out.next_state
-        if out.terminal:
+        t = env.step(sid, a)
+        transitions.append(t)
+        sid = t.s_next
+        if t.terminal:
             break
     assert any(t.r == 10.0 for t in transitions)
     assert any(t.r == 40.0 for t in transitions)
     # Zero-reward padding: bounce between two start-room cells.
-    s = env.reset()
+    sid = start
     for i in range(500):
-        a = Action.EAST if i % 2 == 0 else Action.WEST
-        out = env.step(s, a)
-        transitions.append(Transition(s, a, out.reward, out.next_state, out.terminal))
-        s = out.next_state
+        t = env.step(sid, Action.EAST if i % 2 == 0 else Action.WEST)
+        transitions.append(t)
+        sid = t.s_next
     scores = anomaly_scores(transitions)
     top2 = np.argsort(scores)[-2:]
-    top_states = {transitions[i].s_next for i in top2}
+    top_states = {env.index.states[transitions[i].s_next] for i in top2}
     assert top_states == {
         GridState(*layout.key_cell, True),
         GridState(*layout.box_cell, True),

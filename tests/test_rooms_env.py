@@ -10,7 +10,6 @@ from subgoal_hrl.rooms_env import (
     GridState,
     LayoutError,
     RoomsLayout,
-    StepOutcome,
     Transition,
 )
 from subgoal_hrl.trainer import RunConfig, run
@@ -22,60 +21,66 @@ def test_reset_returns_fixed_start(env):
     assert env.reset() == s
 
 
+def step_states(env, state, action):
+    """`env.step` from `state`, as (next state, reward, terminal)."""
+    t = env.step(env.index.encode(state), action)
+    assert (t.s, t.a) == (env.index.encode(state), action)
+    return env.index.states[t.s_next], t.r, t.terminal
+
+
 def test_reset_clears_key_after_episode(env):
-    s = GridState(9, 2, has_key=False)
-    out = env.step(s, Action.EAST)
-    assert out.next_state.has_key
+    s_next, _, _ = step_states(env, GridState(9, 2, has_key=False), Action.EAST)
+    assert s_next.has_key
     assert env.reset().has_key is False
 
 
 def test_free_space_move(env):
-    out = env.step(GridState(1, 1), Action.EAST)
-    assert out == StepOutcome(GridState(2, 1), 0.0, False)
+    sid = env.index.encode(GridState(1, 1))
+    assert env.step(sid, Action.EAST) == Transition(
+        sid, Action.EAST, 0.0, env.index.encode(GridState(2, 1)), False
+    )
 
 
 def test_wall_blocks_and_agent_stays(env):
-    out = env.step(GridState(1, 1), Action.NORTH)
-    assert out.next_state == GridState(1, 1)
-    assert out.reward == 0.0
-    assert not out.terminal
+    assert step_states(env, GridState(1, 1), Action.NORTH) == (
+        GridState(1, 1), 0.0, False
+    )
 
 
 def test_key_pickup_rewards_10(env):
-    out = env.step(GridState(9, 2, has_key=False), Action.EAST)
-    assert out.next_state == GridState(10, 2, has_key=True)
-    assert out.reward == 10.0
-    assert not out.terminal
+    assert step_states(env, GridState(9, 2, has_key=False), Action.EAST) == (
+        GridState(10, 2, has_key=True), 10.0, False
+    )
 
 
 def test_key_cell_no_reward_when_carrying(env):
-    out = env.step(GridState(9, 2, has_key=True), Action.EAST)
-    assert out.reward == 0.0
-    assert out.next_state.has_key
+    s_next, reward, _ = step_states(env, GridState(9, 2, has_key=True), Action.EAST)
+    assert reward == 0.0
+    assert s_next.has_key
 
 
 def test_box_with_key_terminates_with_40(env):
-    out = env.step(GridState(2, 9, has_key=True), Action.SOUTH)
-    assert out.next_state == GridState(2, 10, has_key=True)
-    assert out.reward == 40.0
-    assert out.terminal
+    assert step_states(env, GridState(2, 9, has_key=True), Action.SOUTH) == (
+        GridState(2, 10, has_key=True), 40.0, True
+    )
 
 
 def test_box_without_key_is_inert(env):
-    out = env.step(GridState(2, 9, has_key=False), Action.SOUTH)
-    assert out.next_state == GridState(2, 10, has_key=False)
-    assert out.reward == 0.0
-    assert not out.terminal
+    assert step_states(env, GridState(2, 9, has_key=False), Action.SOUTH) == (
+        GridState(2, 10, has_key=False), 0.0, False
+    )
 
 
 def test_step_from_terminal_state_rejected(env):
-    with pytest.raises(ValueError):
-        env.step(GridState(2, 10, has_key=True), Action.NORTH)
+    assert env.index.states[env.terminal_id] == GridState(2, 10, has_key=True)
+    with pytest.raises(ValueError, match="terminal"):
+        env.step(env.terminal_id, Action.NORTH)
 
 
 def test_step_from_wall_rejected(env):
-    with pytest.raises(ValueError):
-        env.step(GridState(0, 0), Action.SOUTH)
+    # A wall cell has no state id, so no step can start from it.
+    with pytest.raises(ValueError, match="not indexable"):
+        step_states(env, GridState(0, 0), Action.SOUTH)
 
 
 def test_playable_cell_count_is_104(env, layout):
@@ -126,25 +131,24 @@ def test_step_deterministic_and_contained(env, layout):
             if env.index.encode(s) == env.terminal_id:
                 continue
             for a in Action:
-                out1 = env.step(s, a)
-                out2 = env.step(s, a)
-                assert out1 == out2
-                assert out1.next_state.cell in layout.playable
-                dist = abs(out1.next_state.x - s.x) + abs(out1.next_state.y - s.y)
-                assert dist <= 1
-                assert out1.next_state.has_key >= s.has_key
+                out1 = step_states(env, s, a)
+                assert step_states(env, s, a) == out1
+                s_next = out1[0]
+                assert s_next.cell in layout.playable
+                assert abs(s_next.x - s.x) + abs(s_next.y - s.y) <= 1
+                assert s_next.has_key >= s.has_key
 
 
 def test_episode_reward_structure(env, rng):
     # Random episodes: total <= 50, +10 at most once, +40 only at the end.
     for _ in range(50):
-        s = env.reset()
+        sid = env.index.encode(env.reset())
         rewards = []
         for _ in range(300):
-            out = env.step(s, Action(int(rng.integers(4))))
-            rewards.append(out.reward)
-            s = out.next_state
-            if out.terminal:
+            t = env.step(sid, int(rng.integers(4)))
+            rewards.append(t.r)
+            sid = t.s_next
+            if t.terminal:
                 break
         assert sum(rewards) <= 50.0
         assert rewards.count(10.0) <= 1
@@ -187,20 +191,22 @@ def test_layout_rejects_unreachable_cells():
 def test_slip_stays_in_bounds_and_is_seeded(layout):
     rng = np.random.default_rng(3)
     env = FourRoomsEnv(layout, slip_prob=0.5, rng=rng)
-    s = env.reset()
+    start = env.index.encode(env.reset())
+    sid = start
     trace1 = []
     for _ in range(200):
-        out = env.step(s, Action.EAST)
-        assert out.next_state.cell in layout.playable
-        trace1.append(out.next_state)
-        s = out.next_state if not out.terminal else env.reset()
+        t = env.step(sid, Action.EAST)
+        assert env.index.states[t.s_next].cell in layout.playable
+        assert t.a == Action.EAST
+        trace1.append(t)
+        sid = t.s_next if not t.terminal else start
     env2 = FourRoomsEnv(layout, slip_prob=0.5, rng=np.random.default_rng(3))
-    s = env2.reset()
+    sid = start
     trace2 = []
     for _ in range(200):
-        out = env2.step(s, Action.EAST)
-        trace2.append(out.next_state)
-        s = out.next_state if not out.terminal else env2.reset()
+        t = env2.step(sid, Action.EAST)
+        trace2.append(t)
+        sid = t.s_next if not t.terminal else start
     assert trace1 == trace2
 
 
@@ -220,7 +226,8 @@ def test_grid_state_is_the_tuple_of_its_fields():
 
 
 def _reference_step(layout, state, action):
-    """The move rule written out per step, as `step` did before compiling."""
+    """The move rule written out per step on `GridState`s, as it was before
+    being compiled to tables: (next state, reward, terminal)."""
     dx, dy = ACTION_DELTAS[action]
     target = (state.x + dx, state.y + dy)
     if target in layout.walls:
@@ -231,7 +238,7 @@ def _reference_step(layout, state, action):
     terminal = target == layout.box_cell and has_key
     if terminal:
         reward = 40.0
-    return StepOutcome(GridState(*target, has_key), reward, terminal)
+    return GridState(*target, has_key), reward, terminal
 
 
 CUSTOM_GRID = (
@@ -255,12 +262,10 @@ def test_compiled_tables_match_the_reference_move_rule(grid):
         if sid == env.terminal_id:
             continue
         for a in Action:
-            want = _reference_step(grid, state, a)
-            t = env.move(sid, a)
+            t = env.step(sid, a)
             assert (t.s, t.a) == (sid, a)
             got = (states[t.s_next], t.r, t.terminal)
-            assert got == (want.next_state, want.reward, want.terminal), (state, a)
-            assert env.step(state, a) == want
+            assert got == _reference_step(grid, state, a), (state, a)
 
 
 @pytest.mark.parametrize("text", [None, CUSTOM_GRID], ids=["default", "custom"])
@@ -274,11 +279,11 @@ def test_layout_owns_one_index_and_one_shared_move_table(text):
     assert len(moves) == 16 * index.size
     for sid, state in enumerate(index.states):
         for taken in Action:
-            want = _reference_step(grid, state, taken)
-            s_next = index.encode(want.next_state)
+            next_state, reward, terminal = _reference_step(grid, state, taken)
+            s_next = index.encode(next_state)
             for chosen in Action:
                 assert moves[(sid * 4 + taken) * 4 + chosen] == Transition(
-                    sid, chosen, want.reward, s_next, want.terminal
+                    sid, chosen, reward, s_next, terminal
                 ), (state, taken, chosen)
     # Equal entries are one object.
     first: dict[Transition, Transition] = {}
@@ -299,20 +304,18 @@ def test_rejected_steps_draw_no_slip(layout):
     rng = np.random.default_rng(5)
     env = FourRoomsEnv(layout, slip_prob=0.5, rng=rng)
     before = rng.bit_generator.state
-    with pytest.raises(ValueError):
-        env.move(env.terminal_id, Action.NORTH)
-    with pytest.raises(ValueError):
-        env.step(GridState(2, 10, has_key=True), Action.NORTH)
-    with pytest.raises(ValueError):
-        env.step(GridState(0, 0), Action.SOUTH)
-    with pytest.raises(ValueError):
-        env.step(GridState(20, 1), Action.SOUTH)
-    with pytest.raises(ValueError):
-        env.step(GridState(1, 1), 4)
-    # move reads its table by action id, so an id out of range must not
+    with pytest.raises(ValueError, match="terminal"):
+        env.step(env.terminal_id, Action.NORTH)
+    # step reads its table by action id, so an id out of range must not
     # reach another state's entries.
     with pytest.raises(ValueError, match="action must be in"):
-        env.move(0, 4)
+        env.step(env.index.encode(GridState(1, 1)), 4)
     with pytest.raises(ValueError, match="action must be in"):
-        env.move(5, -1)
+        env.step(0, 4)
+    with pytest.raises(ValueError, match="action must be in"):
+        env.step(5, -1)
+    # A cell off the playable grid has no state id to step from.
+    for cell in ((0, 0), (20, 1)):
+        with pytest.raises(ValueError, match="not indexable"):
+            env.index.encode(GridState(*cell))
     assert rng.bit_generator.state == before

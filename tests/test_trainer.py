@@ -3,16 +3,23 @@
 import dataclasses
 import json
 import math
+import os
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from conftest import grid_distance
+import subgoal_hrl
+from conftest import grid_distance, pytest_report_header
 from test_acceptance import run_pooled
-from subgoal_hrl.agent import ControllerTable, MetaTable, intrinsic_critic
+from test_rooms_env import CUSTOM_GRID, _reference_step
+from subgoal_hrl.agent import (
+    ControllerTable, FlatTable, MetaTable, epsilon_greedy_index, intrinsic_critic,
+)
 from subgoal_hrl.discovery import (
     AnomalySubgoal,
     Centroid,
@@ -37,6 +44,7 @@ from subgoal_hrl.trainer import (
     ConfigError,
     RunConfig,
     Runner,
+    greedy_rollout,
     metrics_from_csv,
     metrics_to_csv,
     moving_average,
@@ -233,7 +241,7 @@ def test_slip_draws_follow_the_block_of_warmup_actions():
     # Replaying each recorded step on an env that shares the reference
     # generator makes the same slip draws and returns the same entries.
     env = FourRoomsEnv(RoomsLayout.default(), slip_prob=slip, rng=ref)
-    assert all(env.move(t.s, t.a) is t for t in raw)
+    assert all(env.step(t.s, t.a) is t for t in raw)
     assert runner.rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -608,6 +616,116 @@ def test_flat_mode_trains_flat_table_only():
     assert any(v != 0.0 for _, _, v in result.flat.rows())
 
 
+def _reference_rollout(config, *, controller=None, meta=None, subgoals=None,
+                       flat=None, rng):
+    """`greedy_rollout` as it ran on `GridState`s: each step encodes the
+    state to read its table row, applies `_reference_step` and keeps the
+    decoded next state."""
+    layout = config.layout()
+    index = layout.index
+    state = GridState(*layout.start_cell)
+    ep_return, steps, terminal = 0.0, 0, False
+    subgoal_path = []
+    if flat is not None:
+        while not terminal and steps < config.episode_cap:
+            row = flat._values[index.encode(state)]
+            action = epsilon_greedy_index(row, 0.0, rng, tie_break="first")
+            state, reward, terminal = _reference_step(layout, state, Action(action))
+            ep_return += reward
+            steps += 1
+    else:
+        while not terminal and steps < config.episode_cap:
+            goal_id = epsilon_greedy_index(meta._values[index.encode(state)], 0.0, rng)
+            t_in = 0
+            while True:
+                row = controller.action_values(state, goal_id)
+                action = epsilon_greedy_index(row, 0.0, rng)
+                state, reward, terminal = _reference_step(layout, state, Action(action))
+                ep_return += reward
+                steps += 1
+                t_in += 1
+                attained, _ = intrinsic_critic(state, goal_id, subgoals)
+                if (attained or terminal or t_in >= config.subgoal_timeout
+                        or steps >= config.episode_cap):
+                    break
+            subgoal_path.append({
+                "goal_id": goal_id,
+                "kind": "anomaly" if subgoals.is_anomaly(goal_id) else "centroid",
+                "attained": attained,
+                "steps": t_in,
+            })
+    return {"return": ep_return, "steps": steps, "terminal": terminal,
+            "subgoal_path": subgoal_path}
+
+
+# A 3x3 room where a greedy policy over arbitrary values often takes the key.
+_KEY_BESIDE_START = "#####\n#SK.#\n#.B.#\n#...#\n#####\n"
+
+
+@st.composite
+def _rollout_case(draw, hierarchical):
+    """A config, tables whose values come from a set of at most three (so
+    argmax ties, and their tie-break draws, are common) and, for a
+    hierarchical case, a subgoal set with anomalies."""
+    config = RunConfig(
+        mode="unified_hrl" if hierarchical else "flat_q",
+        layout_text=draw(st.sampled_from([None, CUSTOM_GRID, _KEY_BESIDE_START])),
+        episode_cap=draw(st.integers(1, 150)),
+        subgoal_timeout=draw(st.integers(1, 12)),
+    )
+    layout = config.layout()
+    pool = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                         min_size=1, max_size=3, unique=True))
+    fill_rng = default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def filled(table):
+        table._values = fill_rng.choice(pool, size=table.shape).tolist()
+        return table
+
+    if not hierarchical:
+        return config, {"flat": filled(FlatTable(layout.index))}
+    # Half-cell coordinates put some cells at equal distance from two centroids.
+    coords = st.tuples(st.integers(0, 2 * layout.width - 2),
+                       st.integers(0, 2 * layout.height - 2))
+    centroids = draw(st.lists(coords, min_size=1, max_size=4, unique=True))
+    anomalies = draw(st.lists(st.sampled_from(layout.index.states),
+                              max_size=3, unique=True))
+    subgoals = SubgoalSet(
+        centroids=tuple(Centroid(x / 2, y / 2) for x, y in centroids),
+        anomalies=tuple(AnomalySubgoal(s, 5.0) for s in anomalies),
+    )
+    return config, {
+        "subgoals": subgoals,
+        "controller": filled(ControllerTable(layout.index, subgoals.size)),
+        "meta": filled(MetaTable(layout.index, subgoals.size)),
+    }
+
+
+def _assert_rollouts_match_the_reference(case, seed, episodes):
+    config, tables = case
+    rng, ref_rng = default_rng(seed), default_rng(seed)
+    got = [greedy_rollout(config, rng=rng, **tables) for _ in range(episodes)]
+    want = [_reference_rollout(config, rng=ref_rng, **tables) for _ in range(episodes)]
+    assert got == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_rollout_case(hierarchical=False), seed=st.integers(0, 2**32 - 1),
+       episodes=st.integers(1, 3))
+def test_flat_greedy_rollout_equals_the_grid_state_reference(case, seed, episodes):
+    _assert_rollouts_match_the_reference(case, seed, episodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_rollout_case(hierarchical=True), seed=st.integers(0, 2**32 - 1),
+       episodes=st.integers(1, 3))
+def test_hierarchical_greedy_rollout_equals_the_grid_state_reference(
+    case, seed, episodes
+):
+    _assert_rollouts_match_the_reference(case, seed, episodes)
+
+
 @pytest.mark.slow
 def test_unified_learns_at_desk_scale():
     # 20k steps is enough for full coverage on every seed here. Whether the
@@ -640,3 +758,17 @@ def test_readme_configuration_table_lists_every_field():
         line.split("`")[1] for line in section.splitlines() if line.startswith("| `")
     ]
     assert keys == list(RunConfig.field_names())
+
+
+def test_report_header_names_a_shadowed_pythonpath_entry(tmp_path, monkeypatch):
+    here = Path(subgoal_hrl.__file__).resolve().parent
+    other = tmp_path / "other"
+    (other / "subgoal_hrl").mkdir(parents=True)
+    (other / "subgoal_hrl" / "__init__.py").write_text("")
+    entries = [str(tmp_path / "missing"), str(here.parent), str(other), ""]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(entries))
+    lines = pytest_report_header()
+    assert lines[0] == f"subgoal_hrl: {here}"
+    assert len(lines) == 2 and f"entry {other} holds another" in lines[1]
+    monkeypatch.delenv("PYTHONPATH")
+    assert pytest_report_header() == lines[:1]
