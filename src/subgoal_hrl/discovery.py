@@ -198,17 +198,21 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances over the last axis, summed per coordinate in column
     order: bit-equal to `((a - b) ** 2).sum(axis=-1)` up to 7 columns, since
     numpy's pairwise sum regroups terms only from 8 on."""
-    return sum((a[..., c] - b[..., c]) ** 2 for c in range(a.shape[-1]))
+    d = (a[..., 0] - b[..., 0]) ** 2
+    for c in range(1, a.shape[-1]):
+        d += (a[..., c] - b[..., c]) ** 2
+    return d
 
 
 def _seed_centroids(
-    points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
+    points: np.ndarray, weights: np.ndarray, ends: np.ndarray, k: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """K-means++ seeding: spread initial centroids by weighted squared
-    distance, drawing row i with probability w_i * d_i^2 / total."""
-    # Unit j of the rows laid end to end (row i repeated w_i times) is in
-    # row ends.searchsorted(j, side="right").
-    ends = np.cumsum(weights)
+    distance, drawing row i with probability w_i * d_i^2 / total. `weights`
+    are the row counts as floats and `ends` their cumulative sum as ints:
+    unit j of the rows laid end to end (row i repeated w_i times) is in row
+    ends.searchsorted(j, side="right")."""
     centroids = np.empty((k, points.shape[1]), dtype=float)
     centroids[0] = points[ends.searchsorted(rng.integers(ends[-1]), side="right")]
     closest_sq = _sq_dist(points, centroids[0])
@@ -221,11 +225,12 @@ def _seed_centroids(
             raise ValueError(f"squared distances sum to {total}")
         else:
             # rng.choice(n, p=mass / total) without its argument checks.
-            cdf = (mass / total).cumsum()
+            mass /= total
+            cdf = mass.cumsum()
             cdf /= cdf[-1]
             idx = cdf.searchsorted(rng.random(), side="right")
         centroids[i] = points[idx]
-        closest_sq = np.minimum(closest_sq, _sq_dist(points, centroids[i]))
+        np.minimum(closest_sq, _sq_dist(points, centroids[i]), out=closest_sq)
     return centroids
 
 
@@ -239,19 +244,30 @@ def _lloyd(
     The live restarts iterate together; one leaves once its shift is below
     `tol`. Each result is the one a restart run alone gives."""
     runs, k = seeds.shape[:2]
+    n, cols = points.shape[0], points.shape[1] + 1
     centroids = seeds.copy()
     history: list[list[float]] = [[] for _ in range(runs)]
     n_iter = np.zeros(runs, dtype=int)
     live = np.arange(runs)
+    cells = np.arange(runs * n).reshape(runs, n) * k
+    weighted = weights.astype(float)
+    # One bincount per update sums every column, and the counts, of every
+    # live restart: entry (r, c, i) adds column c of row i, times its
+    # weight, to bin (r * k + j) * cols + c, j the row's centroid in the
+    # r-th live restart. Each bin adds its entries in row order, as one
+    # bincount per column does. Fewer live restarts read a prefix.
+    entries = np.tile(np.vstack([weighted * points.T, weighted]), (runs, 1)).ravel()
+    offsets = np.arange(runs)[:, None, None] * k * cols + np.arange(cols)[:, None]
 
     def assign(restarts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         """Nearest-centroid ids and squared distances per restart and row."""
         d2 = _sq_dist(points[:, None, :], centroids[restarts, None])
         ids = d2.argmin(axis=2)
-        nearest = np.take_along_axis(d2, ids[..., None], axis=2)[..., 0]
+        # d2[r, i, ids[r, i]]; `min(axis=2)` is several times slower.
+        nearest = d2.ravel()[cells[: restarts.size] + ids]
         # `(w * d).sum(axis=1)`, not `d @ w`: with unit weights each row is
         # numpy's pairwise sum of the per-point distances.
-        distortions = (weights * nearest).sum(axis=1).tolist()
+        distortions = (weighted * nearest).sum(axis=1).tolist()
         for r, distortion in zip(restarts.tolist(), distortions):
             # Lloyd's guarantee: alternating assignment/update never
             # increases the distortion (empty-cluster repair moves a
@@ -265,21 +281,16 @@ def _lloyd(
         return ids, nearest, distortions
 
     for it in range(1, max_iter + 1):
-        if not live.size:
+        if not (m := live.size):
             break
         ids, nearest, _ = assign(live)
-        # One bincount per column, and one for the counts, over all live
-        # restarts: bin r * k + j is centroid j of the r-th live restart.
-        bins = (ids + np.arange(live.size)[:, None] * k).ravel()
-        acc = np.stack([
-            np.bincount(bins, np.tile(weights * col, live.size), live.size * k)
-            for col in (*points.T, 1)
-        ], axis=1).reshape(live.size, k, -1)
-        sums, counts = acc[..., :-1], acc[..., -1]
-        old = centroids[live]
-        new = old.copy()
+        bins = (ids[:, None, :] * cols + offsets[:m]).ravel()
+        acc = np.bincount(bins, entries[: bins.size], m * k * cols).reshape(m, k, cols)
+        counts = acc[..., -1]
         nonempty = counts > 0
-        new[nonempty] = sums[nonempty] / counts[nonempty, None]
+        old = centroids[live]
+        new = np.divide(acc[..., :-1], counts[..., None], out=old.copy(),
+                        where=nonempty[..., None])
         for i in np.flatnonzero(~nonempty.all(axis=1)).tolist():
             # Repair: the point farthest from its centroid becomes the new
             # centroid; take the next-farthest for further repairs. A row
@@ -351,7 +362,8 @@ def kmeans_fit(
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
     # Lloyd draws nothing, so every seeding can come first.
-    seeds = np.stack([_seed_centroids(pts, w, k, rng) for _ in range(n_init)])
+    wf, ends = w.astype(float), np.cumsum(w)
+    seeds = np.stack([_seed_centroids(pts, wf, ends, k, rng) for _ in range(n_init)])
     results = _lloyd(pts, w, seeds, max_iter, tol)
     # The first restart with the lowest distortion.
     return min(results, key=lambda r: r.distortion)
@@ -410,11 +422,12 @@ def discover(
     # Distinct arrivals in first-seen order, checked before the array cast
     # (which would truncate a float id and overflow past int64), each
     # weighted by its count.
-    order = list(dict.fromkeys(map(itemgetter(3), transitions)))
+    arrival_ids = list(map(itemgetter(3), transitions))
+    order = list(dict.fromkeys(arrival_ids))
     for sid in order:
         if not 0 <= sid < index.size:
             raise ValueError(f"arrival id {sid} is not in the state index")
-    arrivals = np.fromiter(map(itemgetter(3), transitions), np.intp, n)
+    arrivals = np.fromiter(arrival_ids, np.intp, n)
     coords = np.array([index.states[sid].cell for sid in order], dtype=float)
     fit = kmeans_fit(coords, k, rng, weights=np.bincount(arrivals)[order])
     positions = [tuple(c) for c in fit.centroids]

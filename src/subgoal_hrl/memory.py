@@ -17,7 +17,7 @@ from typing import Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .rooms_env import Action, GridState, StateIndex, Transition
+from .rooms_env import Action, StateIndex, Transition
 
 T = TypeVar("T")
 
@@ -26,6 +26,8 @@ T = TypeVar("T")
 MAX_CAPACITY = 2**32
 # Lines per write of `save_transitions_jsonl`; bounds the bytes held at once.
 SAVE_BLOCK = 4096
+# Action name -> id, for `transition_from_dict`.
+_ACTION_IDS = {a.name: a.value for a in Action}
 
 
 def is_finite_number(v) -> bool:
@@ -187,10 +189,11 @@ def transition_from_dict(d: dict, index: StateIndex) -> Transition:
             "need true/false for has_key, has_key_next and terminal, integers "
             "for x, y, x_next and y_next, and a finite reward"
         )
+    # Plain tuples hash and compare like the `GridState` keys of `ids`.
     ids = index.ids
     return Transition(
-        ids[GridState(x, y, has_key)], Action[d["action"]].value, float(r),
-        ids[GridState(x_next, y_next, has_key_next)], terminal,
+        ids[x, y, has_key], _ACTION_IDS[d["action"]], float(r),
+        ids[x_next, y_next, has_key_next], terminal,
     )
 
 

@@ -304,9 +304,12 @@ class RoomsLayout:
 
 
 class _StateIds(dict):
-    """State -> dense id; a state off the index raises ValueError."""
+    """State -> dense id; a state off the index raises ValueError, which
+    shows a plain (x, y, has_key) tuple as its `GridState`."""
 
     def __missing__(self, state):
+        if type(state) is tuple and len(state) == 3:
+            state = GridState(*state)
         raise ValueError(f"state {state} is not indexable (wall cell?)")
 
 
@@ -352,6 +355,7 @@ class FourRoomsEnv:
         self._rng = rng
         self.index = layout.index
         self._moves = layout.moves
+        self._size = self.index.size
         self.terminal_id = self.index.ids[(*layout.box_cell, True)]
 
     def reset(self) -> GridState:
@@ -361,10 +365,13 @@ class FourRoomsEnv:
     def step(self, sid: int, action: int) -> Transition:
         """The shared `Transition` of choosing `action` in state id `sid`;
         with slip the action taken may differ from it. ValueError from the
-        terminal state or for an action outside [0, N_ACTIONS)."""
+        terminal state, for a state id outside [0, index.size) or for an
+        action outside [0, N_ACTIONS)."""
         if sid == self.terminal_id:
             raise ValueError("cannot step from a terminal state")
-        # An id out of range would index another state's entries.
+        # An id or action out of range would index another state's entries.
+        if not 0 <= sid < self._size:
+            raise ValueError(f"state id must be in [0, {self._size}), got {sid!r}")
         if not 0 <= action < N_ACTIONS:
             raise ValueError(f"action must be in [0, {N_ACTIONS}), got {action!r}")
         taken = action

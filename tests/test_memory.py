@@ -365,6 +365,82 @@ def test_transition_dict_json_round_trip(t):
     assert repr(back.r) == repr(t.r)  # -0.0 stays -0.0
 
 
+def _grid_state_transition_from_dict(d: dict, index: StateIndex) -> Transition:
+    """`transition_from_dict` as it was when it built a `GridState` per
+    state and an `Action` member per line."""
+    x, y, x_next, y_next = d["x"], d["y"], d["x_next"], d["y_next"]
+    has_key, has_key_next, terminal = d["has_key"], d["has_key_next"], d["terminal"]
+    r = d["reward"]
+    if not (
+        type(x) is type(y) is type(x_next) is type(y_next) is int
+        and type(has_key) is type(has_key_next) is type(terminal) is bool
+        and (type(r) is float or type(r) is int) and abs(r) <= 1.7976931348623157e308
+    ):
+        raise ValueError(
+            "need true/false for has_key, has_key_next and terminal, integers "
+            "for x, y, x_next and y_next, and a finite reward"
+        )
+    ids = index.ids
+    return Transition(
+        ids[GridState(x, y, has_key)], Action[d["action"]].value, float(r),
+        ids[GridState(x_next, y_next, has_key_next)], terminal,
+    )
+
+
+def _decoded(decode, d):
+    try:
+        t = decode(d, _INDEX)
+    except Exception as exc:  # any type; both decoders must raise the same
+        return type(exc), str(exc)
+    return t, repr(t), [type(v) for v in t]
+
+
+_LAYOUT = RoomsLayout.default()
+_CELL_FIELDS = {"cell": ("x", "y"), "cell_next": ("x_next", "y_next")}
+# One edit of one field of a good line, each a refusal or an edge of one.
+_edits = st.one_of(
+    st.tuples(st.sampled_from(sorted(_CELL_FIELDS)),
+              st.sampled_from(sorted(_LAYOUT.walls) + [(13, 1), (1, 13), (-1, 1),
+                                                        (10, 10), (500, 3)])),
+    st.tuples(st.just("action"), st.sampled_from(
+        ["north", "UP", "", "Action.NORTH", 0, 2.0, None, True, ["NORTH"], {}]
+    )),
+    st.tuples(st.sampled_from(["has_key", "has_key_next", "terminal"]),
+              st.sampled_from([0, 1, None, "true", 1.0])),
+    st.tuples(st.sampled_from(["x", "y", "x_next", "y_next"]),
+              st.sampled_from([True, False, 1.0, "1", None])),
+    st.tuples(st.just("reward"), st.sampled_from(
+        [math.inf, -math.inf, math.nan, 10**400, -(10**400), True, "0", None,
+         1.7976931348623157e308, -0.0, 7]
+    )),
+    st.tuples(st.just("missing"), st.sampled_from(
+        ["x", "y", "has_key", "action", "reward", "x_next", "y_next",
+         "has_key_next", "terminal"]
+    )),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.builds(Transition, _ids, st.sampled_from(Action),
+                st.floats(allow_nan=False, allow_infinity=False), _ids, st.booleans()),
+    edit=st.one_of(st.none(), _edits),
+)
+def test_transition_from_dict_equals_the_grid_state_decode(t, edit):
+    d = transition_to_dict(t, _INDEX)
+    if edit is not None:
+        field, value = edit
+        if field == "missing":
+            del d[value]
+        elif field in _CELL_FIELDS:
+            d.update(zip(_CELL_FIELDS[field], value))
+        else:
+            d[field] = value
+    assert _decoded(transition_from_dict, d) == _decoded(
+        _grid_state_transition_from_dict, d
+    )
+
+
 def _save_per_line(path, transitions, index):
     """The codec's reference: one render and one write per transition."""
     with open(path, "w", encoding="utf-8") as fh:

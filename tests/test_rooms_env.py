@@ -319,3 +319,16 @@ def test_rejected_steps_draw_no_slip(layout):
         with pytest.raises(ValueError, match="not indexable"):
             env.index.encode(GridState(*cell))
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("sid", [-1, -208, 208, 1000])
+def test_step_refuses_a_state_id_off_the_index(sid):
+    # A negative id would read another state's entries through a wrapped
+    # list index, and one past the end would raise a bare IndexError.
+    rng = np.random.default_rng(5)
+    env = FourRoomsEnv(slip_prob=0.5, rng=rng)
+    assert env.index.size == 208
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"^state id must be in \[0, 208\), got {sid}$"):
+        env.step(sid, Action.NORTH)
+    assert rng.bit_generator.state == before
