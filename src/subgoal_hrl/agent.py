@@ -256,10 +256,8 @@ def select_action(
     return epsilon_greedy_index(controller._values[sid][goal_id], epsilon, rng)
 
 
-def intrinsic_critic(
-    s_next: GridState, goal_id: int, subgoals: SubgoalSet
-) -> tuple[bool, float]:
-    """Whether `s_next` attains the subgoal, plus the intrinsic reward.
+def intrinsic_critic(s_next: GridState, goal_id: int, subgoals: SubgoalSet) -> bool:
+    """Whether arriving in `s_next` attains the subgoal `goal_id`.
 
     Anomaly subgoals require an exact state match (key flag included);
     centroid subgoals are attained when the nearest centroid to the
@@ -267,10 +265,8 @@ def intrinsic_critic(
     """
     sg = subgoals.subgoal(goal_id)
     if isinstance(sg, AnomalySubgoal):
-        attained = s_next == sg.state
-    else:
-        attained = subgoals.nearest_centroid_id(s_next.x, s_next.y) == goal_id
-    return attained, INTRINSIC_REWARD if attained else 0.0
+        return s_next == sg.state
+    return subgoals.nearest_centroid_id(s_next.x, s_next.y) == goal_id
 
 
 def update_controller(

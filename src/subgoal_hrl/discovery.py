@@ -342,8 +342,8 @@ def kmeans_fit(
             row, or a total weight below k; before any rng draw.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-D array")
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise ValueError("points must be a 2-D array with at least one column")
     if k < 1:
         raise ValueError("k must be >= 1")
     if weights is None:

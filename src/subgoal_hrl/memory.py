@@ -75,7 +75,7 @@ class MetaTransition(NamedTuple):
     """One completed subgoal attempt, as seen by the meta-controller: the
     SMDP transition (s0, g, discounted return, s_end) plus the attempt's
     step count, which discounts the bootstrap, and whether the episode
-    ended. Build it with `from_rewards`.
+    ended. `return_g` is `accumulate_return` of the attempt's rewards.
     """
 
     s0: int
@@ -84,23 +84,6 @@ class MetaTransition(NamedTuple):
     s_end: int
     duration: int
     terminal: bool
-
-    @classmethod
-    def from_rewards(
-        cls,
-        s0: int,
-        goal_id: int,
-        rewards: Sequence[float],
-        gamma: float,
-        s_end: int,
-        terminal: bool,
-    ) -> "MetaTransition":
-        """The attempt that earned `rewards`, one per step; ValueError for
-        no rewards, so `duration >= 1`, or a gamma outside (0, 1]."""
-        return cls(
-            s0, goal_id, accumulate_return(rewards, gamma), s_end, len(rewards),
-            terminal,
-        )
 
 
 class BoundedMemory(Generic[T]):

@@ -331,7 +331,8 @@ class StateIndex:
 
 
 class FourRoomsEnv:
-    """Deterministic four-rooms environment over its layout's `moves`.
+    """Deterministic four-rooms environment over its layout's `moves`, on
+    state ids only: episodes start at `start_id` and end at `terminal_id`.
 
     `step` maps a state id and an action to the layout's shared
     `Transition`; it is the one transition function. Steps are a pure
@@ -356,11 +357,8 @@ class FourRoomsEnv:
         self.index = layout.index
         self._moves = layout.moves
         self._size = self.index.size
+        self.start_id = self.index.ids[(*layout.start_cell, False)]
         self.terminal_id = self.index.ids[(*layout.box_cell, True)]
-
-    def reset(self) -> GridState:
-        x, y = self.layout.start_cell
-        return GridState(x, y, has_key=False)
 
     def step(self, sid: int, action: int) -> Transition:
         """The shared `Transition` of choosing `action` in state id `sid`;

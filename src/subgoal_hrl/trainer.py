@@ -40,6 +40,7 @@ from .memory import (
     ControllerTransition,
     MetaTransition,
     Transition,
+    accumulate_return,
     is_finite_number,
 )
 from .rooms_env import FourRoomsEnv, LayoutError, N_ACTIONS, RoomsLayout
@@ -264,7 +265,6 @@ class RunResult:
 
     config: RunConfig
     metrics: list[MetricsRecord]
-    visited: frozenset[tuple[int, int]]
     subgoals: SubgoalSet | None
     controller: ControllerTable | None
     meta: MetaTable | None
@@ -314,7 +314,7 @@ class Runner:
         self.steps = 0
         self.ep_steps = 0
         self.ep_return = 0.0
-        self.sid = self._start = self.index.encode(self.env.reset())
+        self.sid = self._start = env.start_id
         # One byte per cell (state id // 2), plus the count of ones.
         self._visits = bytearray(len(self.index.cells))
         self._visits[self._start >> 1] = 1
@@ -343,7 +343,7 @@ class Runner:
         # Attain rows: _attains[g][sid] says whether arriving in sid attains g.
         self._subgoals = subgoals
         self._attains = subgoals and [
-            [intrinsic_critic(s, g, subgoals)[0] for s in self.index.states]
+            [intrinsic_critic(s, g, subgoals) for s in self.index.states]
             for g in range(subgoals.size)
         ]
 
@@ -444,7 +444,6 @@ class Runner:
         return RunResult(
             config=self.cfg,
             metrics=self.metrics,
-            visited=frozenset(c for c, v in zip(self.index.cells, self._visits) if v),
             subgoals=self.subgoals,
             controller=self.controller,
             meta=self.meta,
@@ -585,10 +584,10 @@ class Runner:
                 break
         duration = len(rewards)
         self.attempt_steps_total += duration
-        meta_tr = MetaTransition.from_rewards(
-            s0, goal_id, rewards, cfg.gamma, self.sid, terminal
+        return_g = accumulate_return(rewards, cfg.gamma)
+        self.meta_memory.push(
+            MetaTransition(s0, goal_id, return_g, self.sid, duration, terminal)
         )
-        self.meta_memory.push(meta_tr)
         self._goal_outcomes[goal_id].append(attained)
         self._recent_attempts.append(attained)
         return attained, terminal, duration
@@ -631,7 +630,7 @@ def greedy_rollout(
     Steps run on state ids; a state is decoded only for the critic."""
     env = FourRoomsEnv(config.layout())
     states = env.index.states
-    sid = env.index.ids[env.reset()]
+    sid = env.start_id
     ep_return = 0.0
     steps = 0
     terminal = False
@@ -659,7 +658,7 @@ def greedy_rollout(
                 sid = t.s_next
                 steps += 1
                 t_in += 1
-                attained, _ = intrinsic_critic(states[sid], goal_id, subgoals)
+                attained = intrinsic_critic(states[sid], goal_id, subgoals)
                 if (
                     attained
                     or terminal

@@ -27,7 +27,12 @@ from subgoal_hrl.agent import (
     update_meta,
 )
 from subgoal_hrl.discovery import AnomalySubgoal, Centroid, SubgoalSet
-from subgoal_hrl.memory import ControllerTransition, MetaTransition, Transition
+from subgoal_hrl.memory import (
+    ControllerTransition,
+    MetaTransition,
+    Transition,
+    accumulate_return,
+)
 from subgoal_hrl.rooms_env import Action, GridState, RoomsLayout
 
 
@@ -147,14 +152,14 @@ def test_select_action_rejects_an_unknown_goal_id(rng, layout, goal_id):
 
 def test_critic_anomaly_exact_match():
     subgoals = rooms_subgoals()
-    assert intrinsic_critic(GridState(10, 2, True), 4, subgoals) == (True, 1.0)
-    assert intrinsic_critic(GridState(10, 2, False), 4, subgoals) == (False, 0.0)
-    assert intrinsic_critic(GridState(9, 2, True), 4, subgoals) == (False, 0.0)
+    assert intrinsic_critic(GridState(10, 2, True), 4, subgoals) is True
+    assert intrinsic_critic(GridState(10, 2, False), 4, subgoals) is False
+    assert intrinsic_critic(GridState(9, 2, True), 4, subgoals) is False
 
 
 def test_critic_centroid_zero_distance():
     subgoals = rooms_subgoals()
-    assert intrinsic_critic(GridState(3, 3), 0, subgoals) == (True, 1.0)
+    assert intrinsic_critic(GridState(3, 3), 0, subgoals) is True
 
 
 def test_critic_centroid_regions_exhaustive(layout):
@@ -168,14 +173,13 @@ def test_critic_centroid_regions_exhaustive(layout):
         ]
         expected = dists.index(min(dists))
         for g in range(4):
-            attained, r = intrinsic_critic(GridState(*cell), g, subgoals)
+            attained = intrinsic_critic(GridState(*cell), g, subgoals)
             assert attained == (g == expected)
-            assert r == (1.0 if attained else 0.0)
         room = layout.room_of(cell)
         if room == "NW":
-            assert not intrinsic_critic(GridState(*cell), 3, subgoals)[0]
+            assert not intrinsic_critic(GridState(*cell), 3, subgoals)
         if room == "SE":
-            assert not intrinsic_critic(GridState(*cell), 0, subgoals)[0]
+            assert not intrinsic_critic(GridState(*cell), 0, subgoals)
 
 
 def test_critic_is_pure():
@@ -244,7 +248,7 @@ def test_updates_reject_wall_states(layout, where):
             with pytest.raises(ValueError, match=message):
                 update_meta(
                     meta,
-                    [MetaTransition.from_rewards(s, 0, [1.0], 0.99, s_next, False)],
+                    [MetaTransition(s, 0, 1.0, s_next, 1, False)],
                     alpha=0.1, gamma=0.99,
                 )
         with pytest.raises(ValueError, match=message):
@@ -265,7 +269,7 @@ def test_updates_reject_negative_goal_ids(layout, done):
     s, s_next = GridState(1, 1), GridState(2, 1)
     ctrl_batch, meta_batch = (id_coded([tr], index) for tr in (
         ControllerTransition(s, -1, Action.EAST, 1.0, s_next, done),
-        MetaTransition.from_rewards(s, -1, [1.0], 0.99, s_next, done),
+        MetaTransition(s, -1, 1.0, s_next, 1, done),
     ))
     with pytest.raises(ValueError, match="unknown subgoal id -1"):
         update_controller(ctrl, ctrl_batch, alpha=0.1, gamma=0.99)
@@ -330,8 +334,9 @@ def test_controller_converges_on_corridor(layout):
 
 def test_meta_update_terminal_arithmetic(layout):
     meta = MetaTable(StateIndex(layout), 2)
-    tr = MetaTransition.from_rewards(
-        GridState(1, 1), 1, [0.0, 0.0, 10.0], 0.99, GridState(2, 10, True), True
+    tr = MetaTransition(
+        GridState(1, 1), 1, accumulate_return([0.0, 0.0, 10.0], 0.99),
+        GridState(2, 10, True), 3, True,
     )
     update_meta(meta, id_coded([tr], meta.index), alpha=0.1, gamma=0.99)
     assert goal_values(meta, GridState(1, 1))[1] == pytest.approx(0.9801)
@@ -341,9 +346,7 @@ def test_meta_update_bootstrap_arithmetic(layout):
     meta = MetaTable(StateIndex(layout), 2)
     s_end = GridState(5, 5)
     goal_values(meta, s_end)[:] = [2.0, 0.0]
-    tr = MetaTransition.from_rewards(
-        GridState(1, 1), 0, [0.0] * 5, 0.99, s_end, False
-    )
+    tr = MetaTransition(GridState(1, 1), 0, 0.0, s_end, 5, False)
     update_meta(meta, id_coded([tr], meta.index), alpha=0.1, gamma=0.99)
     expected = 0.1 * (0.99 ** 5 * 2.0)
     assert expected == pytest.approx(0.19020, abs=5e-6)
@@ -352,9 +355,7 @@ def test_meta_update_bootstrap_arithmetic(layout):
 
 def test_meta_update_rejects_unknown_goal(layout):
     meta = MetaTable(StateIndex(layout), 1)
-    tr = MetaTransition.from_rewards(
-        GridState(1, 1), 3, [0.0], 0.99, GridState(2, 1), False
-    )
+    tr = MetaTransition(GridState(1, 1), 3, 0.0, GridState(2, 1), 1, False)
     with pytest.raises(ValueError):
         update_meta(meta, id_coded([tr], meta.index), alpha=0.1, gamma=0.99)
 
@@ -388,12 +389,13 @@ def test_meta_converges_on_key_box_chain(layout):
             return d, [0.0] * (d - 1) + [40.0], GridState(*box_cell, True), True
         return timeout, [0.0] * timeout, p, False  # box without key: time out
 
-    transitions = [
-        MetaTransition.from_rewards(p, g, option(p, g)[1], gamma,
-                                    option(p, g)[2], option(p, g)[3])
-        for p in states
-        for g in range(6)
-    ]
+    transitions = []
+    for p in states:
+        for g in range(6):
+            dur, rewards, s_end, terminal = option(p, g)
+            transitions.append(MetaTransition(
+                p, g, accumulate_return(rewards, gamma), s_end, dur, terminal
+            ))
 
     transitions = id_coded(transitions, index)
     meta = MetaTable(index, 6)

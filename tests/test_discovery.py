@@ -82,6 +82,15 @@ def test_kmeans_rejects_bad_weights_before_any_draw(weights, k, message):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("weights", [None, [1, 2, 3, 1, 1]])
+def test_kmeans_rejects_points_with_no_column_before_any_draw(weights):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="at least one column"):
+        kmeans_fit(np.zeros((5, 0)), 2, rng, weights=weights)
+    assert rng.bit_generator.state == before
+
+
 def test_kmeans_deterministic_under_seed():
     pts = np.random.default_rng(5).uniform(0, 12, size=(200, 2))
     a = kmeans_fit(pts, 4, np.random.default_rng(11))
@@ -157,7 +166,7 @@ def test_anomaly_scores_key_and_box_top_two(env):
     # Scripted episode: straight to the key, then to the box, then padding.
     layout = env.layout
     transitions = []
-    start = sid = env.index.encode(env.reset())
+    start = sid = env.start_id
     # (1,1) -> door (6,3) -> key (10,2), then down through (9,6) and
     # (6,9) doorways to the box (2,10).
     plan = [Action.EAST] * 4 + [Action.SOUTH] * 2 + [Action.EAST] * 5 + [Action.NORTH]

@@ -14,7 +14,6 @@ from subgoal_hrl.memory import (
     MAX_CAPACITY,
     SAVE_BLOCK,
     BoundedMemory,
-    MetaTransition,
     Transition,
     accumulate_return,
     load_transitions_jsonl,
@@ -272,15 +271,6 @@ def test_return_input_validation():
 
 def _state(x, y, key=False):
     return GridState(x, y, key)
-
-
-def test_meta_transition_checks_return_consistency():
-    s0, s1 = _state(1, 1), _state(2, 1)
-    good = MetaTransition.from_rewards(s0, 0, [0.0, 10.0], 0.99, s1, False)
-    assert math.isclose(good.return_g, 9.9)
-    assert good.duration == 2
-    with pytest.raises(ValueError):
-        MetaTransition.from_rewards(s0, 0, [], 0.99, s1, False)
 
 
 def _random_transitions(rng, n=60):

@@ -16,9 +16,8 @@ from subgoal_hrl.trainer import RunConfig, run
 
 
 def test_reset_returns_fixed_start(env):
-    s = env.reset()
-    assert s == GridState(1, 1, has_key=False)
-    assert env.reset() == s
+    assert env.index.states[env.start_id] == GridState(*env.layout.start_cell, False)
+    assert env.index.states[env.start_id] == GridState(1, 1, has_key=False)
 
 
 def step_states(env, state, action):
@@ -31,7 +30,7 @@ def step_states(env, state, action):
 def test_reset_clears_key_after_episode(env):
     s_next, _, _ = step_states(env, GridState(9, 2, has_key=False), Action.EAST)
     assert s_next.has_key
-    assert env.reset().has_key is False
+    assert env.index.states[env.start_id].has_key is False
 
 
 def test_free_space_move(env):
@@ -142,7 +141,7 @@ def test_step_deterministic_and_contained(env, layout):
 def test_episode_reward_structure(env, rng):
     # Random episodes: total <= 50, +10 at most once, +40 only at the end.
     for _ in range(50):
-        sid = env.index.encode(env.reset())
+        sid = env.start_id
         rewards = []
         for _ in range(300):
             t = env.step(sid, int(rng.integers(4)))
@@ -191,7 +190,7 @@ def test_layout_rejects_unreachable_cells():
 def test_slip_stays_in_bounds_and_is_seeded(layout):
     rng = np.random.default_rng(3)
     env = FourRoomsEnv(layout, slip_prob=0.5, rng=rng)
-    start = env.index.encode(env.reset())
+    start = env.start_id
     sid = start
     trace1 = []
     for _ in range(200):

@@ -18,7 +18,8 @@ from conftest import grid_distance, pytest_report_header
 from test_acceptance import run_pooled
 from test_rooms_env import CUSTOM_GRID, _reference_step
 from subgoal_hrl.agent import (
-    ControllerTable, FlatTable, MetaTable, epsilon_greedy_index, intrinsic_critic,
+    INTRINSIC_REWARD, ControllerTable, FlatTable, MetaTable, epsilon_greedy_index,
+    intrinsic_critic,
 )
 from subgoal_hrl.discovery import (
     AnomalySubgoal,
@@ -347,9 +348,11 @@ def test_warmup_random_walk_escapes_first_room(layout):
             mode="random_walk", seed=seed, total_steps=5000, warmup_steps=100
         )
         result = run(cfg)
+        # 5000 steps never wrap the 50k memory: it holds every arrival.
+        cells = {layout.index.states[t.s_next].cell for t in result.memory}
         rooms = {
             layout.room_of(c)
-            for c in result.visited
+            for c in cells
             if not layout.room_of(c).startswith("doorway")
         }
         assert len(rooms) >= 2
@@ -402,6 +405,27 @@ def test_unified_invariants_small_run(layout):
         assert ct.r_intrinsic in (0.0, 1.0)
     # Returns never exceed the key+box total.
     assert all(m.ep_return <= 50.0 for m in result.metrics)
+
+
+def test_controller_reward_follows_the_critic():
+    # One discovery (the next falls past the budget), so every controller
+    # transition was recorded under the final subgoal set.
+    cfg = small_config(seed=0, total_steps=20_000, warmup_steps=5000,
+                       discovery_period=20_000)
+    runner = Runner(cfg)
+    result = runner.run()
+    assert result.discovery_steps == (5000,)
+    subgoals, states = result.subgoals, runner.index.states
+    assert any(subgoals.is_anomaly(g) for g in range(subgoals.size))
+    seen = Counter()
+    for ct in runner.ctrl_memory:
+        attained = intrinsic_critic(states[ct.s_next], ct.goal_id, subgoals)
+        terminal = ct.s_next == runner.env.terminal_id
+        assert ct.r_intrinsic == (INTRINSIC_REWARD if attained else 0.0)
+        assert ct.attained_or_terminal == (attained or terminal)
+        seen[attained, terminal] += 1
+    # Both rewards occur, and so does an episode end that attains nothing.
+    assert seen[True, False] and seen[False, False] and seen[False, True]
 
 
 def _record_discover_inputs(monkeypatch, runner):
@@ -514,7 +538,7 @@ def _assert_attain_rows_match_the_critic(runner):
     assert len(runner._attains) == subgoals.size
     for g, row in enumerate(runner._attains):
         assert row == [
-            intrinsic_critic(s, g, subgoals)[0] for s in runner.index.states
+            intrinsic_critic(s, g, subgoals) for s in runner.index.states
         ]
 
 
@@ -644,7 +668,7 @@ def _reference_rollout(config, *, controller=None, meta=None, subgoals=None,
                 ep_return += reward
                 steps += 1
                 t_in += 1
-                attained, _ = intrinsic_critic(state, goal_id, subgoals)
+                attained = intrinsic_critic(state, goal_id, subgoals)
                 if (attained or terminal or t_in >= config.subgoal_timeout
                         or steps >= config.episode_cap):
                     break
