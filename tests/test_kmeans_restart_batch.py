@@ -68,9 +68,11 @@ def _prior_lloyd(
         distortions = (weights * nearest).sum(axis=1).tolist()
         for r, distortion in zip(restarts.tolist(), distortions):
             prev = history[r][-1] if history[r] else float("inf")
-            assert distortion <= prev + 1e-9 + 1e-12 * abs(prev), (
-                f"distortion increased: {prev} -> {distortion}"
-            )
+            # The program's `assert`, raised by hand: pytest rewrites an
+            # assert in a test module and appends its own lines to the
+            # message, which the outcome comparison reads.
+            if not distortion <= prev + 1e-9 + 1e-12 * abs(prev):
+                raise AssertionError(f"distortion increased: {prev} -> {distortion}")
             history[r].append(distortion)
         return ids, nearest, distortions
 
@@ -146,6 +148,17 @@ def test_fit_on_the_full_coverage_histogram_matches_the_prior_form(k):
     weights = np.bincount(arrivals)[order]
     for seed in range(3):
         _assert_same_fit(coords, k, seed, weights)
+
+
+def test_fit_that_trips_the_distortion_assert_matches_the_prior_form():
+    # One row near 1e199: the update's weighted mean misses it by an ulp,
+    # whose square overflows, so both forms raise the same AssertionError.
+    points = np.random.default_rng(0).normal(size=(1, 2)) * 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _outcome(_prior_kmeans_fit, points, 1, 0, np.array([3]),
+                        n_init=1, max_iter=1, tol=0.0)
+        assert want[0] == (AssertionError, "distortion increased: 0.0 -> inf")
+        _assert_same_fit(points, 1, 0, np.array([3]), n_init=1, max_iter=1, tol=0.0)
 
 
 @settings(max_examples=150, deadline=None)
