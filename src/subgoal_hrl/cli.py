@@ -59,6 +59,8 @@ def _load_config_file(path: str) -> dict:
             loaded = yaml.safe_load(fh)
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read config file: {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise CliError(f"cannot parse config file: {exc}") from exc
     if loaded is None:
@@ -134,14 +136,12 @@ def _build_configs(args) -> list[RunConfig]:
 
 
 def _make_config(values: dict, source: Path | None = None) -> RunConfig:
-    """Build and validate a RunConfig; `source` names the file it came from."""
+    """Build a RunConfig (which validates itself); `source` names its file."""
     try:
-        cfg = RunConfig(**values)
-        cfg.validate()
+        return RunConfig(**values)
     except (TypeError, ValueError) as exc:
         where = f"{source}: " if source else ""
         raise CliError(f"invalid configuration: {where}{exc}") from exc
-    return cfg
 
 
 def run_dir_name(config: RunConfig) -> str:
@@ -218,7 +218,8 @@ def read_run(run_dir: Path) -> tuple[RunConfig, dict[str, Path]]:
     except FileNotFoundError:
         raise CliError(f"{run_dir} is not a completed run (no {MANIFEST_NAME})") from None
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"cannot load run artifacts from {path}: {exc!r}") from exc
+        shown = exc if isinstance(exc, UnicodeDecodeError) else repr(exc)
+        raise CliError(f"cannot load run artifacts from {path}: {shown}") from exc
     if mode not in MODES:
         raise CliError(f"{path}: mode {mode!r} is not one of {MODES}")
     if mode != config.mode:
@@ -362,7 +363,8 @@ def cmd_compare(args) -> int:
             path = artifacts["metrics"]
             records = metrics_from_csv(path.read_text())
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise CliError(f"cannot load {path}: {exc!r}") from exc
+            shown = exc if isinstance(exc, UnicodeDecodeError) else repr(exc)
+            raise CliError(f"cannot load {path}: {shown}") from exc
         if not records:
             raise CliError(f"{path} has no metrics rows")
         # Rows rise in steps, so the last row bounds the run's curve.

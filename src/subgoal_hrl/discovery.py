@@ -274,6 +274,8 @@ def _lloyd(
             # centroid no point was assigned to, so it cannot increase any
             # point's minimum).
             prev = history[r][-1] if history[r] else float("inf")
+            if not (math.isfinite(distortion) or distortion <= prev):
+                raise ValueError(f"squared distances sum to {distortion}")
             assert distortion <= prev + 1e-9 + 1e-12 * abs(prev), (
                 f"distortion increased: {prev} -> {distortion}"
             )

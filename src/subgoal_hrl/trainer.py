@@ -46,8 +46,8 @@ from .memory import (
 from .rooms_env import FourRoomsEnv, LayoutError, N_ACTIONS, RoomsLayout
 
 MODES = ("random_walk", "flat_q", "random_meta_hrl", "unified_hrl")
-# Most warm-up actions drawn in one call. Any chunking gives the same
-# stream; the cap bounds the drawn list on long walks.
+# Most warm-up actions drawn in one call; it bounds the drawn list on long
+# walks. Only without slip does any chunking give the same stream.
 WARMUP_CHUNK = 4096
 # Largest replay minibatch; each is drawn as one float array.
 MAX_BATCH_SIZE = 2**16
@@ -64,7 +64,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of a training run, with desk-scale defaults.
+    """Every knob of a training run, with desk-scale defaults; validated when built.
 
     Attributes:
         mode: One of MODES.
@@ -119,6 +119,9 @@ class RunConfig:
     flat_eps: float = 0.4
     discovery_min_samples: int = 100
     layout_text: str | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         for f in fields(self):
@@ -289,7 +292,6 @@ class Runner:
     """
 
     def __init__(self, config: RunConfig) -> None:
-        config.validate()
         self.cfg = config
         self.rng = np.random.default_rng(config.seed)
         layout = config.layout()
@@ -312,13 +314,12 @@ class Runner:
 
         self.metrics: list[MetricsRecord] = []
         self.steps = 0
-        self.ep_steps = 0
+        self.ep_start = 0  # steps when the current episode started
         self.ep_return = 0.0
-        self.sid = self._start = env.start_id
-        # One byte per cell (state id // 2), plus the count of ones.
+        self.sid = env.start_id
+        # One byte per cell (state id // 2), set once the cell is visited.
         self._visits = bytearray(len(self.index.cells))
-        self._visits[self._start >> 1] = 1
-        self._n_visited = 1
+        self._visits[self.sid >> 1] = 1
 
         self.warmup_steps_used = 0
         self.attempt_steps_total = 0
@@ -352,13 +353,10 @@ class Runner:
         discovery that falls due; returns the transition."""
         t = self.env.step(self.sid, action)
         self.steps += 1
-        self.ep_steps += 1
         self.ep_return += t.r
         self.memory.push(t)
         self.sid = sid = t.s_next
-        if not self._visits[sid >> 1]:
-            self._visits[sid >> 1] = 1
-            self._n_visited += 1
+        self._visits[sid >> 1] = 1
         # steps grows by one and the schedule moves only when it fires, so
         # equality is reached exactly once per scheduled discovery.
         if self.steps == self._next_discovery:
@@ -391,7 +389,7 @@ class Runner:
         self.discovery_steps.append(self.steps)
 
     def _episode_over(self, terminal: bool) -> bool:
-        return terminal or self.ep_steps >= self.cfg.episode_cap
+        return terminal or self.steps - self.ep_start >= self.cfg.episode_cap
 
     def _end_episode(self) -> None:
         self.metrics.append(
@@ -399,13 +397,13 @@ class Runner:
                 episode=len(self.metrics),
                 steps=self.steps,
                 ep_return=self.ep_return,
-                coverage=self._n_visited / len(self._visits),
+                coverage=self._visits.count(1) / len(self._visits),
                 success_rate=self._success_rate(),
                 num_subgoals=self.subgoals.size if self.subgoals else 0,
             )
         )
-        self.sid = self._start
-        self.ep_steps = 0
+        self.sid = self.env.start_id
+        self.ep_start = self.steps
         self.ep_return = 0.0
 
     def _success_rate(self) -> float:
@@ -439,7 +437,7 @@ class Runner:
         else:
             # A random walk schedules no discovery, so it is all warm-up.
             self._run_hrl(unified=mode == "unified_hrl")
-        if self.ep_steps > 0:
+        if self.steps > self.ep_start:
             self._end_episode()
         return RunResult(
             config=self.cfg,
@@ -498,8 +496,7 @@ class Runner:
         env, cap = self.env, self.cfg.episode_cap
         step, moves, slip = env.step, env.layout.moves, env.slip_prob > 0.0
         push, visits = self.memory.push, self._visits
-        steps, sid, ep_steps = self.steps, self.sid, self.ep_steps
-        ep_return, n_visited = self.ep_return, self._n_visited
+        steps, sid, ep_start, ep_return = self.steps, self.sid, self.ep_start, self.ep_return
         while steps < end:
             n = min(end - steps, WARMUP_CHUNK)
             for action in self.rng.integers(N_ACTIONS, size=n).tolist():
@@ -508,23 +505,18 @@ class Runner:
                 else:
                     t = moves[(sid * N_ACTIONS + action) * N_ACTIONS + action]
                 steps += 1
-                ep_steps += 1
                 ep_return += t.r
                 push(t)
                 sid = t.s_next
-                if not visits[sid >> 1]:
-                    visits[sid >> 1] = 1
-                    n_visited += 1
-                if t.terminal or ep_steps >= cap:
+                visits[sid >> 1] = 1
+                if t.terminal or steps - ep_start >= cap:
                     self.steps, self.ep_return = steps, ep_return
-                    self._n_visited = n_visited
                     if steps == self._next_discovery:
                         self._maybe_discover()
                     self._end_episode()
-                    sid, ep_steps, ep_return = self.sid, 0, 0.0
+                    sid, ep_start, ep_return = self.sid, steps, 0.0
             self.warmup_steps_used += n
-        self.steps, self.sid, self.ep_steps = steps, sid, ep_steps
-        self.ep_return, self._n_visited = ep_return, n_visited
+        self.steps, self.sid, self.ep_return = steps, sid, ep_return
         # Moved on when it fired at an episode end above.
         if steps == self._next_discovery:
             self._maybe_discover()
@@ -576,8 +568,7 @@ class Runner:
             rewards.append(t.r)
             if (
                 attained
-                or terminal
-                or self.ep_steps >= cfg.episode_cap
+                or self._episode_over(terminal)
                 or len(rewards) >= cfg.subgoal_timeout
                 or self.steps >= cfg.total_steps
             ):

@@ -546,6 +546,37 @@ def test_compare_rejects_grid_step_and_window_below_one(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["config.yaml", "manifest.json", "metrics.csv", "controller_q.csv", "subgoals.json"],
+)
+def test_a_file_that_is_not_utf8_is_refused_in_one_short_line(
+    trained_runs, tmp_path, capsys, name
+):
+    root = tmp_path / "runs"
+    shutil.copytree(trained_runs, root)
+    run_dir = root / "unified_hrl_seed1"
+    # A run manifest doubles as a config file.
+    path = tmp_path / name if name == "config.yaml" else run_dir / name
+    data = (run_dir / "manifest.json" if name == "config.yaml" else path).read_bytes()
+    path.write_bytes(data[:5] + b"\xff" + data[5:])
+    if name == "config.yaml":
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+    elif name == "metrics.csv":
+        argv = ["compare", "--root", str(root), "--out-dir", str(tmp_path / "cmp")]
+    else:
+        argv = ["eval", "--run", str(run_dir)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    # The decode error shows by its message, not by a repr holding the file.
+    assert "can't decode byte 0xff in position 5" in err
+    assert len(err) < 300, err
+    # eval names the run directory of a table or subgoal set, as its other
+    # artifact refusals do; every other refusal names the file.
+    assert str(run_dir if name.endswith(("_q.csv", "subgoals.json")) else path) in err
+
+
 @pytest.mark.parametrize("command", ["discover --memory", "eval --run"])
 def test_negative_seed_rejected_before_any_file_is_read(tmp_path, capsys, command):
     # The named file does not exist: the seed check must come first.

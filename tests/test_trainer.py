@@ -96,6 +96,13 @@ def test_config_rejects_non_finite_floats(field, value):
         RunConfig(mode="unified_hrl", **{field: value}).validate()
 
 
+def test_an_invalid_config_cannot_be_built():
+    with pytest.raises(ConfigError, match="k must be in"):
+        RunConfig(mode="flat_q", k=0)
+    with pytest.raises(ConfigError, match="episode_cap"):
+        dataclasses.replace(RunConfig(mode="flat_q"), episode_cap=0)
+
+
 def test_run_rejects_invalid_config_before_stepping():
     with pytest.raises(ConfigError):
         run(RunConfig(mode="unified_hrl", total_steps=10, warmup_steps=10))
@@ -258,7 +265,7 @@ class _StepwiseWarmupRunner(Runner):
         while self.steps < end:
             n = min(end - self.steps, WARMUP_CHUNK)
             for action in self.rng.integers(N_ACTIONS, size=n).tolist():
-                if self._env_step(action).terminal or self.ep_steps >= cap:
+                if self._env_step(action).terminal or self.steps - self.ep_start >= cap:
                     self._end_episode()
             self.warmup_steps_used += n
 
@@ -328,7 +335,7 @@ def test_warmup_pushes_once_per_step_and_never_steps_from_the_terminal(
     # Each terminal step ends its episode; the next starts at the start.
     for t, after in zip(result.memory, result.memory[1:]):
         if t.terminal:
-            assert after.s == runner._start
+            assert after.s == runner.env.start_id
 
 
 def test_discovery_due_at_an_episode_end_shows_in_that_row():
