@@ -289,23 +289,20 @@ def _observed_run(cfg: RunConfig) -> dict:
             for record in records
         ]
 
-    tables = {}
-    for name, table in (("controller", result.controller), ("meta", result.meta),
-                        ("flat", result.flat)):
-        if table is None:
-            tables[name] = None
-        elif name == "controller":
-            tables[name] = {
-                (states[s], g): actions
-                for s, row in enumerate(table._values) for g, actions in enumerate(row)
-            }
-        else:
-            tables[name] = {states[s]: row for s, row in enumerate(table._values)}
+    controller = result.controller and {
+        (state, g): actions
+        for state, row in zip(states, result.controller._values)
+        for g, actions in enumerate(row)
+    }
+    meta, flat = (table and dict(zip(states, table._values))
+                  for table in (result.meta, result.flat))
     return dict(
         steps=result.steps,
         metrics=[tuple(m) for m in result.metrics],
         subgoals=result.subgoals,
-        **tables,
+        controller=controller,
+        meta=meta,
+        flat=flat,
         warmup_steps_used=result.warmup_steps_used,
         attempt_steps_total=result.attempt_steps_total,
         discovery_steps=list(result.discovery_steps),
