@@ -10,6 +10,7 @@ import signal
 import string
 import tempfile
 from dataclasses import fields
+from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_full_coverage_memory
-from subgoal_hrl.cli import _build_configs, build_parser, main
+from subgoal_hrl.cli import _build_configs, _sample_at, build_parser, main
 from subgoal_hrl.memory import MAX_CAPACITY, save_transitions_jsonl
 from subgoal_hrl.rooms_env import MAX_LAYOUT_SIDE, RoomsLayout
 from subgoal_hrl.trainer import (
@@ -302,6 +303,16 @@ def test_discover_missing_and_oversized_memory(tmp_path, env, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_discover_refuses_a_memory_one_byte_over_max_bytes(tmp_path, env, capsys):
+    memory_path = tmp_path / "memory.jsonl"
+    save_transitions_jsonl(memory_path, build_full_coverage_memory(env), env.index)
+    size = memory_path.stat().st_size
+    argv = ["discover", "--memory", str(memory_path), "--out", str(tmp_path / "s.json")]
+    assert main(argv + ["--max-bytes", str(size - 1)]) == 1
+    _assert_cli_error(capsys, f"exceeds {size - 1} bytes")
+    assert main(argv + ["--max-bytes", str(size)]) == 0
+
+
 def test_discover_requires_memory_flag():
     with pytest.raises(SystemExit) as exc:
         main(["discover"])
@@ -373,6 +384,28 @@ def test_compare_duplicate_runs_zero_std(tmp_path):
     ]) == 0
     for line in (cmp_dir / "coverage.csv").read_text().splitlines()[1:]:
         assert line.split(",")[2] == "0.0"
+
+
+def _last_row_at(steps, values, t):
+    """The value of the last row at or before step `t`; the first row's
+    value before any row."""
+    before = [v for s, v in zip(steps, values) if s <= t]
+    return before[-1] if before else values[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gaps=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+    grid=st.lists(st.integers(0, 70), max_size=20).map(sorted),
+)
+@example(gaps=[2, 3], grid=[1, 2, 4, 5, 6])
+def test_compare_samples_the_last_row_at_or_before_each_grid_step(gaps, grid):
+    # A grid step equal to a row's steps reads that row, not the one before.
+    steps = list(accumulate(gaps))
+    values = [float(i) for i in range(len(steps))]
+    assert _sample_at(steps, values, grid) == [
+        _last_row_at(steps, values, t) for t in grid
+    ]
 
 
 def test_compare_needs_two_runs(tmp_path, capsys):
@@ -1229,8 +1262,9 @@ def test_every_reader_refuses_a_manifest_without_a_key(trained_runs, tmp_path, c
 @pytest.mark.parametrize(
     "name", [lambda runs: str(runs / "flat_q_seed1" / "flat_q.csv"),
              lambda runs: "../flat_q_seed1/flat_q.csv",
-             lambda runs: ""],  # the run directory itself
-    ids=["absolute", "parent-dir", "empty"],
+             lambda runs: "",  # the run directory itself
+             lambda runs: ".."],  # the run's parent directory
+    ids=["absolute", "parent-dir", "empty", "dot-dot"],
 )
 def test_eval_refuses_artifact_names_outside_the_run(trained_runs, tmp_path, capsys, name):
     # Each name points at a valid table, which eval must still not open.

@@ -1,5 +1,6 @@
 """Discovery contracts: clustering, anomaly scoring, merging."""
 
+import dataclasses
 import itertools
 import math
 
@@ -228,6 +229,32 @@ def test_discover_zero_rewards_no_anomalies(rng):
     assert subgoals.anomalies == ()
 
 
+def test_discover_flags_a_large_negative_reward_outlier(rng):
+    # `discover --memory` takes any finite reward, so an outlier may lie far
+    # below the mean; its score is its distance from the mean in stds.
+    transitions = _arrivals([(x, 1) for x in range(1, 6)] * 20)
+    transitions += _arrivals([(10, 2)], reward=-50.0)
+    scores = anomaly_scores(transitions)
+    assert scores[-1] > 3.0 and (scores[:-1] < 3.0).all()
+    subgoals = discover(transitions, 2, 3.0, rng, index=_INDEX)
+    assert subgoals.anomalies == (
+        AnomalySubgoal(GridState(10, 2, False), float(scores[-1])),
+    )
+
+
+def test_discover_keeps_a_state_s_highest_score(rng):
+    # The state is flagged twice, its higher score first.
+    transitions = _arrivals([(10, 2)], reward=40.0)
+    transitions += _arrivals([(x, 1) for x in range(1, 6)] * 40)
+    transitions += _arrivals([(10, 2)], reward=20.0)
+    scores = anomaly_scores(transitions)
+    assert scores[0] > scores[-1] > 3.0
+    subgoals = discover(transitions, 2, 3.0, rng, index=_INDEX)
+    assert subgoals.anomalies == (
+        AnomalySubgoal(GridState(10, 2, False), float(scores[0])),
+    )
+
+
 def test_discover_insufficient_memory(rng):
     with pytest.raises(InsufficientMemoryError):
         discover(_arrivals([(1, 1)]), 4, 3.0, rng, index=_INDEX)
@@ -342,6 +369,13 @@ def test_merge_keeps_old_anomalies_missing_from_new():
     new = SubgoalSet(centroids=old.centroids, anomalies=())
     merged = merge(old, new)
     assert merged.anomalies == old.anomalies
+
+
+def test_merge_takes_the_fresh_threshold_and_memory_size():
+    old = dataclasses.replace(_rooms_subgoal_set(), theta_anom=3.0, source_size=100)
+    new = dataclasses.replace(old, theta_anom=4.5, source_size=250)
+    merged = merge(old, new)
+    assert (merged.theta_anom, merged.source_size) == (4.5, 250)
 
 
 def test_merge_perturbed_centroids_preserve_room_identity(layout):

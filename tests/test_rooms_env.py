@@ -1,5 +1,7 @@
 """Environment contract tests: geometry, rewards, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,14 @@ def test_layout_text_rejects_garbage():
         RoomsLayout.from_text("###\n#S#\n###\n")  # no key/box
     with pytest.raises(LayoutError):
         RoomsLayout.from_text("")
+
+
+@pytest.mark.parametrize("name", ["key", "box"])
+@pytest.mark.parametrize("cell", [(-1, 5), (5, -1), (13, 5), (5, 13)])
+def test_layout_refuses_a_cell_just_off_the_grid(layout, name, cell):
+    # No wall lies off the 13x13 grid, so only the bounds refuse these cells.
+    with pytest.raises(LayoutError, match=f"{name} cell .* is not playable"):
+        dataclasses.replace(layout, **{f"{name}_cell": cell})
 
 
 def test_layout_rejects_unreachable_cells():
