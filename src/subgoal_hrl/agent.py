@@ -102,18 +102,22 @@ class _ValueTable:
 
     `shape` is (states, *counts, *actions) and the only record of the
     table's dimensions; `actions` is the class's fixed action column. The
-    subclasses name the columns in `header` and bind `to_csv`/`from_csv`
-    in their own class bodies, because `perfbench/tracer.py` wraps each
-    class's own codec methods.
+    subclasses name the columns in `header`, which fixes how many `counts`
+    the constructor takes, and bind `to_csv`/`from_csv` in their own class
+    bodies, because `perfbench/tracer.py` wraps each class's own codec
+    methods.
     """
 
     header: tuple[str, ...]
     actions: tuple[int, ...] = ()
 
-    def __init__(self, index: StateIndex, *counts: int, init: float) -> None:
+    def __init__(self, index: StateIndex, *counts: int, init: float = 0.0) -> None:
+        self.shape = (index.size, *counts, *self.actions)
+        if len(self.shape) != len(self.header) - 1:
+            raise TypeError(f"{type(self).__name__} columns {self.header} do "
+                            f"not fit the shape {self.shape}")
         self.index = index
         self.init = init
-        self.shape = (index.size, *counts, *self.actions)
         self._values = _filled(self.shape, init)
 
     def grow(self, n_subgoals: int) -> None:
@@ -158,9 +162,6 @@ class ControllerTable(_ValueTable):
     from_csv = vars(_ValueTable)["from_csv"]
     n_subgoals = property(lambda self: self.shape[1])
 
-    def __init__(self, index: StateIndex, n_subgoals: int, init: float = 0.0) -> None:
-        super().__init__(index, n_subgoals, init=init)
-
     def action_values(self, state: GridState, goal_id: int) -> list[float]:
         """Live value row for (state, goal); mutations write through."""
         if not 0 <= goal_id < self.n_subgoals:
@@ -176,9 +177,6 @@ class MetaTable(_ValueTable):
     from_csv = vars(_ValueTable)["from_csv"]
     n_subgoals = property(lambda self: self.shape[1])
 
-    def __init__(self, index: StateIndex, n_subgoals: int, init: float = 0.0) -> None:
-        super().__init__(index, n_subgoals, init=init)
-
 
 class FlatTable(_ValueTable):
     """Plain Q(state, action) table for the non-hierarchical baseline."""
@@ -187,9 +185,6 @@ class FlatTable(_ValueTable):
     actions = (N_ACTIONS,)
     to_csv = _ValueTable.to_csv
     from_csv = vars(_ValueTable)["from_csv"]
-
-    def __init__(self, index: StateIndex, init: float = 0.0) -> None:
-        super().__init__(index, init=init)
 
     def action_values(self, state: GridState) -> list[float]:
         return self._values[self.index.encode(state)]

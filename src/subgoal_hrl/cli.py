@@ -15,6 +15,7 @@ import json
 import os
 import statistics
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +44,6 @@ MANIFEST_NAME = "manifest.json"
 
 class CliError(Exception):
     """User-facing CLI failure; message printed to stderr, exit code 1."""
-
-
-def _out_root(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get(OUT_ROOT_ENV, DEFAULT_OUT_ROOT))
 
 
 def _load_config_file(path: str) -> dict:
@@ -230,7 +225,7 @@ def read_run(run_dir: Path) -> tuple[RunConfig, dict[str, Path]]:
 
 def cmd_train(args) -> int:
     configs = _build_configs(args)
-    out_root = _out_root(args)
+    out_root = Path(args.out or os.environ.get(OUT_ROOT_ENV, DEFAULT_OUT_ROOT))
     run_dirs = [out_root / run_dir_name(config) for config in configs]
     # A bad output location fails here, before any training step.
     try:
@@ -342,14 +337,9 @@ def _load_run_dirs(args) -> list[tuple[Path, RunConfig, dict[str, Path]]]:
 
 
 def _sample_at(steps: list[int], values: list[float], grid: list[int]) -> list[float]:
-    """Previous-value resampling onto the grid (first value carried back)."""
-    out = []
-    j = -1
-    for t in grid:
-        while j + 1 < len(steps) and steps[j + 1] <= t:
-            j += 1
-        out.append(values[max(j, 0)])
-    return out
+    """Previous-value resampling onto the grid (first value carried back);
+    `steps` rise strictly, as `metrics_from_csv` requires."""
+    return [values[max(bisect_right(steps, t) - 1, 0)] for t in grid]
 
 
 def cmd_compare(args) -> int:

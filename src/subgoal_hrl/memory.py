@@ -99,11 +99,6 @@ class BoundedMemory(Generic[T]):
     def __len__(self) -> int:
         return len(self._items)
 
-    def __getitem__(self, i: int) -> T:
-        if not 0 <= i < len(self._items):
-            raise IndexError(i)
-        return self._items[(self._head + i) % self.capacity]
-
     def __iter__(self) -> Iterator[T]:
         head = self._head
         return iter(self._items[head:] + self._items[:head])

@@ -106,7 +106,8 @@ class RoomsLayout:
             ("box", self.box_cell),
             ("start", self.start_cell),
         ):
-            if cell in self.walls or not self._in_bounds(cell):
+            in_bounds = 0 <= cell[0] < self.width and 0 <= cell[1] < self.height
+            if cell in self.walls or not in_bounds:
                 raise LayoutError(f"{name} cell {cell} is not playable")
         if len({self.key_cell, self.box_cell, self.start_cell}) != 3:
             raise LayoutError("key, box and start cells must be distinct")
@@ -135,9 +136,6 @@ class RoomsLayout:
             box_cell=(2, 10),
             start_cell=(1, 1),
         )
-
-    def _in_bounds(self, cell: tuple[int, int]) -> bool:
-        return 0 <= cell[0] < self.width and 0 <= cell[1] < self.height
 
     @cached_property
     def playable(self) -> frozenset[tuple[int, int]]:

@@ -392,24 +392,20 @@ class Runner:
         return terminal or self.steps - self.ep_start >= self.cfg.episode_cap
 
     def _end_episode(self) -> None:
+        recent = self._recent_attempts
         self.metrics.append(
             MetricsRecord(
                 episode=len(self.metrics),
                 steps=self.steps,
                 ep_return=self.ep_return,
                 coverage=self._visits.count(1) / len(self._visits),
-                success_rate=self._success_rate(),
+                success_rate=sum(recent) / len(recent) if recent else 0.0,
                 num_subgoals=self.subgoals.size if self.subgoals else 0,
             )
         )
         self.sid = self.env.start_id
         self.ep_start = self.steps
         self.ep_return = 0.0
-
-    def _success_rate(self) -> float:
-        if not self._recent_attempts:
-            return 0.0
-        return sum(self._recent_attempts) / len(self._recent_attempts)
 
     def _goal_epsilon(self, goal_id: int) -> float:
         cfg = self.cfg
@@ -521,15 +517,6 @@ class Runner:
         if steps == self._next_discovery:
             self._maybe_discover()
 
-    def _choose_subgoal(self, unified: bool) -> int:
-        if unified:
-            return epsilon_greedy_index(
-                self.meta._values[self.sid],
-                self._meta_epsilon(),
-                self.rng,
-            )
-        return int(self.rng.integers(self.subgoals.size))
-
     def _attempt(self, goal_id: int) -> tuple[bool, bool, int]:
         """Pursue one subgoal until attained, episode end, or timeout.
 
@@ -589,7 +576,12 @@ class Runner:
             if self.subgoals is None:
                 self._warmup()
                 continue
-            goal_id = self._choose_subgoal(unified)
+            if unified:
+                goal_id = epsilon_greedy_index(
+                    self.meta._values[self.sid], self._meta_epsilon(), self.rng
+                )
+            else:
+                goal_id = int(self.rng.integers(self.subgoals.size))
             _, terminal, _ = self._attempt(goal_id)
             if unified:
                 update_meta(

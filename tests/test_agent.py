@@ -538,6 +538,19 @@ def test_table_classes_bind_their_own_csv_codec(layout):
     assert FlatTable(StateIndex(layout)).shape == (208, 4)
 
 
+@pytest.mark.parametrize(
+    "cls,counts",
+    [(ControllerTable, ()), (ControllerTable, (1, 2)), (MetaTable, ()),
+     (FlatTable, (3,))],
+    ids=["controller-none", "controller-two", "meta-none", "flat-one"],
+)
+def test_a_table_refuses_counts_its_columns_do_not_fit(layout, cls, counts):
+    # One constructor serves every table; its header fixes the arity, and
+    # `init` is keyword-only, so FlatTable(index, 3) cannot set it.
+    with pytest.raises(TypeError, match="do not fit the shape"):
+        cls(StateIndex(layout), *counts)
+
+
 def test_state_index_round_trip(layout):
     index = StateIndex(layout)
     assert index.size == 208
