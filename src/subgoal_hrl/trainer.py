@@ -122,6 +122,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.validate()
+        # YAML reads `theta_anom: 3` as an int; a float field holds a float
+        # whatever its spelling, so both spellings write the same artifacts.
+        for f in fields(self):
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     def validate(self) -> None:
         for f in fields(self):

@@ -710,6 +710,30 @@ def test_eval_rejects_table_narrower_than_subgoal_set(trained_runs, tmp_path, ca
     _assert_cli_error(capsys, "meta_q.csv", f"208 states x {size} subgoals, got 208 rows")
 
 
+def test_int_spelled_float_fields_write_the_same_run(tmp_path):
+    # YAML reads `theta_anom: 3` as an int. Every float field is spelled
+    # both ways, and both runs must write the same bytes, manifest included.
+    ints = {"alpha": 1, "gamma": 1, "theta_anom": 3, "slip_prob": 0,
+            "table_init": 1, "controller_eps_start": 1, "controller_eps_end": 0,
+            "meta_eps_start": 1, "meta_eps_end": 0, "flat_eps": 0}
+    assert set(ints) == {f.name for f in fields(RunConfig) if f.type == "float"}
+    runs = {}
+    floats = {name: float(value) for name, value in ints.items()}
+    for spelling, values in (("int", ints), ("float", floats)):
+        config = tmp_path / f"{spelling}.yaml"
+        config.write_text(yaml.safe_dump({
+            "mode": "unified_hrl", "seed": 1, "total_steps": 1500,
+            "warmup_steps": 200, "discovery_period": 500, **values,
+        }))
+        out = tmp_path / spelling
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        runs[spelling] = {
+            p.name: p.read_bytes() for p in (out / "unified_hrl_seed1").iterdir()
+        }
+    assert "subgoals.json" in runs["int"] and "controller_q.csv" in runs["int"]
+    assert runs["int"] == runs["float"]
+
+
 def test_experiments_reject_repeated_mode_and_seed(tmp_path, capsys):
     config = {
         "total_steps": 600,
