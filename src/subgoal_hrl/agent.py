@@ -44,7 +44,8 @@ def _read_table_csv(
     dimension of `shape`; the rows may come in any order. Raises
     ValueError naming `path` on a wrong header, no rows, a malformed row,
     an id out of range, a non-finite value, or a table that does not hold
-    exactly one row per id combination.
+    exactly one row per id combination. A file that is not UTF-8 raises
+    the decode error, a ValueError that names the byte but not `path`.
     """
     with open(path, encoding="utf-8") as fh:
         found = fh.readline().rstrip("\n")

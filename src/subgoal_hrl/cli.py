@@ -422,27 +422,24 @@ def cmd_eval(args) -> int:
         raise CliError("random_walk runs have no tables to evaluate")
     layout = config.layout()
     index = layout.index
+    # Each error names the file being loaded; a missing key, the manifest.
+    path = run_dir / MANIFEST_NAME
     try:
         if config.mode == "flat_q":
-            flat = FlatTable.from_csv(artifacts["flat_table"], index)
-            kwargs = {"flat": flat}
+            path = artifacts["flat_table"]
+            kwargs = {"flat": FlatTable.from_csv(path, index)}
         else:
             if "subgoals" not in artifacts:
                 raise CliError("run finished without a discovered subgoal set")
-            subgoals = SubgoalSet.from_json_dict(
-                json.loads(artifacts["subgoals"].read_text()), layout
-            )
-            kwargs = {
-                "subgoals": subgoals,
-                "controller": ControllerTable.from_csv(
-                    artifacts["controller_table"], index, subgoals.size
-                ),
-                "meta": MetaTable.from_csv(
-                    artifacts["meta_table"], index, subgoals.size
-                ),
-            }
+            tables = [(key, cls, artifacts[f"{key}_table"]) for key, cls
+                      in (("controller", ControllerTable), ("meta", MetaTable))]
+            path = artifacts["subgoals"]
+            subgoals = SubgoalSet.from_json_dict(json.loads(path.read_text()), layout)
+            kwargs = {"subgoals": subgoals}
+            for key, cls, path in tables:
+                kwargs[key] = cls.from_csv(path, index, subgoals.size)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"cannot load run artifacts from {run_dir}: {exc}") from exc
+        raise CliError(f"cannot load run artifacts from {path}: {exc}") from exc
     rng = np.random.default_rng(args.seed)
 
     episodes = []

@@ -581,7 +581,8 @@ def test_compare_rejects_grid_step_and_window_below_one(
 
 @pytest.mark.parametrize(
     "name",
-    ["config.yaml", "manifest.json", "metrics.csv", "controller_q.csv", "subgoals.json"],
+    ["config.yaml", "manifest.json", "metrics.csv", "controller_q.csv", "meta_q.csv",
+     "subgoals.json"],
 )
 def test_a_file_that_is_not_utf8_is_refused_in_one_short_line(
     trained_runs, tmp_path, capsys, name
@@ -605,9 +606,8 @@ def test_a_file_that_is_not_utf8_is_refused_in_one_short_line(
     # The decode error shows by its message, not by a repr holding the file.
     assert "can't decode byte 0xff in position 5" in err
     assert len(err) < 300, err
-    # eval names the run directory of a table or subgoal set, as its other
-    # artifact refusals do; every other refusal names the file.
-    assert str(run_dir if name.endswith(("_q.csv", "subgoals.json")) else path) in err
+    # Every refusal names the file, eval's tables and subgoal set included.
+    assert str(path) in err
 
 
 @pytest.mark.parametrize("command", ["discover --memory", "eval --run"])
@@ -1304,6 +1304,21 @@ def test_eval_refuses_artifact_names_outside_the_run(trained_runs, tmp_path, cap
     assert main(["eval", "--run", str(run_dir)]) == 1
     _assert_cli_error(capsys, "cannot load run artifacts", repr(flat_table),
                       "is not a plain file name")
+
+
+@pytest.mark.parametrize("key", ["flat_table", "controller_table", "meta_table"])
+def test_eval_names_the_manifest_when_it_lists_no_table(trained_runs, tmp_path, capsys, key):
+    name = "flat_q_seed1" if key == "flat_table" else "unified_hrl_seed1"
+    run_dir = tmp_path / name
+    shutil.copytree(trained_runs / name, run_dir)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    del manifest["artifacts"][key]
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run_dir)]) == 1
+    _assert_cli_error(
+        capsys, f"cannot load run artifacts from {run_dir / 'manifest.json'}: '{key}'"
+    )
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
