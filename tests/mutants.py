@@ -3,7 +3,7 @@
 Run by hand from the repository root (pytest does not collect this file):
 
     python tests/mutants.py [--commit REV] [--out MUTANTS.json]
-                            [--baseline OLD.json] [--only ID ...]
+                            [--baseline OLD.json]
 
 The commit is exported with `git archive` into a scratch directory. The
 unmutated export must pass the selection first. Then each mutant below is
@@ -269,13 +269,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--commit", default="HEAD")
     parser.add_argument("--out", default="MUTANTS.json")
     parser.add_argument("--baseline", help="an earlier MUTANTS.json to compare with")
-    parser.add_argument("--only", nargs="*", help="run only these mutant ids")
     args = parser.parse_args(argv)
     commit = subprocess.run(
         ["git", "rev-parse", "--verify", f"{args.commit}^{{commit}}"],
         capture_output=True, text=True, check=True,
     ).stdout.strip()
-    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp)
         archive = subprocess.run(["git", "archive", commit], capture_output=True,
@@ -287,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(f"unmutated: passed in {control_wall:.1f} s", flush=True)
         results = []
-        for mutant_id, origin, file, edits, equivalent in chosen:
+        for mutant_id, origin, file, edits, equivalent in MUTANTS:
             path = work / file
             original = path.read_text()
             mutated = _apply(original, edits)
@@ -306,7 +304,8 @@ def main(argv: list[str] | None = None) -> int:
                 record.update(outcome=record["status"], status="equivalent",
                               argument=equivalent)
             results.append(record)
-            print(f"{record['status']:>14}  {mutant_id}  {failure or ''}", flush=True)
+            print(f"{record['status']:>14}  {mutant_id}  {record['first_failure'] or ''}",
+                  flush=True)
     counts = {s: sum(r["status"] == s for r in results)
               for s in ("killed", "survived", "not applicable", "equivalent")}
     report = {
